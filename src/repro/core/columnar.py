@@ -54,7 +54,11 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from repro.core.kernel import abstraction_name, witness_path
+from repro.core.kernel import (
+    abstraction_name,
+    abstraction_names,
+    witness_path,
+)
 from repro.core.results import (
     LookupResult,
     ambiguous_result,
@@ -167,15 +171,8 @@ class EntryPool:
                 )
             else:
                 public = (
-                    frozenset(
-                        abstraction_name(ch, a) for a in slot.abstractions
-                    ),
-                    tuple(
-                        sorted(
-                            ch.class_names[ldc]
-                            for ldc in slot.candidate_ldcs
-                        )
-                    ),
+                    abstraction_names(ch, slot[0]),
+                    tuple(sorted([ch.class_names[ldc] for ldc in slot[1]])),
                 )
             self.public[sid] = public
         return public

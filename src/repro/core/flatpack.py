@@ -61,7 +61,12 @@ from typing import Optional, Union
 
 import repro.core.columnar as columnar_mod
 from repro.core.columnar import ColumnarColumn, ColumnarTable, EntryPool
-from repro.core.kernel import AmbiguityCertificate, KernelBlue
+from repro.core.kernel import (
+    AmbiguityCertificate,
+    KernelBlue,
+    abstraction_ids,
+    abstraction_mask,
+)
 from repro.core.results import LookupResult, not_found_result
 from repro.core.semantics import Semantics, get_semantics
 from repro.core.snapshot import TableSnapshot
@@ -246,8 +251,8 @@ def pack(table, path) -> int:
         if type(slot) is tuple:
             slot_values.extend((0, slot[0], slot[1]))
         else:
-            abstractions = sorted(slot.abstractions)
-            candidates = sorted(slot.candidate_ldcs)
+            abstractions = abstraction_ids(slot[0])
+            candidates = sorted(slot[1])
             slot_values.append(1)
             slot_values.append(len(abstractions))
             slot_values.append(len(candidates))
@@ -690,7 +695,7 @@ class PackedTable:
                     n_cand = values[at + 2]
                     split = at + 3 + n_abs
                     key = KernelBlue(
-                        abstractions=frozenset(values[at + 3 : split]),
+                        abstractions=abstraction_mask(values[at + 3 : split]),
                         candidate_ldcs=frozenset(
                             values[split : split + n_cand]
                         ),

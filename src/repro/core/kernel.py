@@ -27,7 +27,13 @@ The kernel operates on the interned integer ids of a
   means the lookup is ambiguous; ``abstractions`` is the propagated set
   of ``leastVirtual`` ids that must still be dominated by any would-be
   winner further down (Section 4: a blue definition can *disqualify* a
-  red one even though it can never win itself).
+  red one even though it can never win itself).  The set is an int
+  bitmask: bit ``a + 2`` stands for abstraction id ``a``, so
+  :data:`~repro.hierarchy.compiled.NONE_ID` is bit 0,
+  :data:`~repro.hierarchy.compiled.OMEGA_ID` (Ω) is bit 1 and class
+  ``c`` is bit ``c + 2`` (:func:`abstraction_mask`).
+  ``candidate_ldcs`` is a frozenset of declaring-class ids, carried
+  only for diagnostics.
 
 Reds and blues are told apart by exact type: ``type(entry) is tuple``
 holds only for reds, because :class:`KernelBlue` is a tuple *subclass*.
@@ -37,6 +43,23 @@ operations on the precomputed virtual-base masks::
 
     (L1, V1) dominates (L2, V2)  iff  bit V2 of vb-mask[L1] is set
                                       or V1 == V2 != Ω
+
+Because the blue set is a mask too, both places the algorithm touches
+a whole blue set are a handful of big-int operations:
+
+* the ⋄ operator (Definition 15) rewrites only Ω, and only across a
+  virtual edge, so a blue crossing an edge is the *same* entry object
+  unless the edge is virtual and the Ω bit is set — then the Ω bit is
+  cleared and the base's bit set;
+* the blue-kill of lines [34]-[44] applies Lemma 4 to every element at
+  once: the abstractions a red candidate ``(L1, V1)`` leaves undominated
+  are ``blue & ~((vb-mask[L1] << 2) | bit(V1))`` (``bit(V1)`` only when
+  ``V1`` is a class).
+
+The boundary conversions (:func:`to_table_entry`,
+:func:`to_lookup_result`, the columnar and flatpack layouts) decode the
+mask back to the frozenset of ids or names; nothing outside the kernel
+sees a mask.
 
 Witnesses are carried as O(1) cons cells ``(class_id, virtual, prev)``
 and only materialised into :class:`~repro.core.paths.Path` objects at
@@ -141,9 +164,10 @@ KernelRed = tuple
 
 
 class KernelBlue(NamedTuple):
-    """Interned blue entry: abstraction ids + diagnostic ldc ids."""
+    """Interned blue entry: the abstraction bitmask (bit ``a + 2`` per
+    abstraction id ``a``) + diagnostic ldc ids."""
 
-    abstractions: frozenset[int]
+    abstractions: int
     candidate_ldcs: frozenset[int]
 
 
@@ -171,11 +195,31 @@ def dominates(
     return v1 >= 0 and v1 == v2
 
 
-def extend_abstraction_id(value: int, base: int, virtual: int) -> int:
-    """The ⋄ operator (Definition 15) on interned abstraction ids."""
-    if value != OMEGA_ID:
-        return value
-    return base if virtual else OMEGA_ID
+#: The Ω bit of a blue abstraction mask.
+OMEGA_BIT = 1 << (OMEGA_ID + 2)
+
+_EMPTY: frozenset = frozenset()
+
+
+def abstraction_mask(ids) -> int:
+    """The blue mask of an iterable of abstraction ids."""
+    mask = 0
+    for value in ids:
+        mask |= 1 << (value + 2)
+    return mask
+
+
+def abstraction_ids(mask: int) -> list[int]:
+    """The abstraction ids of a blue mask, ascending.  Walks set bits
+    from the top: ``bit_length`` is O(1), so each step is one shift and
+    one xor."""
+    ids: list[int] = []
+    while mask:
+        bit = mask.bit_length() - 1
+        mask ^= 1 << bit
+        ids.append(bit - 2)
+    ids.reverse()
+    return ids
 
 
 def generated_entry(cid: int, track_witnesses: bool) -> KernelRed:
@@ -197,20 +241,20 @@ def extend_entry(
         if stats is not None:
             stats.red_propagations += 1
         witness = entry[2]
+        least = entry[1]
         return (
             entry[0],
-            extend_abstraction_id(entry[1], base, virtual),
+            base if virtual and least == OMEGA_ID else least,
             (derived, bool(virtual), witness) if witness is not None else None,
         )
+    abstractions = entry[0]
     if stats is not None:
-        stats.blue_propagations += len(entry.abstractions)
-    return KernelBlue(
-        frozenset(
-            extend_abstraction_id(a, base, virtual)
-            for a in entry.abstractions
-        ),
-        entry.candidate_ldcs,
-    )
+        stats.blue_propagations += abstractions.bit_count()
+    if virtual and abstractions & OMEGA_BIT:
+        return KernelBlue(
+            abstractions ^ OMEGA_BIT | 1 << (base + 2), entry[1]
+        )
+    return entry
 
 
 def meet_entries(
@@ -222,8 +266,10 @@ def meet_entries(
     from the direct bases — candidate selection among reds, blue-set
     accumulation, and the final blue-kill resolution."""
     candidate: Optional[KernelRed] = None
-    to_be_dominated: set[int] = set()
-    blue_ldcs: set[int] = set()
+    to_be_dominated = 0
+    # The declaring classes met so far, as a list of id collections
+    # unioned once at the end.
+    blue_ldcs: list = []
     for entry in entries:
         if type(entry) is tuple:
             if candidate is None:
@@ -236,28 +282,32 @@ def meet_entries(
                 ch, candidate[0], candidate[1], entry[1], stats
             ):
                 # Neither dominates: both become blue for now.
-                to_be_dominated.add(candidate[1])
-                to_be_dominated.add(entry[1])
-                blue_ldcs.add(candidate[0])
-                blue_ldcs.add(entry[0])
+                to_be_dominated |= (
+                    1 << (candidate[1] + 2) | 1 << (entry[1] + 2)
+                )
+                blue_ldcs.append((candidate[0], entry[0]))
                 candidate = None
         else:
-            to_be_dominated |= entry.abstractions
-            blue_ldcs |= entry.candidate_ldcs
+            to_be_dominated |= entry[0]
+            blue_ldcs.append(entry[1])
 
-    # Lines [34]-[44]: resolve the candidate against the blue set.
+    # Lines [34]-[44]: resolve the candidate against the blue set —
+    # Lemma 4 over every abstraction at once.
     if candidate is None:
-        return KernelBlue(frozenset(to_be_dominated), frozenset(blue_ldcs))
-    surviving = {
-        abstraction
-        for abstraction in to_be_dominated
-        if not dominates(ch, candidate[0], candidate[1], abstraction, stats)
-    }
+        return KernelBlue(to_be_dominated, _EMPTY.union(*blue_ldcs))
+    ldc, least = candidate[0], candidate[1]
+    if stats is not None:
+        stats.dominance_checks += to_be_dominated.bit_count()
+    dominated = ch.virtual_base_masks[ldc] << 2
+    if least >= 0:
+        dominated |= 1 << (least + 2)
+    surviving = to_be_dominated & ~dominated
     if not surviving:
         return candidate
-    surviving.add(candidate[1])
-    blue_ldcs.add(candidate[0])
-    return KernelBlue(frozenset(surviving), frozenset(blue_ldcs))
+    blue_ldcs.append((ldc,))
+    return KernelBlue(
+        surviving | 1 << (least + 2), _EMPTY.union(*blue_ldcs)
+    )
 
 
 def fold_entry(
@@ -429,6 +479,7 @@ def batched_sweep(
             # per-entry declared-bit probe entirely.
             base, virtual = bases[0]
             virtual_flag = virtual != 0
+            base_bit = 1 << (base + 2)
             for mid, entry in rows[base].items():
                 if decl and (decl >> mid) & 1:
                     continue
@@ -445,13 +496,9 @@ def batched_sweep(
                         else None,
                     )
                 else:
-                    row[mid] = blue(
-                        frozenset(
-                            extend_abstraction_id(a, base, virtual)
-                            for a in entry[0]
-                        ),
-                        entry[1],
-                    )
+                    if virtual_flag and entry[0] & OMEGA_BIT:
+                        entry = blue(entry[0] ^ OMEGA_BIT | base_bit, entry[1])
+                    row[mid] = entry
                     amb_mask |= 1 << mid
                     blue_cells += 1
         elif bases:
@@ -579,6 +626,10 @@ def cone_sweep(
     base_pairs = ch.base_pairs
     declared_masks = ch.declared_masks
     visible_masks = ch.visible_masks
+    count = stats is not None
+    blue = KernelBlue
+    red_propagations = 0
+    blue_propagations = 0
     cone_classes = 0
     recomputed = 0
     boundary = 0
@@ -599,10 +650,15 @@ def cone_sweep(
             rows[cid] = row
         elif row is None:
             row = rows[cid] = {}
-        bases = base_pairs[cid]
-        for base, _virtual in bases:
+        # The incoming edges with their (final, earlier-in-topo-order)
+        # base rows, hoisted out of the member loop.
+        edges = []
+        for base, virtual in base_pairs[cid]:
             if not (cone_mask >> base) & 1:
                 boundary += 1
+            base_row = rows[base]
+            if base_row:
+                edges.append((base_row, base, virtual != 0))
         decl = declared_masks[cid]
         affected = visible_masks[cid] & member_mask
         pending = affected & ~decl
@@ -610,25 +666,44 @@ def cone_sweep(
             low = pending & -pending
             pending ^= low
             mid = low.bit_length() - 1
-            bucket: list = []
-            for base, virtual in bases:
-                base_row = rows[base]
-                if base_row is None:
+            # extend_entry inlined across each edge; a meet over one
+            # extended entry is that entry.
+            met = bucket = None
+            for base_row, base, virtual in edges:
+                entry = base_row.get(mid)
+                if entry is None:
                     continue
-                sub_entry = base_row.get(mid)
-                if sub_entry is None:
-                    continue
-                bucket.append(
-                    extend_entry(ch, sub_entry, base, virtual, cid, stats)
-                )
-            if not bucket:
+                if type(entry) is tuple:
+                    red_propagations += 1
+                    least = entry[1]
+                    if virtual and least == OMEGA_ID:
+                        least = base
+                    witness = entry[2]
+                    entry = (
+                        entry[0],
+                        least,
+                        (cid, virtual, witness)
+                        if witness is not None
+                        else None,
+                    )
+                else:
+                    if count:
+                        blue_propagations += entry[0].bit_count()
+                    if virtual and entry[0] & OMEGA_BIT:
+                        entry = blue(
+                            entry[0] ^ OMEGA_BIT | 1 << (base + 2), entry[1]
+                        )
+                if met is None:
+                    met = entry
+                elif bucket is None:
+                    bucket = [met, entry]
+                else:
+                    bucket.append(entry)
+            if met is None:
                 row.pop(mid, None)
             else:
-                met = (
-                    bucket[0]
-                    if len(bucket) == 1
-                    else meet_entries(ch, bucket, stats)
-                )
+                if bucket is not None:
+                    met = meet_entries(ch, bucket, stats)
                 row[mid] = met
                 if type(met) is not tuple:
                     amb_mask |= 1 << mid
@@ -642,9 +717,11 @@ def cone_sweep(
                 seed ^= low
                 row[low.bit_length() - 1] = (cid, OMEGA_ID, cell)
                 recomputed += 1
-    if stats is not None:
+    if count:
         stats.classes_visited += cone_classes
         stats.entries_computed += recomputed
+        stats.red_propagations += red_propagations
+        stats.blue_propagations += blue_propagations
     if certificate is not None:
         certificate.record(amb_mask, blue_cells)
     return ConeSweepStats(
@@ -676,6 +753,25 @@ def abstraction_name(ch: CompiledHierarchy, value: int) -> Abstraction:
     return ch.class_names[value]
 
 
+def abstraction_names(ch: CompiledHierarchy, mask: int) -> frozenset:
+    """A blue mask back to the public frozenset of class names, Ω and
+    ``None`` (see :func:`abstraction_name`) — the bit walk of
+    :func:`abstraction_ids` fused with the name lookup."""
+    names = ch.class_names
+    public: list = []
+    append = public.append
+    classes = mask >> 2
+    while classes:
+        cid = classes.bit_length() - 1
+        classes ^= 1 << cid
+        append(names[cid])
+    if mask & OMEGA_BIT:
+        append(OMEGA)
+    if mask & 1:
+        append(None)
+    return frozenset(public)
+
+
 def witness_path(ch: CompiledHierarchy, cell: WitnessCell) -> Path:
     """Materialise a witness cons chain into a concrete :class:`Path`."""
     nodes: list[str] = []
@@ -705,13 +801,10 @@ def to_table_entry(
                 witness_path(ch, entry[2]) if entry[2] is not None else None
             ),
         )
+    names = ch.class_names
     return BlueEntry(
-        abstractions=frozenset(
-            abstraction_name(ch, a) for a in entry.abstractions
-        ),
-        candidate_ldcs=frozenset(
-            ch.class_names[ldc] for ldc in entry.candidate_ldcs
-        ),
+        abstraction_names(ch, entry[0]),
+        frozenset([names[ldc] for ldc in entry[1]]),
     )
 
 
@@ -761,10 +854,6 @@ def to_lookup_result(
     return ambiguous_result(
         class_name,
         member,
-        blue_abstractions=frozenset(
-            abstraction_name(ch, a) for a in entry.abstractions
-        ),
-        candidates=tuple(
-            sorted(ch.class_names[ldc] for ldc in entry.candidate_ldcs)
-        ),
+        blue_abstractions=abstraction_names(ch, entry[0]),
+        candidates=tuple(sorted([ch.class_names[ldc] for ldc in entry[1]])),
     )

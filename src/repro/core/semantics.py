@@ -362,7 +362,7 @@ class SelfSemantics(_LocalFoldSemantics):
                 declarers |= entry.candidate_ldcs
         if len(declarers) == 1:
             return (next(iter(declarers)), NONE_ID, None)
-        return KernelBlue(frozenset(), frozenset(declarers))
+        return KernelBlue(0, frozenset(declarers))
 
 
 class EiffelSemantics(_LocalFoldSemantics):
@@ -746,7 +746,7 @@ class GxxBfsSemantics(Semantics):
                     # The unsound early exit: ambiguity at the first
                     # incomparable pair, later dominators unseen.
                     entry = KernelBlue(
-                        frozenset(),
+                        0,
                         frozenset({ldcs[best], ldcs[index]}),
                     )
                     break

@@ -79,12 +79,16 @@ class ClassHierarchyGraph:
         self._classes: dict[str, _ClassInfo] = {}
         self._edges: list[Inheritance] = []
         self._generation = 0
+        # The highest generation ever read through :attr:`generation`:
+        # a snapshot can only be named by a generation someone has seen.
+        self._observed = 0
         self._compiled = None
         # Delta-compatibility bookkeeping: every mutation that touches a
-        # *pre-existing* class (a new member, a new base edge) records
-        # the half-open generation interval [created_gen(C), g_after) of
-        # snapshots it breaks; snapshots at or below _compat_floor are
-        # conservatively treated as broken once intervals get folded.
+        # class some observed generation already contains (a new member,
+        # a new base edge) records the half-open generation interval
+        # [created_gen(C), g_after) of snapshots it breaks; snapshots at
+        # or below _compat_floor are conservatively treated as broken
+        # once intervals get folded.
         self._compat_breaks: list[tuple[int, int]] = []
         self._compat_floor = -1
 
@@ -152,13 +156,18 @@ class ClassHierarchyGraph:
     def _note_touch(self, info: _ClassInfo) -> None:
         """Record that ``info`` was mutated after creation: snapshots
         taken in ``[info.created_gen, generation)`` can no longer be
-        extended as pure downward growth."""
+        extended as pure downward growth.
+
+        A class created after the last observed generation breaks no
+        snapshot: every generation handed out so far predates it, and
+        every later one includes this mutation.  Streaming growth fills
+        each new class right after declaring it, so it records nothing
+        and the interval list never reaches the fold."""
         start = info.created_gen
-        end = self._generation
-        if start >= end:  # touched within its own creating mutation
+        if start > self._observed:
             return
         breaks = self._compat_breaks
-        breaks.append((start, end))
+        breaks.append((start, self._generation))
         if len(breaks) > self._COMPAT_INTERVAL_CAP:
             breaks.sort(key=lambda interval: interval[1])
             half = len(breaks) // 2
@@ -307,9 +316,11 @@ class ClassHierarchyGraph:
 
         A :class:`~repro.hierarchy.compiled.CompiledHierarchy` carries
         the generation it was compiled at, so engines can detect
-        staleness with a single integer comparison.
+        staleness with a single integer comparison.  Reading it marks
+        the generation as observed (see :meth:`_note_touch`).
         """
-        return self._generation
+        generation = self._observed = self._generation
+        return generation
 
     def grew_monotonically_since(self, generation: int) -> bool:
         """True iff every mutation after ``generation`` was pure

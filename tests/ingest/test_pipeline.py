@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+import repro.hierarchy.compiled as compiled
 from repro.frontend.errors import ParseError
+from repro.hierarchy.graph import ClassHierarchyGraph
 from repro.ingest import (
     StreamingIngest,
     ingest_paths,
@@ -114,6 +116,45 @@ class TestBatching:
     def test_bad_batch_size_rejected(self):
         with pytest.raises(ValueError):
             StreamingIngest(batch_size=0)
+
+    def test_streamed_growth_recompiles_as_deltas(
+        self, tmp_path, monkeypatch
+    ):
+        """Streaming only appends classes, so after the first batch
+        every publish extends the previous snapshot instead of
+        recompiling (and revalidating) the whole graph — also when one
+        batch declares more members on its fresh classes than the
+        touch-interval cap of :class:`ClassHierarchyGraph`."""
+        paths = write_corpus(
+            gui_corpus(layers=16, width=12, files=4, seed=5), tmp_path
+        )
+        calls = []
+        full, delta = compiled._compile_full, compiled._compile_delta
+
+        def counted(kind, compile_fn):
+            def wrapper(*args):
+                calls.append(kind)
+                return compile_fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            compiled, "_compile_full", counted("full", full)
+        )
+        monkeypatch.setattr(
+            compiled, "_compile_delta", counted("delta", delta)
+        )
+        pipeline = StreamingIngest(batch_size=48)
+        report = pipeline.ingest(paths)
+        graph = pipeline.table.graph
+        first = graph.classes[:48]
+        members = sum(graph.member_count(name) for name in first)
+        assert members > ClassHierarchyGraph._COMPAT_INTERVAL_CAP
+        assert len(report.batches) >= 4
+        first_batch = calls.index("delta")
+        assert set(calls[first_batch:]) == {"delta"}
+        assert calls[first_batch:].count("delta") >= len(report.batches) - 1
+        assert all(b.full_rebuilds == 0 for b in report.batches[1:])
 
 
 class TestCrossFileResolution:
