@@ -1,35 +1,27 @@
-"""Snapshot-chain serving vs lock-guarded in-place maintenance under
-concurrent reader threads.
+"""Snapshot-chain serving under concurrent reader threads.
 
 The snapshot tier's claim: because every publish is an immutable
 generation-stamped :class:`~repro.core.snapshot.TableSnapshot` swapped
 in with a single reference assignment, readers never take a lock — a
 reader that captured the chain head keeps a self-consistent table while
-the writer storms.  The historical alternative (``unsafe_inplace=True``)
-mutates the one table in place, so concurrent serving needs a lock
-around *every* lookup and around every ``apply_delta`` — and a delta
-whose invalidation cone spans the hierarchy stalls all readers for the
-whole re-sweep.
+the writer storms.
 
 The scenario: 4 reader threads each sweep the full class list of a
 1024-class family a fixed number of times while a writer thread storms
 deltas that declare fresh members near the root — worst-case cones
 covering nearly every class.  Measured: wall-clock until the *readers*
-finish (the writer keeps storming throughout), locked in-place as the
-baseline vs lock-free snapshot capture.
+finish (the writer keeps storming throughout).
 
-Both scenarios run with a 200 µs interpreter switch interval instead of
+The scenario runs with a 200 µs interpreter switch interval instead of
 CPython's default 5 ms: the default quantum is tuned for batch
-throughput and lets whichever thread holds the GIL (and therefore the
-lock) run far past any serving-latency budget, hiding exactly the
-convoy this tier exists to remove.  The setting is symmetric — it
-speeds the baseline up too (shorter convoys) — and is restored after
-each scenario.
+throughput and lets whichever thread holds the GIL run far past any
+serving-latency budget.  The setting is restored after each scenario.
 
-The headline floor (snapshot reads ≥ 2× locked in-place at 4 reader
-threads on ``chain_1024``) is pinned by a non-benchmark guard excluded
-from the CI ``--quick`` smoke run; recorded medians land in
-``BENCH_snapshot.json`` via ``scripts/collect_bench_numbers.py``.
+Recorded medians land in ``BENCH_snapshot.json`` via
+``scripts/collect_bench_numbers.py``.  That file also keeps the
+historical comparison against a lock-guarded in-place table, a mode
+the table no longer has; reads under a live writer are gated end to
+end by the ``serve-batch-writes`` workload of ``perfbench/``.
 """
 
 import itertools
@@ -46,7 +38,7 @@ from repro.workloads.generators import chain
 
 READERS = 4
 SWEEPS = 4
-#: A serving-latency-budget quantum (default 5 ms hides lock convoys).
+#: A serving-latency-budget quantum (CPython's default is 5 ms).
 SWITCH_INTERVAL = 2e-4
 
 
@@ -78,50 +70,35 @@ WORKLOADS = {
 }
 
 
-def _storm_scenario(name: str, *, locked: bool) -> float:
+def _storm_scenario(name: str) -> float:
     """Run one reader-storm session and return the time the last reader
     needed to finish its sweeps (the writer storms until then)."""
     graph, storm_target = WORKLOADS[name]()
     graph.compile()
-    table = build_lookup_table(
-        graph, mode="batched", fastpath=True, unsafe_inplace=locked
-    )
+    table = build_lookup_table(graph, mode="batched", fastpath=True)
     names = list(graph.classes)
     for class_name in names:
         table.lookup(class_name, "m")  # steady state before the storm
-    lock = threading.Lock() if locked else None
     done = threading.Event()
     finished: list[float] = []
 
     def reader() -> None:
-        if lock is None:
-            for _ in range(SWEEPS):
-                snapshot = table.snapshot  # capture once per sweep
-                lookup = snapshot.lookup
-                for class_name in names:
-                    lookup(class_name, "m")
-        else:
-            for _ in range(SWEEPS):
-                lookup = table.lookup
-                for class_name in names:
-                    with lock:
-                        lookup(class_name, "m")
+        for _ in range(SWEEPS):
+            snapshot = table.snapshot  # capture once per sweep
+            lookup = snapshot.lookup
+            for class_name in names:
+                lookup(class_name, "m")
         finished.append(time.perf_counter())
 
     fresh_members = itertools.count()
 
     def writer() -> None:
         # Each delta declares a fresh member near the root: the
-        # invalidation cone is (nearly) the whole hierarchy, so the
-        # locked variant stalls every reader for a full re-sweep.
+        # invalidation cone is (nearly) the whole hierarchy.
         while not done.is_set():
             member = f"storm{next(fresh_members)}"
             graph.add_member(storm_target, member)
-            if lock is None:
-                table.apply_delta()
-            else:
-                with lock:
-                    table.apply_delta()
+            table.apply_delta()
 
     previous_interval = sys.getswitchinterval()
     sys.setswitchinterval(SWITCH_INTERVAL)
@@ -140,8 +117,7 @@ def _storm_scenario(name: str, *, locked: bool) -> float:
         sys.setswitchinterval(previous_interval)
     assert len(finished) == READERS
     assert next(fresh_members) > 0  # the storm really applied deltas
-    if not locked:
-        assert table.snapshot.generation > 0
+    assert table.snapshot.generation > 0
     return max(finished) - start
 
 
@@ -150,50 +126,15 @@ def workload(request):
     return request.param
 
 
-def test_storm_reads_locked_inplace(benchmark, workload):
-    """Baseline: ``unsafe_inplace=True`` table, a lock around every
-    lookup and every ``apply_delta``."""
-    benchmark.pedantic(
-        _storm_scenario,
-        args=(workload,),
-        kwargs={"locked": True},
-        rounds=5,
-        warmup_rounds=1,
-    )
-    benchmark.extra_info["workload"] = workload
-    benchmark.extra_info["readers"] = READERS
-    benchmark.extra_info["baseline"] = True
-
-
 def test_storm_reads_snapshot(benchmark, workload):
-    """Candidate: lock-free readers capturing the published chain head
-    while the writer swaps in child snapshots."""
+    """Lock-free readers capturing the published chain head while the
+    writer swaps in child snapshots."""
     benchmark.pedantic(
         _storm_scenario,
         args=(workload,),
-        kwargs={"locked": False},
         rounds=5,
         warmup_rounds=1,
     )
     benchmark.extra_info["workload"] = workload
     benchmark.extra_info["readers"] = READERS
 
-
-def test_snapshot_speedup_floor():
-    """The acceptance floor: snapshot serving completes the 4-thread
-    reader workload ≥ 2× faster than the lock-guarded in-place table on
-    the 1024-class chain storm.
-
-    Excluded from the CI ``--quick`` smoke run (no timing assertions
-    there); best-of-5 sessions per variant so a scheduler hiccup cannot
-    flip the verdict."""
-    locked = min(
-        _storm_scenario("chain_1024", locked=True) for _ in range(5)
-    )
-    lockfree = min(
-        _storm_scenario("chain_1024", locked=False) for _ in range(5)
-    )
-    speedup = locked / lockfree
-    assert speedup >= 2.0, (
-        f"snapshot reads only {speedup:.2f}x over lock-guarded in-place"
-    )

@@ -30,8 +30,8 @@ demote-only* ambiguity mask: a delta that ambiguates a column inside
 its cone demotes it to the full red/blue rows for good (a cone
 certificate proves nothing about out-of-cone cells, so re-promotion
 would be unsound); a delta that keeps an affected column red merely
-rewrites the cone cells in place; columns outside the cone are never
-touched.  Brand-new columns — member names first declared by the delta,
+rewrites the cone cells of a copy; columns outside the cone are shared
+untouched.  Brand-new columns — member names first declared by the delta,
 whose whole visible footprint lies inside the cone — are the one safe
 promotion and are flattened on the spot.
 
@@ -97,7 +97,7 @@ class FastPathStats:
     (ambiguous columns, unknown members); ``demotions`` counts columns
     a delta ambiguated (flat → rows, permanent), ``promotions`` counts
     brand-new columns flattened by a delta, ``cone_updates`` counts
-    in-place cone rewrites of columns that stayed red."""
+    cone rewrites of columns that stayed red."""
 
     flat_hits: int = 0
     fallback_hits: int = 0
@@ -309,8 +309,6 @@ class FlatTable:
         member_ids,
         certificate: AmbiguityCertificate,
         entry_at: EntryAt,
-        *,
-        copy_on_write: bool = False,
     ) -> "FlatTable":
         """Bring the overlay current after the owner re-folded its cone.
 
@@ -321,13 +319,9 @@ class FlatTable:
         this delta — its whole footprint is in the cone, so the cone
         certificate covers it entirely).
 
-        In the default in-place mode, untouched columns' arrays are
-        still grown for appended class ids (which start "not visible" —
-        exactly what the fold would have said) and ``self`` is mutated
-        and returned.  With ``copy_on_write=True`` nothing reachable
-        from ``self`` is written: a new :class:`FlatTable` is returned
-        that shares unaffected :class:`FlatColumn` objects with this one
-        by reference and replaces affected columns with
+        Nothing reachable from ``self`` is written: the returned
+        :class:`FlatTable` shares unaffected :class:`FlatColumn` objects
+        with this one by reference and replaces affected columns with
         :meth:`FlatColumn.copy` duplicates before rewriting them.
         Shared columns are *not* regrown — :meth:`FlatColumn.result_at`
         bounds-guards appended class ids instead, sound because the
@@ -336,14 +330,9 @@ class FlatTable:
         demotions/promotions/cone-updates stay monotone along a
         snapshot chain.
         """
-        if copy_on_write:
-            target = FlatTable(self.ambiguous_columns)
-            target.columns = dict(self.columns)
-            target.stats = FastPathStats(**vars(self.stats))
-        else:
-            target = self
-            for column in self.columns.values():
-                column.ensure_size(ch.n_classes)
+        target = FlatTable(self.ambiguous_columns)
+        target.columns = dict(self.columns)
+        target.stats = FastPathStats(**vars(self.stats))
         target.ambiguous_columns |= certificate.ambiguous_columns
         stats = target.stats
         for mid in member_ids:
@@ -356,9 +345,7 @@ class FlatTable:
                 target.columns[mid] = flatten_column(ch, mid, entry_at)
                 stats.promotions += 1
             else:
-                if copy_on_write:
-                    column = column.copy()
-                    target.columns[mid] = column
+                column = target.columns[mid] = column.copy()
                 column.ensure_size(ch.n_classes)
                 for cid in cone_ids:
                     column.set_cell(cid, entry_at(cid, mid))

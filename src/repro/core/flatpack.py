@@ -159,8 +159,8 @@ def _snapshot_of(table) -> TableSnapshot:
     if snapshot is None:
         raise ValueError(
             "pack() needs a snapshot-backed table (mode 'batched' or "
-            "'sharded'); in-place tables (per-member mode / "
-            "unsafe_inplace=True) have no published snapshot to pack"
+            "'sharded'); the in-place per-member table has no "
+            "published snapshot to pack"
         )
     return snapshot
 

@@ -573,7 +573,6 @@ def cone_sweep(
     stats: Optional[LookupStats] = None,
     track_witnesses: bool = True,
     certificate: Optional[AmbiguityCertificate] = None,
-    copy_on_write: bool = False,
 ) -> ConeSweepStats:
     """Re-run the batched fold over *cone classes only*, for *affected
     members only*, seeding from the surviving rows of ``rows``.
@@ -581,7 +580,13 @@ def cone_sweep(
     ``rows`` is the row list of a previous :func:`batched_sweep` over an
     older generation of the same id space (``rows[cid]`` is the dict
     ``member id -> kernel entry``, or ``None`` for a class id that did
-    not exist yet); it is updated **in place**.  The soundness argument
+    not exist yet).  The sweep is copy-on-write: every cone slot of
+    ``rows`` is replaced with a *fresh* dict (seeded from a shallow copy
+    of the old row) before anything is written into it, so no row dict
+    is ever mutated — concurrent readers holding a parent snapshot
+    whose list ``rows`` was copied from keep seeing exactly the rows
+    they captured, and the parent and child share every out-of-cone
+    row by reference.  The soundness argument
     is the boundary-row-reuse invariant: ``lookup(C, m)`` is a function
     of ``C``'s subobject graph alone (Definition 7), so for any class
     outside the cone — i.e. not a descendant of a changed class — that
@@ -590,16 +595,6 @@ def cone_sweep(
     verbatim as the dataflow boundary wherever a cone class derives
     from an out-of-cone base; only ``cone × affected-members`` entries
     are ever re-folded.
-
-    ``copy_on_write=True`` is the sweep's snapshot-publishing mode:
-    every cone row is replaced with a *fresh* dict (seeded from a
-    shallow copy of the old row) before anything is written into it,
-    so the row dicts of the list the caller copied ``rows`` from are
-    never mutated — concurrent readers holding the parent snapshot
-    keep seeing exactly the rows they captured.  Out-of-cone rows are
-    only ever read, so the parent and the child share them by
-    reference; the sweep writes nothing but cone rows in either mode,
-    which is what makes the copy-on-write set exactly the cone.
 
     Cone classes are visited in topological order by extracting the set
     cone bits and sorting them by precomputed topological position
@@ -645,11 +640,7 @@ def cone_sweep(
     for cid in cone_ids:
         cone_classes += 1
         row = rows[cid]
-        if copy_on_write:
-            row = dict(row) if row else {}
-            rows[cid] = row
-        elif row is None:
-            row = rows[cid] = {}
+        row = rows[cid] = dict(row) if row else {}
         # The incoming edges with their (final, earlier-in-topo-order)
         # base rows, hoisted out of the member loop.
         edges = []

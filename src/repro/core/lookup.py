@@ -36,7 +36,10 @@ the *eager* driver, in three build modes over that one kernel:
   ``|M|·|E|`` work estimate (:func:`resolve_build_mode`).
 
 All modes produce identical tables (differentially tested in
-``tests/core/test_engine_equivalence.py``).
+``tests/core/test_engine_equivalence.py``).  The row-major modes always
+publish immutable :class:`~repro.core.snapshot.TableSnapshot`
+generations; the per-member driver is the one in-place table, kept as
+the independent reference build path.
 
 Complexity (Section 5): ``O(|M| * |N| * (|N| + |E|))`` to build the whole
 table, dropping to ``O((|M| + |N|) * (|N| + |E|))`` when no entry is
@@ -49,16 +52,13 @@ import os
 from typing import Mapping, Optional
 
 from repro.core.columnar import ColumnarStats, ColumnarTable
-from repro.core.fastpath import FastPathStats, FlatTable, build_flat_table
+from repro.core.fastpath import FastPathStats, FlatTable
 from repro.core.kernel import (
-    AmbiguityCertificate,
     BlueEntry,
     KernelBlue,
     LookupStats,
     RedEntry,
     TableEntry,
-    batched_sweep,
-    cone_sweep,
     fold_entry,
     result_from_entry,
     to_table_entry,
@@ -163,9 +163,8 @@ class MemberLookupTable:
     and swaps the head with a single reference assignment, and
     :meth:`lookup` captures the head once per query — so readers in
     other threads never need a lock and never observe a half-applied
-    delta.  ``unsafe_inplace=True`` opts back into the historical
-    mutate-in-place maintenance (single-threaded batch builds only);
-    the per-member driver is inherently in-place and implies it.
+    delta.  The per-member driver is the one in-place table
+    (single-threaded use only).
     """
 
     def __init__(
@@ -177,7 +176,6 @@ class MemberLookupTable:
         max_workers: Optional[int] = None,
         shards: Optional[int] = None,
         fastpath: Optional[bool] = None,
-        unsafe_inplace: Optional[bool] = None,
         columnar=None,
         semantics: Optional[str | Semantics] = None,
     ) -> None:
@@ -200,50 +198,31 @@ class MemberLookupTable:
                     "the per-member and sharded drivers run the "
                     "dominance kernel"
                 )
-            if unsafe_inplace:
-                raise ValueError(
-                    f"semantics {semantics.name!r} requires "
-                    "snapshot-backed maintenance; a mid-delta "
-                    "SemanticsRejection must leave the published table "
-                    "untouched (drop unsafe_inplace=True)"
-                )
         if fastpath and resolved == "per-member":
             raise ValueError(
                 "fastpath=True requires a row-major build mode "
                 "('batched', 'sharded' or 'auto'); the per-member "
                 "driver's fold does not certify ambiguity"
             )
-        if unsafe_inplace is None:
-            unsafe_inplace = resolved == "per-member"
-        elif not unsafe_inplace and resolved == "per-member":
-            raise ValueError(
-                "the per-member driver maintains its column-major table "
-                "in place; snapshot publishing needs a row-major mode "
-                "('batched', 'sharded' or 'auto')"
-            )
-        self.unsafe_inplace = unsafe_inplace
         self.fastpath = fastpath
         if columnar is None:
-            # Batch gathers ride the published snapshot chain; in-place
-            # tables keep the per-query batch loop.
-            columnar = not unsafe_inplace
-        elif columnar and unsafe_inplace:
+            # Batch gathers ride the published snapshot chain; the
+            # per-member table keeps the per-query batch loop.
+            columnar = resolved != "per-member"
+        elif columnar and resolved == "per-member":
             raise ValueError(
                 "the columnar batch layout serves published snapshots; "
-                "in-place tables (unsafe_inplace=True / per-member mode) "
-                "answer lookup_many with the per-query loop"
+                "the per-member table answers lookup_many with the "
+                "per-query loop"
             )
         self.columnar = columnar
         self._head: Optional[TableSnapshot] = None
-        self._flat: Optional[FlatTable] = None
         # Per-member mode fills a column-major interned table
-        # (member id -> {class id -> entry}); the batched/sharded modes
-        # produce row-major per-class rows (class id -> {member id ->
-        # entry}) straight out of the sweep.  Only visible (class,
-        # member) pairs are stored either way, exactly like the paper's
-        # sparse table.
+        # (member id -> {class id -> entry}); the row-major modes keep
+        # their per-class rows in the published snapshot.  Only visible
+        # (class, member) pairs are stored either way, exactly like the
+        # paper's sparse table.
         self._columns: dict[int, dict[int, object]] = {}
-        self._rows: Optional[list] = None
         self._public: dict[tuple[int, int], TableEntry] = {}
         self.stats = LookupStats()
         self.delta_stats = DeltaStats()
@@ -253,12 +232,9 @@ class MemberLookupTable:
     def _build_full(self) -> None:
         """Build the whole table from scratch in the resolved mode."""
         self._columns = {}
-        self._rows = None
         self._public = {}
-        self._flat = None
         self._head = None
-        self._entry_total = 0
-        if not self.unsafe_inplace:
+        if self.mode != "per-member":
             self._head = TableSnapshot.build(
                 self._ch,
                 mode=self.mode,
@@ -272,37 +248,10 @@ class MemberLookupTable:
             )
             self._entry_total = self._head.entry_total
             return
-        certificate = AmbiguityCertificate() if self.fastpath else None
-        if self.mode == "batched":
-            self._rows = batched_sweep(
-                self._ch,
-                stats=self.stats,
-                track_witnesses=self._track_witnesses,
-                certificate=certificate,
-            )
-        elif self.mode == "sharded":
-            from repro.core.parallel import build_sharded_rows
-
-            self._rows = build_sharded_rows(
-                self._ch,
-                stats=self.stats,
-                track_witnesses=self._track_witnesses,
-                max_workers=self._max_workers,
-                shards=self._shards,
-                certificate=certificate,
-            )
-        else:
-            self._build()
-        if self._rows is not None:
-            self._entry_total = sum(len(row) for row in self._rows)
-        else:
-            self._entry_total = sum(
-                len(column) for column in self._columns.values()
-            )
-        if certificate is not None:
-            self._flat = build_flat_table(
-                self._ch, certificate, self._kernel_entry_at
-            )
+        self._build()
+        self._entry_total = sum(
+            len(column) for column in self._columns.values()
+        )
 
     @classmethod
     def from_snapshot(
@@ -330,12 +279,9 @@ class MemberLookupTable:
         table._shards = snapshot.shards
         table.semantics = snapshot.semantics
         table.fastpath = snapshot.flat is not None
-        table.unsafe_inplace = False
         table.columnar = snapshot.columnar_enabled
         table._head = snapshot
-        table._flat = None
         table._columns = {}
-        table._rows = None
         table._public = {}
         table.stats = LookupStats()
         table.delta_stats = DeltaStats()
@@ -360,8 +306,8 @@ class MemberLookupTable:
     def snapshot(self) -> Optional[TableSnapshot]:
         """The published chain head — capture it once to answer any
         number of queries against one coherent generation from any
-        thread.  ``None`` for in-place tables (``unsafe_inplace=True``
-        and the per-member mode), which have no published state."""
+        thread.  ``None`` for the in-place per-member table, which has
+        no published state."""
         return self._head
 
     @property
@@ -369,9 +315,7 @@ class MemberLookupTable:
         """The flat serving overlay (``None`` when the fast path is
         off) — inspect it for certification and routing state."""
         head = self._head
-        if head is not None:
-            return head.flat
-        return self._flat
+        return head.flat if head is not None else None
 
     @property
     def fastpath_stats(self) -> Optional[FastPathStats]:
@@ -437,11 +381,6 @@ class MemberLookupTable:
         mid = ch.member_ids.get(member)
         if mid is None:
             return not_found_result(class_name, member)
-        flat = self._flat
-        if flat is not None:
-            result = flat.serve(ch, cid, mid, class_name, member)
-            if result is not None:
-                return result
         return result_from_entry(
             class_name, member, self._entry_at(cid, mid)
         )
@@ -527,11 +466,7 @@ class MemberLookupTable:
         :class:`~repro.hierarchy.compiled.HierarchyDelta` (or accept
         one precomputed by the caller), and re-run the fold over cone
         classes in topological order seeded from the surviving boundary
-        rows — :func:`repro.core.kernel.cone_sweep` for the row-major
-        modes, a cone-restricted :func:`fold_entry` walk per affected
-        column for the per-member mode, and the member-sharded
-        :func:`repro.core.parallel.apply_sharded_delta` for the sharded
-        mode.  Entries outside ``cone × affected`` are never touched;
+        rows.  Entries outside ``cone × affected`` are never touched;
         their memoised public conversions survive too.
 
         When the snapshots are incomparable (ids would shift — never
@@ -541,21 +476,16 @@ class MemberLookupTable:
         application; the running totals accumulate on
         :attr:`delta_stats`.
 
-        With the fast path on, the cone re-sweep also re-certifies the
-        affected columns: a delta that ambiguates a previously-flat
-        column demotes it to the full rows (permanently — the cone
-        certificate proves nothing out-of-cone), one that keeps it red
-        rewrites only the cone cells of the flat column, and flat
-        columns outside the cone are untouched.
-
-        Snapshot-backed tables (the row-major default) run the same
-        cone machinery in copy-on-write mode through
-        :meth:`TableSnapshot.apply_delta`: the delta lands in a fresh
-        child snapshot sharing all out-of-cone state with the current
-        head, which is then published by one atomic reference swap —
-        concurrent readers never lock and never see a torn table.
-        In-place tables (``unsafe_inplace=True`` / per-member mode)
-        mutate their own rows exactly as before.
+        The row-major modes publish through
+        :meth:`TableSnapshot.apply_delta` (:func:`repro.core.kernel
+        .cone_sweep`, or :func:`repro.core.parallel.apply_sharded_delta`
+        when sharded): the delta lands in a fresh child snapshot sharing
+        all out-of-cone state with the current head, which is then
+        published by one atomic reference swap — concurrent readers
+        never lock and never see a torn table.  With the fast path on,
+        the cone re-sweep also re-certifies the affected flat columns.
+        The per-member table instead re-folds each affected column in
+        place with a cone-restricted :func:`fold_entry` walk.
         """
         if self._graph is None:
             raise ValueError(
@@ -616,86 +546,25 @@ class MemberLookupTable:
                 for key in stale:
                     del public[key]
 
-        if self._rows is not None:
-            rows = self._rows
-            first_new_row = len(rows)
-            if first_new_row < new.n_classes:
-                # New class ids: cone_sweep fills them; memberless new
-                # classes (an empty delta's only growth) get empty rows.
-                rows.extend([None] * (new.n_classes - first_new_row))
-            cone_ids = list(delta.cone_ids())
-            before = sum(
-                len(rows[cid])
-                for cid in cone_ids
-                if rows[cid] is not None
-            )
-            certificate = (
-                AmbiguityCertificate() if self._flat is not None else None
-            )
-            if not delta.is_empty:
-                if self.mode == "sharded":
-                    from repro.core.parallel import apply_sharded_delta
-
-                    sweep = apply_sharded_delta(
-                        new,
-                        self._rows,
-                        cone_mask=cone,
-                        member_mask=mmask,
-                        stats=self.stats,
-                        track_witnesses=self._track_witnesses,
-                        max_workers=self._max_workers,
-                        shards=self._shards,
-                        certificate=certificate,
-                    )
-                else:
-                    sweep = cone_sweep(
-                        new,
-                        self._rows,
-                        cone_mask=cone,
-                        member_mask=mmask,
-                        stats=self.stats,
-                        track_witnesses=self._track_witnesses,
-                        certificate=certificate,
-                    )
-                result.entries_recomputed = sweep.entries_recomputed
-                result.boundary_rows = sweep.boundary_rows
-            for cid in range(first_new_row, new.n_classes):
-                if rows[cid] is None:
-                    rows[cid] = {}
-            if self._flat is not None:
-                # The cone certificate demotes newly-ambiguated columns,
-                # cone-updates columns that stayed red, flattens brand-new
-                # ones, and grows every untouched column's arrays for the
-                # appended class ids.
-                self._flat.apply_delta(
-                    new,
-                    cone_ids,
-                    list(delta.member_ids()),
-                    certificate,
-                    self._kernel_entry_at,
-                )
-            after = sum(len(rows[cid]) for cid in cone_ids)
-            self._entry_total += after - before
-        else:
-            columns = self._columns
-            cone_ids = list(delta.cone_ids())
-            member_ids = list(delta.member_ids())
-            before = sum(
-                1
-                for mid in member_ids
-                for cid in cone_ids
-                if cid in columns.get(mid, ())
-            )
-            if not delta.is_empty:
-                result.entries_recomputed = self._refold_columns(delta)
-                result.boundary_rows = self._count_boundary(delta)
-            after = sum(
-                1
-                for mid in member_ids
-                for cid in cone_ids
-                if cid in columns.get(mid, ())
-            )
-            self._entry_total += after - before
+        columns = self._columns
+        cone_ids = list(delta.cone_ids())
+        member_ids = list(delta.member_ids())
+        before = sum(
+            1
+            for mid in member_ids
+            for cid in cone_ids
+            if cid in columns.get(mid, ())
+        )
+        if not delta.is_empty:
+            result.entries_recomputed = self._refold_columns(delta)
+            result.boundary_rows = self._count_boundary(delta)
+        after = sum(
+            1
+            for mid in member_ids
+            for cid in cone_ids
+            if cid in columns.get(mid, ())
+        )
+        self._entry_total += after - before
         result.entries_reused = max(
             0, self._entry_total - result.entries_recomputed
         )
@@ -706,7 +575,8 @@ class MemberLookupTable:
         """Per-member-mode cone refold: for each affected column, rerun
         :func:`fold_entry` over the cone in topo order.  ``column.get``
         hands the fold the out-of-cone boundary entries verbatim — the
-        same invariant as :func:`cone_sweep`, one column at a time."""
+        same invariant as :func:`repro.core.kernel.cone_sweep`, one column
+        at a time."""
         ch = self._ch
         stats = self.stats
         track = self._track_witnesses
@@ -768,16 +638,8 @@ class MemberLookupTable:
                 )
 
     def _kentry(self, cid: int, mid: int):
-        """The raw kernel entry, whichever layout the build produced."""
-        if self._rows is not None:
-            return self._rows[cid].get(mid)
+        """The raw kernel entry of the column-major table."""
         return self._columns.get(mid, {}).get(cid)
-
-    def _kernel_entry_at(self, cid: int, mid: int):
-        """Row read tolerant of unfilled rows — the ``entry_at`` shape
-        the fast path flattens and cone-updates through."""
-        row = self._rows[cid]
-        return row.get(mid) if row else None
 
     def _entry_at(self, cid: int, mid: int) -> Optional[TableEntry]:
         kentry = self._kentry(cid, mid)
@@ -798,7 +660,6 @@ def build_lookup_table(
     max_workers: Optional[int] = None,
     shards: Optional[int] = None,
     fastpath: Optional[bool] = None,
-    unsafe_inplace: Optional[bool] = None,
     columnar=None,
     semantics: Optional[str | Semantics] = None,
 ) -> MemberLookupTable:
@@ -807,9 +668,9 @@ def build_lookup_table(
     ``mode="auto"`` picks the serial batched sweep or the sharded
     parallel builder by the ``|M|·|E|`` work estimate; see the module
     docstring for the full mode list and the ``fastpath`` default.
-    Row-major tables maintain an immutable snapshot chain by default
-    (lock-free concurrent reads); ``unsafe_inplace=True`` restores the
-    historical mutate-in-place delta maintenance.  ``columnar``
+    Row-major tables maintain an immutable snapshot chain (lock-free
+    concurrent reads); the per-member table is maintained in place.
+    ``columnar``
     (default: on for snapshot-backed tables) governs the dense batch
     layout behind ``lookup_many`` — ``True`` lazy, ``"eager"`` built
     with the table, ``False`` per-query loop.  ``semantics`` selects
@@ -824,7 +685,6 @@ def build_lookup_table(
         max_workers=max_workers,
         shards=shards,
         fastpath=fastpath,
-        unsafe_inplace=unsafe_inplace,
         columnar=columnar,
         semantics=semantics,
     )

@@ -294,13 +294,12 @@ def apply_sharded_delta(
     max_workers: Optional[int] = None,
     shards: Optional[int] = None,
     certificate: Optional[AmbiguityCertificate] = None,
-    copy_on_write: bool = False,
 ) -> ConeSweepStats:
     """The sharded builder's delta mode: shard the *affected* member
     set (not all of ``|M|``) across workers, each running
     :func:`repro.core.kernel.cone_sweep` against the frozen snapshot
     with only the shard-restricted boundary rows shipped in, then merge
-    the recomputed cone rows back into ``rows`` in place.
+    the recomputed cone rows into fresh cone row dicts of ``rows``.
 
     The boundary payload per shard is tiny by construction: the
     out-of-cone direct bases of cone classes, each row filtered to the
@@ -309,11 +308,11 @@ def apply_sharded_delta(
     and pool-creation failures fall back to the serial
     :func:`cone_sweep`, identical result guaranteed.
 
-    ``copy_on_write=True`` mirrors :func:`cone_sweep`'s snapshot mode:
-    every cone row dict is replaced with a fresh copy *before* the
-    stale-entry drop and the merge write into it, so the dicts of the
-    list ``rows`` was copied from are never mutated and a parent
-    snapshot sharing them stays coherent for concurrent readers.
+    Copy-on-write like :func:`cone_sweep`: every cone row dict is
+    replaced with a fresh copy *before* the stale-entry drop and the
+    merge write into it, so the dicts of the list ``rows`` was copied
+    from are never mutated and a parent snapshot sharing them stays
+    coherent for concurrent readers.
     """
     workers = max_workers if max_workers is not None else os.cpu_count() or 1
     masks = shard_delta_masks(
@@ -328,7 +327,6 @@ def apply_sharded_delta(
             stats=stats,
             track_witnesses=track_witnesses,
             certificate=certificate,
-            copy_on_write=copy_on_write,
         )
 
     # Boundary: the out-of-cone direct bases cone classes read from.
@@ -346,14 +344,13 @@ def apply_sharded_delta(
 
     # Drop the stale masked entries from the cone rows up front: the
     # workers return only what they recomputed and the merge below is
-    # update-only, so this is what keeps removed entries removed.  In
-    # copy-on-write mode the cone rows are first swapped for fresh
-    # copies so the drop (and the merge below) never touches a dict a
-    # parent snapshot still serves from.
+    # update-only, so this is what keeps removed entries removed.  The
+    # cone rows are first swapped for fresh copies so the drop (and the
+    # merge below) never touches a dict a parent snapshot still serves
+    # from.
     for cid in cone_ids:
         row = rows[cid]
-        if copy_on_write:
-            row = rows[cid] = dict(row) if row else {}
+        row = rows[cid] = dict(row) if row else {}
         if not row:
             continue
         pending = member_mask
@@ -405,11 +402,7 @@ def apply_sharded_delta(
     boundary_reads = 0
     for cone_rows, sweep, shard_stats, shard_cert in results:
         for cid, row in cone_rows.items():
-            target = rows[cid]
-            if target is None:
-                rows[cid] = row
-            else:
-                target.update(row)
+            rows[cid].update(row)
         cone_classes = max(cone_classes, sweep.cone_classes)
         recomputed += sweep.entries_recomputed
         boundary_reads += sweep.boundary_rows

@@ -111,9 +111,9 @@ class Semantics:
     """One dispatch rule, with the kernel sweeps' build/maintain contract.
 
     ``sweep`` computes the full table rows for one compiled generation;
-    ``cone_sweep`` re-folds ``cone × affected-members`` in place with
-    the same copy-on-write discipline as the kernel's, so snapshot
-    publishing works unchanged.  Both may raise
+    ``cone_sweep`` re-folds ``cone × affected-members`` into fresh cone
+    row dicts, the same copy-on-write discipline as the kernel's, so
+    snapshot publishing works unchanged.  Both may raise
     :class:`SemanticsRejection` (checked rules only).
     """
 
@@ -141,7 +141,6 @@ class Semantics:
         stats: Optional[LookupStats] = None,
         track_witnesses: bool = True,
         certificate: Optional[AmbiguityCertificate] = None,
-        copy_on_write: bool = False,
     ) -> ConeSweepStats:
         raise NotImplementedError
 
@@ -165,8 +164,7 @@ class CppDominanceSemantics(Semantics):
         )
 
     def cone_sweep(self, ch, rows, *, cone_mask, member_mask, stats=None,
-                   track_witnesses=True, certificate=None,
-                   copy_on_write=False):
+                   track_witnesses=True, certificate=None):
         return cone_sweep(
             ch,
             rows,
@@ -175,7 +173,6 @@ class CppDominanceSemantics(Semantics):
             stats=stats,
             track_witnesses=track_witnesses,
             certificate=certificate,
-            copy_on_write=copy_on_write,
         )
 
 
@@ -266,8 +263,7 @@ class _LocalFoldSemantics(Semantics):
         return rows
 
     def cone_sweep(self, ch, rows, *, cone_mask, member_mask, stats=None,
-                   track_witnesses=True, certificate=None,
-                   copy_on_write=False):
+                   track_witnesses=True, certificate=None):
         base_pairs = ch.base_pairs
         declared_masks = ch.declared_masks
         visible_masks = ch.visible_masks
@@ -282,11 +278,7 @@ class _LocalFoldSemantics(Semantics):
         for cid in cone_ids:
             cone_classes += 1
             row = rows[cid]
-            if copy_on_write:
-                row = dict(row) if row else {}
-                rows[cid] = row
-            elif row is None:
-                row = rows[cid] = {}
+            row = rows[cid] = dict(row) if row else {}
             bases = base_pairs[cid]
             for base, _virtual in bases:
                 if not (cone_mask >> base) & 1:
@@ -567,8 +559,7 @@ class C3Semantics(Semantics):
         return rows
 
     def cone_sweep(self, ch, rows, *, cone_mask, member_mask, stats=None,
-                   track_witnesses=True, certificate=None,
-                   copy_on_write=False):
+                   track_witnesses=True, certificate=None):
         visible_masks = ch.visible_masks
         cone_classes = 0
         recomputed = 0
@@ -579,11 +570,7 @@ class C3Semantics(Semantics):
         for cid in cone_ids:
             cone_classes += 1
             row = rows[cid]
-            if copy_on_write:
-                row = dict(row) if row else {}
-                rows[cid] = row
-            elif row is None:
-                row = rows[cid] = {}
+            row = rows[cid] = dict(row) if row else {}
             for base, _virtual in ch.base_pairs[cid]:
                 if not (cone_mask >> base) & 1:
                     boundary += 1
@@ -790,8 +777,7 @@ class GxxBfsSemantics(Semantics):
         return rows
 
     def cone_sweep(self, ch, rows, *, cone_mask, member_mask, stats=None,
-                   track_witnesses=True, certificate=None,
-                   copy_on_write=False):
+                   track_witnesses=True, certificate=None):
         visible_masks = ch.visible_masks
         cone_classes = 0
         recomputed = 0
@@ -802,11 +788,7 @@ class GxxBfsSemantics(Semantics):
         for cid in cone_ids:
             cone_classes += 1
             row = rows[cid]
-            if copy_on_write:
-                row = dict(row) if row else {}
-                rows[cid] = row
-            elif row is None:
-                row = rows[cid] = {}
+            row = rows[cid] = dict(row) if row else {}
             for base, _virtual in ch.base_pairs[cid]:
                 if not (cone_mask >> base) & 1:
                     boundary += 1

@@ -1,10 +1,10 @@
 """Immutable published lookup tables — the RCU snapshot tier.
 
-The eager table (:mod:`repro.core.lookup`) made maintenance O(delta)
-and the flat overlay (:mod:`repro.core.fastpath`) made unambiguous
-serving O(1), but both mutate the live structures in place, so
-concurrent readers need a lock around every query.  This module
-inverts the mutation model: a :class:`TableSnapshot` is an
+The eager table (:mod:`repro.core.lookup`) maintains its rows in
+O(delta) and the flat overlay (:mod:`repro.core.fastpath`) serves
+unambiguous columns in O(1); this module is the only backing of both
+for every row-major table, so neither is ever mutated where a reader
+can see it.  A :class:`TableSnapshot` is an
 *immutable*, generation-stamped view — the red/blue rows, the
 :class:`~repro.core.fastpath.FlatTable` overlay and the
 :class:`~repro.core.kernel.AmbiguityCertificate` of one compiled
@@ -15,10 +15,10 @@ O(delta) and the writer publishes it by swapping a single reference
 
 * **publish** — the child shares every out-of-cone row dict and every
   unaffected :class:`~repro.core.fastpath.FlatColumn` with its parent
-  by reference; only the invalidation cone is copied
-  (``cone_sweep(copy_on_write=True)`` emits fresh cone row dicts,
-  ``FlatTable.apply_delta(copy_on_write=True)`` emits fresh affected
-  columns).  Nothing reachable from the parent is ever written.
+  by reference; only the invalidation cone is copied (``cone_sweep``
+  emits fresh cone row dicts, ``FlatTable.apply_delta`` emits fresh
+  affected columns).  Nothing reachable from the parent is ever
+  written.
 * **retire** — dropping the last reference to an old snapshot is the
   whole retirement protocol; readers that captured it keep a coherent
   view of its generation for as long as they hold it.
@@ -54,8 +54,6 @@ from repro.core.kernel import (
     KernelBlue,
     LookupStats,
     TableEntry,
-    batched_sweep,
-    cone_sweep,
     result_from_entry,
     to_table_entry,
 )
@@ -76,9 +74,9 @@ __all__ = [
     "TableSnapshot",
 ]
 
-#: The build modes a snapshot can be swept in.  The per-member driver
-#: stays in-place-only: its column-major layout has no row sharing to
-#: exploit, so it lives behind ``unsafe_inplace=True`` on the writer.
+#: The build modes a snapshot can be swept in.  The per-member driver's
+#: column-major layout has no row sharing to exploit, so it stays the
+#: writer's in-place reference table.
 SNAPSHOT_MODES = ("batched", "sharded")
 
 #: The accepted ``columnar=`` settings: ``True`` lays the batch-serving
@@ -322,10 +320,9 @@ class TableSnapshot:
         The delta machinery is the eager table's: describe what changed
         (or accept a precomputed :class:`~repro.hierarchy.compiled
         .HierarchyDelta`), copy the row *list* (O(|N|) references),
-        re-fold the invalidation cone with
-        ``cone_sweep(copy_on_write=True)`` so the cone rows land in
-        fresh dicts, and derive the flat overlay with
-        ``FlatTable.apply_delta(copy_on_write=True)``.  Everything
+        re-fold the invalidation cone with the copy-on-write
+        ``cone_sweep`` so the cone rows land in fresh dicts, and derive
+        the flat overlay with ``FlatTable.apply_delta``.  Everything
         outside ``cone × affected-members`` — row dicts, flat columns,
         memoised results, memoised public conversions — is shared with
         this snapshot by reference.
@@ -390,7 +387,6 @@ class TableSnapshot:
                     max_workers=self.max_workers,
                     shards=self.shards,
                     certificate=certificate,
-                    copy_on_write=True,
                 )
             else:
                 sweep = self.semantics.cone_sweep(
@@ -401,7 +397,6 @@ class TableSnapshot:
                     stats=stats,
                     track_witnesses=self.track_witnesses,
                     certificate=certificate,
-                    copy_on_write=True,
                 )
             result.entries_recomputed = sweep.entries_recomputed
             result.boundary_rows = sweep.boundary_rows
@@ -418,7 +413,6 @@ class TableSnapshot:
                 list(delta.member_ids()),
                 certificate,
                 _entry_reader(rows),
-                copy_on_write=True,
             )
             cert = AmbiguityCertificate(
                 ambiguous_columns=(

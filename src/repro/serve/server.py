@@ -173,7 +173,14 @@ class ServeFront:
     ) -> None:
         try:
             while not self._shutdown.is_set():
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as exc:
+                    # A line over the stream limit leaves the reader out
+                    # of sync: answer once, then drop this connection.
+                    writer.write(encode_line(error_response(None, exc)))
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 line = line.strip()

@@ -31,6 +31,7 @@ from repro.core.semantics import (
 )
 from repro.core.snapshot import TableSnapshot
 from repro.errors import AmbiguousLookupDetected
+from repro.hierarchy.compiled import describe_delta
 from repro.hierarchy.topo import topological_order
 from repro.workloads.generators import (
     ambiguous_fan,
@@ -384,6 +385,57 @@ def test_mid_delta_rejection_preserves_parent_snapshot():
         assert table.lookup(c, m).status.name == status
 
 
+#: Every rule (the virtual diamond ladder and its growth delta are
+#: accepted by all of them), plus the dominance kernel's sharded pool.
+COW_CASES = [(name, "batched", {}) for name in SEMANTICS_NAMES] + [
+    (DEFAULT_SEMANTICS, "sharded", {"max_workers": 2, "shards": 2})
+]
+
+
+@pytest.mark.parametrize(
+    "semantics, mode, sharding",
+    COW_CASES,
+    ids=[f"{name}-{mode}" for name, mode, _ in COW_CASES],
+)
+def test_delta_never_writes_a_parent_row(semantics, mode, sharding):
+    """Publishing a child snapshot is copy-on-write under every rule:
+    the parent's row dicts stay the same objects with the same
+    content, its answers do not move, and the child's cone rows are
+    fresh dicts while every out-of-cone row is shared."""
+    graph = virtual_diamond_ladder(2)
+    parent = TableSnapshot.build(
+        graph.compile(),
+        mode=mode,
+        fastpath=True,
+        semantics=semantics,
+        **sharding,
+    )
+    parent_rows = list(parent.rows)
+    row_copies = [dict(row) for row in parent_rows]
+    entries = dict(parent.all_entries())
+    answers = {key: parent.lookup(*key) for key in entries}
+
+    graph.add_member(graph.classes[0], "fresh")
+    graph.add_class("Probe", members=("m",))
+    graph.add_edge(graph.classes[-2], "Probe")
+    new = graph.compile()
+    delta = describe_delta(parent.ch, new)
+    child = parent.apply_delta(new, delta)
+
+    assert child.generation > parent.generation
+    assert all(a is b for a, b in zip(parent.rows, parent_rows, strict=True))
+    assert [dict(row) for row in parent.rows] == row_copies
+    assert parent.all_entries() == entries
+    assert {key: parent.lookup(*key) for key in entries} == answers
+    cone = set(delta.cone_ids())
+    assert cone
+    for cid, row in enumerate(parent_rows):
+        if cid in cone:
+            assert child.rows[cid] is not row
+        else:
+            assert child.rows[cid] is row
+
+
 # ----------------------------------------------------------------------
 # Mode restrictions
 # ----------------------------------------------------------------------
@@ -396,10 +448,6 @@ def test_non_default_semantics_require_batched_mode():
     with pytest.raises(ValueError, match="batched"):
         TableSnapshot.build(
             graph.compile(), mode="per-member", semantics="self"
-        )
-    with pytest.raises(ValueError, match="unsafe_inplace"):
-        MemberLookupTable(
-            graph, mode="batched", semantics="self", unsafe_inplace=True
         )
     with pytest.raises(ValueError, match="fastpath_threshold"):
         CachedMemberLookup(graph, semantics="self", fastpath_threshold=4)
