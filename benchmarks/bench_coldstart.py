@@ -1,30 +1,25 @@
-"""Cold start: JSON v2 load vs flatpack mmap vs full rebuild.
+"""Cold start: flatpack mmap vs full rebuild.
 
-A serving process that restarts constantly pays the table's
-deserialisation cost on every boot.  The JSON v2 path
-(:mod:`repro.core.table_io`) rebuilds every entry object, witness cons
-chain, and flat column in interpreter time — O(table).  The flatpack
-path (:mod:`repro.core.flatpack`) is one ``mmap`` plus a header
-validation: columns decode lazily on first touch, so
-*open-to-first-answer* is O(header + one column), not O(table).
+A serving process that restarts constantly pays its table's start-up
+cost on every boot.  Rebuilding runs the whole sweep in interpreter
+time — O(table).  The flatpack path (:mod:`repro.core.flatpack`) is
+one ``mmap`` plus a header validation: columns decode lazily on first
+touch, so *open-to-first-answer* is O(header + one column), not
+O(table).
 
 This file measures, on a 4096-class / 8-member binary-tree family:
-open-to-first-answer for JSON v2 ``loads`` (baseline), ``mmap_table``,
-and a full ``build_lookup_table`` rebuild; plus the first-100-queries
-leg for both persisted forms (does lazy decoding stay ahead once real
-traffic arrives).  A non-benchmark guard pins answer equality between
-both persisted forms and the live table; the ≥ 10× open-to-first-answer
-floor (pack over JSON) is a separate guard excluded from the CI
-``--quick`` smoke.  Recorded medians land in ``BENCH_coldstart.json``
-via ``scripts/collect_bench_numbers.py``.
+open-to-first-answer for a full ``build_lookup_table`` rebuild
+(baseline) and ``mmap_table``; plus the first-100-queries leg off the
+pack (does lazy decoding stay cheap once real traffic arrives).  A
+non-benchmark guard pins answer equality between the pack and the live
+table.  Recorded medians land in ``BENCH_coldstart.json`` via
+``scripts/collect_bench_numbers.py``.
 """
 
 import random
-import time
 
 import pytest
 
-from repro.core import table_io
 from repro.core.flatpack import mmap_table, pack
 from repro.core.lookup import build_lookup_table
 from repro.hierarchy.graph import ClassHierarchyGraph
@@ -37,9 +32,8 @@ FIRST_QUERIES = 100
 def coldstart_family(n: int = CLASSES) -> ClassHierarchyGraph:
     """A binary tree of ``n`` classes whose root and first descendants
     declare ``m0..m7`` — single-inheritance (every column certifies
-    unambiguous, so the JSON v2 baseline reloads through its fastest
-    path, the rebuilt flat overlay) with member visibility scoped per
-    declaring subtree."""
+    unambiguous) with member visibility scoped per declaring
+    subtree."""
     graph = ClassHierarchyGraph()
     graph.add_class("N1", members=["m0"])
     for i in range(2, n + 1):
@@ -63,44 +57,28 @@ def first_queries(size=FIRST_QUERIES, *, seed=13):
 @pytest.fixture(scope="session")
 def artifacts(tmp_path_factory):
     """The family, built and persisted once per session: the live
-    table, its JSON v2 text, and its flatpack file."""
+    table and its flatpack file."""
     graph = coldstart_family()
     table = build_lookup_table(graph, mode="batched", fastpath=True)
-    text = table_io.dumps(table)
     path = tmp_path_factory.mktemp("coldstart") / "table.pack"
     pack(table, path)
-    return graph, table, text, str(path)
+    return graph, table, str(path)
 
 
 def _annotate(benchmark, artifacts) -> None:
-    _graph, table, text, _path = artifacts
+    _graph, table, _path = artifacts
     benchmark.extra_info["workload"] = f"coldstart_{CLASSES}"
     benchmark.extra_info["classes"] = CLASSES
     benchmark.extra_info["entries"] = table.snapshot.entry_total
-    benchmark.extra_info["json_bytes"] = len(text)
 
 
 PROBE = ("N4096", "m0")  # deepest leaf: the longest witness chain
 
 
-def test_coldstart_json_load(benchmark, artifacts):
-    """Baseline: JSON v2 ``loads`` + first answer — every entry,
-    witness chain and flat column rebuilt before the first query."""
-    _graph, _table, text, _path = artifacts
-
-    def boot():
-        return table_io.loads(text).lookup(*PROBE)
-
-    result = benchmark(boot)
-    assert result.is_unique
-    _annotate(benchmark, artifacts)
-    benchmark.extra_info["baseline"] = True
-
-
 def test_coldstart_pack_mmap(benchmark, artifacts):
     """``mmap_table`` + first answer — one mmap, one header check, one
     lazily decoded column."""
-    _graph, _table, _text, path = artifacts
+    _graph, _table, path = artifacts
 
     def boot():
         with mmap_table(path) as packed:
@@ -112,11 +90,11 @@ def test_coldstart_pack_mmap(benchmark, artifacts):
 
 
 def test_coldstart_full_rebuild(benchmark, artifacts):
-    """The no-persistence strawman: re-run the full table sweep, then
+    """Baseline: no persistence — re-run the full table sweep, then
     answer.  The session graph's compile memo is warm here, so this is
     the rebuild's *lower* bound — a real process restart also pays
     parsing and compilation on top."""
-    graph, _table, _text, _path = artifacts
+    graph, _table, _path = artifacts
 
     def boot():
         table = build_lookup_table(graph, mode="batched", fastpath=True)
@@ -125,26 +103,13 @@ def test_coldstart_full_rebuild(benchmark, artifacts):
     result = benchmark(boot)
     assert result.is_unique
     _annotate(benchmark, artifacts)
-
-
-def test_coldstart_first100_json(benchmark, artifacts):
-    """Boot + the first 100 mixed queries through the JSON v2 table."""
-    _graph, _table, text, _path = artifacts
-    queries = first_queries()
-
-    def boot_and_serve():
-        return table_io.loads(text).lookup_many(queries)
-
-    out = benchmark(boot_and_serve)
-    assert len(out) == FIRST_QUERIES
-    _annotate(benchmark, artifacts)
-    benchmark.extra_info["first_queries"] = FIRST_QUERIES
+    benchmark.extra_info["baseline"] = True
 
 
 def test_coldstart_first100_pack(benchmark, artifacts):
     """Boot + the first 100 mixed queries off the mmapped buffer —
     lazy column decoding amortised over real traffic."""
-    _graph, _table, _text, path = artifacts
+    _graph, _table, path = artifacts
     queries = first_queries()
 
     def boot_and_serve():
@@ -158,56 +123,12 @@ def test_coldstart_first100_pack(benchmark, artifacts):
 
 
 def test_coldstart_answers_match(artifacts):
-    """Both persisted forms answer exactly like the live table —
-    witnesses included — over the boot query mix."""
-    _graph, table, text, path = artifacts
+    """The pack answers exactly like the live table — witnesses
+    included — over the boot query mix."""
+    _graph, table, path = artifacts
     queries = first_queries(512, seed=29)
     expected = [table.lookup(c, m) for c, m in queries]
-    frozen = table_io.loads(text)
-    assert [frozen.lookup(c, m) for c, m in queries] == expected
     with mmap_table(path) as packed:
         assert [packed.lookup(c, m) for c, m in queries] == expected
         assert packed.lookup_many(queries) == expected
         assert packed.generation == table.compiled.generation
-
-
-def test_coldstart_speedup_floor(artifacts):
-    """The acceptance floor: pack-mmap open-to-first-answer ≥ 10×
-    faster than the JSON v2 load on the 4096-class family.
-
-    Excluded from the CI ``--quick`` smoke run (no timing assertions
-    there); timed as best-of-5 boots with GC paused so a scheduler
-    hiccup cannot flip the verdict on a busy machine.
-    """
-    import gc
-
-    _graph, _table, text, path = artifacts
-
-    def best_of(fn, reps=5):
-        best = float("inf")
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(reps):
-                start = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - start)
-        finally:
-            gc.enable()
-        return best
-
-    def boot_json():
-        return table_io.loads(text).lookup(*PROBE)
-
-    def boot_pack():
-        with mmap_table(path) as packed:
-            return packed.lookup(*PROBE)
-
-    assert boot_json() == boot_pack()
-    json_time = best_of(boot_json)
-    pack_time = best_of(boot_pack)
-    speedup = json_time / pack_time
-    assert speedup >= 10.0, (
-        f"pack mmap only {speedup:.1f}x over JSON v2 load "
-        f"({json_time * 1e3:.1f}ms vs {pack_time * 1e3:.1f}ms; floor 10x)"
-    )

@@ -1,29 +1,26 @@
-"""Columnar batch serving vs the per-query cache-probe loop.
+"""Columnar batch serving vs a per-query point-lookup loop.
 
-The serving tier's old ``lookup_many`` was a per-query loop: one shared-
-LRU probe (tuple key build + OrderedDict move-to-end) per query, falling
-through to a snapshot dict probe on every miss.  A batch that exceeds
-the LRU thrashes it and pays the full loop every time.  The columnar
-kernel (:mod:`repro.core.columnar`) answers the same batch with one
-vectorized gather per distinct member over dense interned entry arrays
-— no per-query probe at all.
+A published snapshot answers both point and batch reads from one
+columnar layout (:mod:`repro.core.columnar`): a point read is one
+memoised result cell, a batch is one vectorized gather per distinct
+member over dense interned entry arrays.  This file measures what the
+batch entry point saves over issuing the same queries one at a time.
 
-This file measures 8192-query batches (mixed members, deterministic
-pseudo-random order, exceeding the 4096-entry default LRU) through
-:meth:`~repro.serve.service.LookupService.lookup_many` on three
-1024-class families — an 8-member chain, a depth-10 binary tree and an
-all-virtual layered DAG — with the ``columnar=False`` per-query
-cache-probe loop as baseline and both gather implementations (numpy
-fancy indexing and the no-numpy ``array``/``map`` fallback) as
-candidates.  The headline floor (columnar ≥ 5× the probe loop with
-numpy, ≥ 3× in fallback mode, identical results to the row path) is
-pinned by a non-benchmark guard excluded from the CI ``--quick`` smoke
-run; recorded medians land in ``BENCH_columnar.json`` via
-``scripts/collect_bench_numbers.py``.
+It times 8192-query batches (mixed members, deterministic
+pseudo-random order, all keys distinct) on three 1024-class families —
+an 8-member chain, a depth-10 binary tree and an all-virtual layered
+DAG — through :meth:`~repro.serve.service.LookupService.lookup_many`
+in both gather implementations (numpy fancy indexing and the no-numpy
+``array``/``map`` fallback), against a per-query
+:meth:`~repro.serve.service.LookupService.lookup` loop over the same
+queries as baseline.  The baseline tag makes
+``scripts/collect_bench_numbers.py`` report the gather-to-loop ratio;
+no ratio is asserted.  A non-benchmark guard pins the gather's answers
+to the independent per-member table.  Recorded medians land in
+``BENCH_columnar.json`` via ``scripts/collect_bench_numbers.py``.
 """
 
 import random
-import time
 
 import pytest
 
@@ -40,9 +37,7 @@ def member_chain(n: int) -> ClassHierarchyGraph:
     """A single-inheritance chain whose first 8 classes each declare a
     distinct member — so every ``m0..m7`` is visible from its declaring
     depth down and a mixed-member batch really exercises the per-member
-    grouping, not one column.  8 members × 1024 classes of distinct
-    batch keys overflow the service's 4096-entry LRU, which is the
-    serving regime the columnar kernel targets."""
+    grouping, not one column."""
     graph = ClassHierarchyGraph()
     graph.add_class("C0", members=["m0"])
     for i in range(1, n):
@@ -97,9 +92,7 @@ WORKLOADS = {
 def batch_queries(graph, size=BATCH, *, seed=7):
     """A deterministic mixed batch: every ``(class, member)`` pair over
     the declared member names (plus one absent name), shuffled and
-    truncated — so the batch holds ``size`` *distinct* keys and
-    overflows the service's default 4096-entry LRU, the regime the
-    per-query probe loop degrades in."""
+    truncated — so the batch holds ``size`` *distinct* keys."""
     names = list(graph.classes)
     members = sorted(
         {m for name in names for m in graph.declared_members(name)}
@@ -110,8 +103,8 @@ def batch_queries(graph, size=BATCH, *, seed=7):
     return pairs[:size]
 
 
-def make_service(graph, *, columnar):
-    service = LookupService(columnar=columnar)
+def make_service(graph):
+    service = LookupService()
     service.add_tenant("t", graph)
     return service
 
@@ -129,13 +122,18 @@ def _annotate(benchmark, name, graph, queries) -> None:
     benchmark.extra_info["batch"] = len(queries)
 
 
-def test_batch_cache_probe_loop(benchmark, workload):
-    """Baseline: the per-query shared-LRU probe loop the serving tier
-    used to run for every batch (``columnar=False``)."""
+def test_batch_point_lookup_loop(benchmark, workload):
+    """Baseline: the same queries as a per-query ``service.lookup``
+    loop — one memoised point read each."""
     name, graph, queries = workload
-    service = make_service(graph, columnar=False)
-    service.lookup_many("t", queries)  # steady state
-    benchmark(service.lookup_many, "t", queries)
+    service = make_service(graph)
+    lookup = service.lookup
+
+    def loop():
+        return [lookup("t", c, m) for c, m in queries]
+
+    loop()  # steady state: every touched cell memoised
+    benchmark(loop)
     _annotate(benchmark, name, graph, queries)
     benchmark.extra_info["baseline"] = True
 
@@ -143,7 +141,7 @@ def test_batch_cache_probe_loop(benchmark, workload):
 def test_batch_columnar_gather(benchmark, workload):
     """The same batch as one columnar gather per distinct member."""
     name, graph, queries = workload
-    service = make_service(graph, columnar=True)
+    service = make_service(graph)
     service.lookup_many("t", queries)  # materialise + memoise columns
     benchmark(service.lookup_many, "t", queries)
     _annotate(benchmark, name, graph, queries)
@@ -159,7 +157,7 @@ def test_batch_columnar_gather_fallback(benchmark, workload, monkeypatch):
         pytest.skip("no numpy: the main gather benchmark is the fallback")
     monkeypatch.setattr(columnar_mod, "HAVE_NUMPY", False)
     name, graph, queries = workload
-    service = make_service(graph, columnar=True)
+    service = make_service(graph)
     service.lookup_many("t", queries)
     table = service.tenant("t").table.columnar_table
     assert not table.use_numpy
@@ -170,55 +168,15 @@ def test_batch_columnar_gather_fallback(benchmark, workload, monkeypatch):
 
 def test_columnar_batches_match_rows():
     """The gather exists to differ in *speed* only: every batch answer
-    is value-identical to the oracle-checked row path, witnesses
+    is value-identical to the independent per-member table's, witnesses
     included, on every workload."""
     for name, graph in WORKLOADS.items():
-        rows = build_lookup_table(graph, mode="batched")
-        service = make_service(graph, columnar=True)
+        reference = build_lookup_table(graph)
+        service = make_service(graph)
         queries = batch_queries(graph, size=2048)
         for (class_name, member), result in zip(
             queries, service.lookup_many("t", queries)
         ):
-            assert result == rows.lookup(class_name, member), (
+            assert result == reference.lookup(class_name, member), (
                 f"{name}: {class_name}::{member}"
             )
-
-
-def test_columnar_speedup_floor(monkeypatch):
-    """The acceptance floor: columnar ``lookup_many`` ≥ 5× the per-query
-    cache-probe loop (≥ 3× with the no-numpy fallback gather) on every
-    1024-class family, with identical results.
-
-    Excluded from the CI ``--quick`` smoke run (no timing assertions
-    there); timed as best-of-5 batches with GC paused so a scheduler
-    hiccup cannot flip the verdict on a busy machine.
-    """
-    import gc
-
-    def best_of(fn, reps=5):
-        best = float("inf")
-        gc.collect()
-        gc.disable()
-        try:
-            for _ in range(reps):
-                start = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - start)
-        finally:
-            gc.enable()
-        return best
-
-    floor = 5.0 if columnar_mod.HAVE_NUMPY else 3.0
-    for name, graph in WORKLOADS.items():
-        queries = batch_queries(graph)
-        loop = make_service(graph, columnar=False)
-        fast = make_service(graph, columnar=True)
-        expected = loop.lookup_many("t", queries)  # steady state + oracle
-        assert fast.lookup_many("t", queries) == expected
-        loop_time = best_of(lambda: loop.lookup_many("t", queries))
-        fast_time = best_of(lambda: fast.lookup_many("t", queries))
-        speedup = loop_time / fast_time
-        assert speedup >= floor, (
-            f"{name}: columnar gather only {speedup:.2f}x over the "
-            f"cache-probe loop (floor {floor}x)"
-        )

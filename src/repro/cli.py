@@ -107,13 +107,11 @@ def _add_build_mode_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--columnar",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="exercise the dense columnar batch kernel: answer every "
+        action="store_true",
+        help="exercise the dense columnar serving layout: answer every "
         "visible (class, member) pair through one lookup_many gather "
-        "and report its layout/serving counters; --no-columnar disables "
-        "the columnar layout entirely (default: built lazily on first "
-        "batch query; rejected for per-member mode)",
+        "and report its layout/serving counters (snapshot-backed "
+        "modes only)",
     )
     parser.add_argument(
         "--delta-stats",
@@ -264,6 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     build.set_defaults(mode="auto")
     build.add_argument(
         "--cache-size",
+        dest="cache_maxsize",
         type=int,
         default=DEFAULT_CACHE_SIZE,
         metavar="N",
@@ -418,14 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bind port (default 0 = pick an ephemeral port and print it)",
     )
     serve.add_argument(
-        "--cache-size",
-        type=int,
-        default=DEFAULT_CACHE_SIZE,
-        metavar="N",
-        help="shared serving LRU capacity "
-        f"(default {DEFAULT_CACHE_SIZE})",
-    )
-    serve.add_argument(
         "--semantics",
         choices=SEMANTICS_NAMES,
         default=DEFAULT_SEMANTICS,
@@ -472,9 +463,8 @@ def _render_fastpath_stats(table) -> Optional[str]:
 
 
 def _render_columnar_stats(table) -> Optional[str]:
-    """The columnar batch kernel's layout and serving counters, or
-    ``None`` when the table has no columnar layout (disabled, or an
-    in-place table)."""
+    """The columnar layout's shape and serving counters, or ``None``
+    for the in-place per-member table, which has no columnar layout."""
     columnar = table.columnar_table
     if columnar is None:
         return None
@@ -539,7 +529,6 @@ def _report_delta_stats(
         max_workers=args.max_workers,
         shards=args.shards,
         fastpath=args.fastpath,
-        columnar=args.columnar,
         semantics=args.semantics,
     )
     cached = CachedMemberLookup(prefix, semantics=args.semantics)
@@ -602,7 +591,6 @@ def _run_build(graph: ClassHierarchyGraph, args: argparse.Namespace) -> int:
         max_workers=args.max_workers,
         shards=args.shards,
         fastpath=args.fastpath,
-        columnar=args.columnar,
         semantics=args.semantics,
     )
     elapsed = time.perf_counter() - start
@@ -618,7 +606,7 @@ def _run_build(graph: ClassHierarchyGraph, args: argparse.Namespace) -> int:
     print("  " + _render_lookup_stats(table))
 
     cached = CachedMemberLookup(
-        graph, maxsize=args.cache_size, semantics=args.semantics
+        graph, maxsize=args.cache_maxsize, semantics=args.semantics
     )
     queries = 0
     for _ in range(2):
@@ -629,7 +617,7 @@ def _run_build(graph: ClassHierarchyGraph, args: argparse.Namespace) -> int:
                 queries += 1
     cache = cached.cache_stats
     print(
-        f"  query cache (size {args.cache_size}): {queries} queries, "
+        f"  query cache (size {args.cache_maxsize}): {queries} queries, "
         f"hits={cache.hits} misses={cache.misses} "
         f"evictions={cache.evictions} invalidations={cache.invalidations} "
         f"hit_rate={cache.hit_rate():.1%}"
@@ -806,11 +794,7 @@ def _run_serve(args: argparse.Namespace) -> int:
                 f"--preload takes NAME=PACK, got {spec!r}"
             )
         preload[name] = pack_path
-    service = LookupService(
-        cache_size=args.cache_size,
-        semantics=args.semantics,
-        preload=preload,
-    )
+    service = LookupService(semantics=args.semantics, preload=preload)
     for name in preload:
         tenant = service.tenant(name)
         print(
@@ -896,7 +880,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             max_workers=args.max_workers,
             shards=args.shards,
             fastpath=args.fastpath,
-            columnar=args.columnar,
             semantics=args.semantics,
         )
         for class_name in graph.classes:

@@ -7,7 +7,6 @@ from repro.core.columnar import (
     ColumnarStats,
     ColumnarTable,
     EntryPool,
-    merge_shards,
 )
 from repro.core.dominance import (
     abstract_dominates,
@@ -44,7 +43,7 @@ from repro.core.lookup import (
     build_lookup_table,
     lookup,
 )
-from repro.core.snapshot import COLUMNAR_MODES, SNAPSHOT_MODES, TableSnapshot
+from repro.core.snapshot import SNAPSHOT_MODES, TableSnapshot
 from repro.core.paths import OMEGA, Abstraction, Path, extend_abstraction, path_in
 from repro.core.results import (
     LookupResult,
@@ -53,7 +52,7 @@ from repro.core.results import (
     not_found_result,
     unique_result,
 )
-from repro.core.table_io import FrozenLookupTable, TableSerializationError
+from repro.core.flatpack import TableSerializationError
 from repro.core.using_decls import (
     UnderlyingEntity,
     follow_using,
@@ -69,7 +68,6 @@ from repro.core.static_lookup import (
 __all__ = [
     "AmbiguityCertificate",
     "AmbiguousColumnError",
-    "COLUMNAR_MODES",
     "Certificate",
     "ColumnarColumn",
     "ColumnarStats",
@@ -78,7 +76,6 @@ __all__ = [
     "FastPathStats",
     "FlatColumn",
     "FlatTable",
-    "FrozenLookupTable",
     "HAVE_NUMPY",
     "OMEGA",
     "Abstraction",
@@ -121,7 +118,6 @@ __all__ = [
     "lookup",
     "lookup_through_using",
     "maximal_set",
-    "merge_shards",
     "most_dominant",
     "not_found_result",
     "path_in",

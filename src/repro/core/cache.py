@@ -258,7 +258,6 @@ class CachedMemberLookup:
                 track_witnesses=track_witnesses,
                 mode="batched",
                 fastpath=True,
-                columnar=False,
                 semantics=semantics,
             )
         self._cache = LookupCache(maxsize)

@@ -1,13 +1,14 @@
-"""Columnar batch-query kernel — dense entry arrays, vectorized gather.
+"""Columnar serving layout — dense entry arrays, vectorized gather.
 
-The Red/Blue table is conceptually a dense ``classes × members`` matrix,
-but every engine answers queries by probing per-class Python dicts one
-``(class, member)`` pair at a time — even the ``lookup_many`` entry
-points were per-query loops.  This module re-lays the *full* table —
-ambiguous (blue) columns included, unlike the certified-red-only
-:mod:`repro.core.fastpath` — as dense per-member arrays of interned
-entry ids over one shared :class:`EntryPool`, and answers batches with
-one vectorized gather per distinct member instead of N dict probes:
+The Red/Blue table is conceptually a dense ``classes × members``
+matrix; the sweeps produce it as per-class Python dicts.  This module
+re-lays the *full* table — ambiguous (blue) columns included, unlike
+the certified-red-only :mod:`repro.core.fastpath` — as dense
+per-member arrays of interned entry ids over one shared
+:class:`EntryPool`.  It is the one layout a published
+:class:`~repro.core.snapshot.TableSnapshot` reads from: batches are
+answered with one vectorized gather per distinct member, point queries
+with one memoised result cell (:meth:`ColumnarTable._result_one`):
 
 * :class:`EntryPool` generalizes :class:`~repro.core.fastpath
   .FlatColumn`'s slot interning to blue entries: a red slot is the
@@ -26,9 +27,7 @@ one vectorized gather per distinct member instead of N dict probes:
 * :class:`ColumnarTable` is built straight off the row list a
   :func:`~repro.core.kernel.batched_sweep` / ``cone_sweep`` produced
   (:meth:`ColumnarTable.from_rows` — no dict-row detour per query at
-  serve time), merged from per-worker shard slabs with slot-id
-  translation (:func:`merge_shards`), and maintained copy-on-write in
-  O(delta) by :meth:`ColumnarTable.apply_delta` — unaffected columns
+  serve time) and maintained copy-on-write in O(delta) by :meth:`ColumnarTable.apply_delta` — unaffected columns
   and their warm result memos are shared with the parent by reference,
   exactly like the snapshot tier's row sharing.
 
@@ -38,13 +37,13 @@ when absent, every path falls back to ``array``/``memoryview`` tight
 loops and C-level ``map`` chains with identical results.  The fallback
 is what CI's no-numpy leg runs.
 
-Batch semantics match the per-query loops exactly: class names are
+Batch semantics match a per-query loop exactly: class names are
 interned once per batch (the first unknown class raises
 :class:`~repro.errors.UnknownClassError`, like the loop would have),
 unknown members answer ``NOT_FOUND`` per query, and every result is
-value-identical to the row path's — differentially enforced by
-``tests/core/test_columnar.py`` and the ``columnar`` leg of the fuzz
-engine matrix.
+value-identical to the per-member reference table's — differentially
+enforced by ``tests/core/test_columnar.py`` and the ``snapshot`` and
+``columnar`` legs of the fuzz engine matrix.
 """
 
 from __future__ import annotations
@@ -79,7 +78,6 @@ __all__ = [
     "ColumnarStats",
     "ColumnarTable",
     "EntryPool",
-    "merge_shards",
 ]
 
 #: Whether the optional numpy accelerator imported.  Tables built with
@@ -270,8 +268,8 @@ class ColumnarTable:
     entry pool, with the vectorized batch entry point
     :meth:`lookup_many`.
 
-    Build one with :meth:`from_rows` (straight off a sweep's row list),
-    or :func:`merge_shards` (per-worker slabs).  Derive the next
+    Build one with :meth:`from_rows` (straight off a sweep's row
+    list).  Derive the next
     generation with :meth:`apply_delta` — pure copy-on-write, O(delta):
     ``self`` is never written, unaffected columns (and their warm
     result memos) are shared with the child by reference.
@@ -634,8 +632,10 @@ class ColumnarTable:
     def _result_one(
         self, ch: CompiledHierarchy, cid: int, class_name: str, member: str
     ) -> LookupResult:
-        """The guarded scalar path: one query against one (possibly
-        short, possibly cold) column, memoising the touched cell."""
+        """The point-read path: one query against one (possibly short,
+        possibly cold) column, memoising the touched cell — what
+        :meth:`~repro.core.snapshot.TableSnapshot.lookup` answers every
+        cell outside the flat overlay with."""
         mid = ch.member_ids.get(member)
         if mid is None:
             return not_found_result(class_name, member)
@@ -674,44 +674,3 @@ class ColumnarTable:
             column.results[cid] = result
         return result
 
-
-def merge_shards(
-    ch: CompiledHierarchy,
-    slabs: Sequence[ColumnarTable],
-    *,
-    use_numpy: Optional[bool] = None,
-) -> ColumnarTable:
-    """Merge per-worker columnar slabs (disjoint member shards over the
-    same hierarchy) into one table over one shared pool.
-
-    Each slab interned against its own worker-local pool, so its cells
-    are rewritten through a slot-id translation table into the merged
-    pool — vectorized under numpy (the ``-1`` invisible sentinel rides
-    through a sentinel translation slot that negative indexing maps to
-    itself), a generator rewrite otherwise.  Shards partition the
-    member space, so columns never collide."""
-    merged = ColumnarTable(ch.n_classes, use_numpy=use_numpy)
-    pool = merged.pool
-    for slab in slabs:
-        trans = [pool.intern(slot) for slot in slab.pool.slots]
-        if merged.use_numpy:
-            trans_arr = _np.empty(len(trans) + 1, dtype=_np.int64)
-            trans_arr[:-1] = trans
-            trans_arr[-1] = -1
-        for mid, column in slab.columns.items():
-            if merged.use_numpy:
-                cells = _np.frombuffer(column.cells, dtype=_np.int64)
-                remapped = array("q")
-                remapped.frombytes(trans_arr[cells].tobytes())
-                column.cells = remapped
-            else:
-                column.cells = array(
-                    "q",
-                    (trans[sid] if sid >= 0 else -1 for sid in column.cells),
-                )
-            if merged.use_numpy and type(column.results) is list:
-                # A slab built without numpy joining a numpy-mode merge:
-                # rehome the memo container so gathers fancy-index it.
-                column.results = _np.array(column.results, dtype=object)
-            merged.columns[mid] = column
-    return merged

@@ -1,13 +1,11 @@
 """Memory-mapped flat table format — O(mmap) cold start.
 
-:mod:`repro.core.table_io`'s JSON documents are portable but cold start
-is O(table) in interpreter time: every dict row, witness cons chain and
-flat column is rebuilt object-by-object on load.  A serving process
-that restarts constantly (the ROADMAP's millions-of-users regime) pays
-that price on every boot.  This module defines **flatpack**, a
-versioned flat binary layout of the complete serving state, designed so
-that opening a table is one ``mmap`` call plus a header validation —
-no per-entry work at all:
+Rebuilding a lookup table is O(table) in interpreter time, and a
+serving process that restarts constantly pays that price on every
+boot.  This module defines **flatpack**, the persisted form of a
+lookup table: a versioned flat binary layout of the complete serving
+state, designed so that opening a table is one ``mmap`` call plus a
+header validation — no per-entry work at all:
 
 * a fixed header (magic, format version, byte-order mark, the source
   graph's **generation counter**, the dispatch-semantics rule name, the
@@ -50,7 +48,7 @@ not stored), returning a ready :class:`~repro.core.lookup
 
 Malformed input (wrong magic, unsupported version, foreign byte order,
 truncated sections, an unregistered semantics rule) raises
-:class:`~repro.core.table_io.TableSerializationError` at open time.
+:class:`TableSerializationError` at open time.
 """
 
 from __future__ import annotations
@@ -67,11 +65,10 @@ from repro.core.kernel import (
     abstraction_ids,
     abstraction_mask,
 )
-from repro.core.results import LookupResult, not_found_result
+from repro.core.results import LookupResult
 from repro.core.semantics import Semantics, get_semantics
 from repro.core.snapshot import TableSnapshot
-from repro.core.table_io import TableSerializationError
-from repro.errors import UnknownClassError
+from repro.errors import ReproError, UnknownClassError
 from repro.hierarchy.compiled import CompiledHierarchy
 from repro.hierarchy.graph import ClassHierarchyGraph
 
@@ -81,9 +78,15 @@ __all__ = [
     "FLATPACK_MAGIC",
     "FLATPACK_VERSION",
     "PackedTable",
+    "TableSerializationError",
     "mmap_table",
     "pack",
 ]
+
+
+class TableSerializationError(ReproError):
+    """The file is not a valid flatpack table."""
+
 
 FLATPACK_MAGIC = b"RPFLATPK"
 FLATPACK_VERSION = 1
@@ -181,10 +184,6 @@ def pack(table, path) -> int:
     if not isinstance(ch, CompiledHierarchy):
         raise ValueError("pack() needs a CompiledHierarchy-backed snapshot")
     columnar = snapshot.columnar_table()
-    if columnar is None:
-        columnar = ColumnarTable.from_rows(
-            ch, snapshot.rows, use_numpy=False
-        )
 
     n = ch.n_classes
     n_members = ch.n_members
@@ -806,8 +805,6 @@ class PackedTable:
         cid = interner.class_ids.get(class_name)
         if cid is None:
             raise UnknownClassError(class_name)
-        if interner.member_ids.get(member) is None:
-            return not_found_result(class_name, member)
         return self._columnar()._result_one(
             interner, cid, class_name, member
         )
@@ -955,7 +952,6 @@ class PackedTable:
                 mode="batched",
                 max_workers=None,
                 shards=None,
-                columnar=True,
                 semantics=self.semantics,
             )
             snapshot._columnar = self._columnar()

@@ -38,8 +38,9 @@ the *eager* driver, in three build modes over that one kernel:
 All modes produce identical tables (differentially tested in
 ``tests/core/test_engine_equivalence.py``).  The row-major modes always
 publish immutable :class:`~repro.core.snapshot.TableSnapshot`
-generations; the per-member driver is the one in-place table, kept as
-the independent reference build path.
+generations, whose columnar layout answers both point and batch reads;
+the per-member driver is the one in-place table, kept as the
+independent reference build path.
 
 Complexity (Section 5): ``O(|M| * |N| * (|N| + |E|))`` to build the whole
 table, dropping to ``O((|M| + |N|) * (|N| + |E|))`` when no entry is
@@ -150,11 +151,11 @@ class MemberLookupTable:
     flattened into array-backed :class:`~repro.core.fastpath
     .FlatColumn` structures (§5's ``O(|N|+|E|)`` regime), and
     :meth:`lookup` serves them from memoised results, falling back to
-    the full red/blue rows only where ambiguity exists.  Defaults to on
-    for ``mode="auto"``, opt-in for ``"batched"``/``"sharded"``, and is
-    rejected for ``"per-member"`` (that driver's fold does not
-    certify).  Delta maintenance keeps the overlay current — see
-    :meth:`apply_delta`.
+    the snapshot's columnar layout only where ambiguity exists.
+    Defaults to on for ``mode="auto"``, opt-in for
+    ``"batched"``/``"sharded"``, and is rejected for ``"per-member"``
+    (that driver's fold does not certify).  Delta maintenance keeps the
+    overlay current — see :meth:`apply_delta`.
 
     Since the snapshot refactor this class is a *thin writer* over the
     RCU tier of :mod:`repro.core.snapshot`: in the row-major modes it
@@ -176,7 +177,6 @@ class MemberLookupTable:
         max_workers: Optional[int] = None,
         shards: Optional[int] = None,
         fastpath: Optional[bool] = None,
-        columnar=None,
         semantics: Optional[str | Semantics] = None,
     ) -> None:
         self._graph = hierarchy_of(hierarchy)
@@ -205,17 +205,6 @@ class MemberLookupTable:
                 "driver's fold does not certify ambiguity"
             )
         self.fastpath = fastpath
-        if columnar is None:
-            # Batch gathers ride the published snapshot chain; the
-            # per-member table keeps the per-query batch loop.
-            columnar = resolved != "per-member"
-        elif columnar and resolved == "per-member":
-            raise ValueError(
-                "the columnar batch layout serves published snapshots; "
-                "the per-member table answers lookup_many with the "
-                "per-query loop"
-            )
-        self.columnar = columnar
         self._head: Optional[TableSnapshot] = None
         # Per-member mode fills a column-major interned table
         # (member id -> {class id -> entry}); the row-major modes keep
@@ -243,7 +232,6 @@ class MemberLookupTable:
                 shards=self._shards,
                 fastpath=self.fastpath,
                 stats=self.stats,
-                columnar=self.columnar,
                 semantics=self.semantics,
             )
             self._entry_total = self._head.entry_total
@@ -279,7 +267,6 @@ class MemberLookupTable:
         table._shards = snapshot.shards
         table.semantics = snapshot.semantics
         table.fastpath = snapshot.flat is not None
-        table.columnar = snapshot.columnar_enabled
         table._head = snapshot
         table._columns = {}
         table._public = {}
@@ -326,10 +313,9 @@ class MemberLookupTable:
 
     @property
     def columnar_table(self) -> Optional[ColumnarTable]:
-        """The head snapshot's dense batch-serving layout
+        """The head snapshot's dense serving layout
         (:class:`~repro.core.columnar.ColumnarTable`), materialising it
-        if still lazy; ``None`` for in-place tables or
-        ``columnar=False``."""
+        if still lazy; ``None`` for the in-place per-member table."""
         head = self._head
         if head is None:
             return None
@@ -337,8 +323,8 @@ class MemberLookupTable:
 
     @property
     def columnar_stats(self) -> Optional[ColumnarStats]:
-        """The columnar layout's serving counters, or ``None`` when it
-        is off or not yet materialised."""
+        """The columnar layout's serving counters, or ``None`` for the
+        in-place table or while the layout is not yet materialised."""
         head = self._head
         if head is None:
             return None
@@ -347,51 +333,41 @@ class MemberLookupTable:
     def lookup(self, class_name: str, member: str) -> LookupResult:
         """``lookup(C, m)`` per Definition 9, answered from the table.
 
-        With the fast path on, certified-unambiguous columns are served
-        from their flat memoised results; only ambiguous columns fall
-        through to the full red/blue rows.  Snapshot-backed tables
-        capture the chain head once, so the whole query runs against
-        one published generation even while a writer races ahead."""
-        head = self._head
-        if head is not None:
-            ch = head.ch
+        Snapshot-backed tables capture the chain head once and answer
+        through :meth:`TableSnapshot.lookup`, so the whole query runs
+        against one published generation even while a writer races
+        ahead."""
+        try:
+            head = self._head
+            if head is not None:
+                return head.lookup(class_name, member)
+            ch = self._ch
             cid = ch.class_ids.get(class_name)
             if cid is None:
-                if self._graph is None:
-                    # Detached table (seeded from a pack): the snapshot
-                    # is the only universe of classes.
-                    raise UnknownClassError(class_name)
-                # Unknown to the head snapshot: defer to the live graph
-                # so the error behaviour matches the mutable API.
-                self._graph.direct_bases(class_name)
-                return not_found_result(class_name, member)
+                raise UnknownClassError(class_name)
             mid = ch.member_ids.get(member)
             if mid is None:
                 return not_found_result(class_name, member)
-            return head._result(cid, mid, class_name, member)
-        ch = self._ch
-        cid = ch.class_ids.get(class_name)
-        if cid is None:
+            return result_from_entry(
+                class_name, member, self._entry_at(cid, mid)
+            )
+        except UnknownClassError:
             if self._graph is None:
-                raise UnknownClassError(class_name)
-            # Unknown to the snapshot: defer to the live graph so the
-            # error behaviour matches the mutable API exactly.
+                # Detached table (seeded from a pack or built over a
+                # bare compiled hierarchy): it is the only universe of
+                # classes.
+                raise
+            # Unknown to the compiled table: defer to the live graph so
+            # the error behaviour matches the mutable API.
             self._graph.direct_bases(class_name)
             return not_found_result(class_name, member)
-        mid = ch.member_ids.get(member)
-        if mid is None:
-            return not_found_result(class_name, member)
-        return result_from_entry(
-            class_name, member, self._entry_at(cid, mid)
-        )
 
     def lookup_many(
         self, queries
     ) -> list[LookupResult]:
         """Answer a batch of ``(class, member)`` queries coherently:
         snapshot-backed tables resolve the whole batch against one
-        captured head — through its columnar vectorized gather by
-        default (``columnar=False`` keeps the per-query loop) — so a
+        captured head through its columnar vectorized gather, so a
         concurrent publish can never split the batch across
         generations.  In-place tables loop per query."""
         head = self._head
@@ -660,7 +636,6 @@ def build_lookup_table(
     max_workers: Optional[int] = None,
     shards: Optional[int] = None,
     fastpath: Optional[bool] = None,
-    columnar=None,
     semantics: Optional[str | Semantics] = None,
 ) -> MemberLookupTable:
     """Run the paper's ``doLookup()`` and return the filled table.
@@ -669,13 +644,10 @@ def build_lookup_table(
     parallel builder by the ``|M|·|E|`` work estimate; see the module
     docstring for the full mode list and the ``fastpath`` default.
     Row-major tables maintain an immutable snapshot chain (lock-free
-    concurrent reads); the per-member table is maintained in place.
-    ``columnar``
-    (default: on for snapshot-backed tables) governs the dense batch
-    layout behind ``lookup_many`` — ``True`` lazy, ``"eager"`` built
-    with the table, ``False`` per-query loop.  ``semantics`` selects
-    the dispatch rule (:mod:`repro.core.semantics`; default the
-    paper's ``"cpp-dominance"``); non-default semantics are
+    concurrent reads) whose columnar layout answers every ``lookup``
+    and ``lookup_many``; the per-member table is maintained in place.
+    ``semantics`` selects the dispatch rule (:mod:`repro.core.semantics`;
+    default the paper's ``"cpp-dominance"``); non-default semantics are
     batched-mode, snapshot-backed only.
     """
     return MemberLookupTable(
@@ -685,7 +657,6 @@ def build_lookup_table(
         max_workers=max_workers,
         shards=shards,
         fastpath=fastpath,
-        columnar=columnar,
         semantics=semantics,
     )
 

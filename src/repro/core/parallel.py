@@ -120,9 +120,7 @@ def _init_worker_pack(path: str) -> None:
         _WORKER_CH = packed.thaw_hierarchy()
 
 
-def _sweep_shard(
-    member_mask: int, track_witnesses: bool, build_columnar: bool = False
-):
+def _sweep_shard(member_mask: int, track_witnesses: bool):
     stats = LookupStats()
     certificate = AmbiguityCertificate()
     rows = batched_sweep(
@@ -132,15 +130,7 @@ def _sweep_shard(
         track_witnesses=track_witnesses,
         certificate=certificate,
     )
-    slab = None
-    if build_columnar:
-        # Lay the shard's columns out columnar in the worker too: the
-        # interning cost parallelises with the sweep, and the parent
-        # only remaps slot ids (repro.core.columnar.merge_shards).
-        from repro.core.columnar import ColumnarTable
-
-        slab = ColumnarTable.from_rows(_WORKER_CH, rows)
-    return rows, stats, certificate, slab
+    return rows, stats, certificate
 
 
 def _sweep_delta_shard(task):
@@ -195,7 +185,6 @@ def build_sharded_rows(
     max_workers: Optional[int] = None,
     shards: Optional[int] = None,
     certificate: Optional[AmbiguityCertificate] = None,
-    columnar_slabs: Optional[list] = None,
     pack_path=None,
 ) -> list:
     """Build the full per-class rows (``rows[cid]: member id -> kernel
@@ -211,12 +200,6 @@ def build_sharded_rows(
     ``certificate`` merges each worker's per-shard ambiguity record —
     shards partition the member-id space, so the union is exactly what
     a serial :func:`batched_sweep` would have certified.
-
-    ``columnar_slabs`` (when a list) asks each worker to also lay its
-    shard out as a :class:`~repro.core.columnar.ColumnarTable` slab;
-    the slabs are appended to the list for the caller to merge with
-    :func:`repro.core.columnar.merge_shards`.  Serial fallbacks leave
-    the list empty — the caller then builds columnar from the rows.
 
     ``max_workers`` defaults to ``os.cpu_count()``; ``shards`` defaults
     to the worker count (one mask per worker — more shards only help
@@ -255,19 +238,15 @@ def build_sharded_rows(
             track_witnesses=track_witnesses,
             certificate=certificate,
         )
-    build_columnar = columnar_slabs is not None
     with executor:
         results = list(
             executor.map(
-                _sweep_shard,
-                masks,
-                [track_witnesses] * len(masks),
-                [build_columnar] * len(masks),
+                _sweep_shard, masks, [track_witnesses] * len(masks)
             )
         )
 
     merged: list = [{} for _ in range(ch.n_classes)]
-    for rows, shard_stats, shard_cert, slab in results:
+    for rows, shard_stats, shard_cert in results:
         for cid, row in enumerate(rows):
             if row:
                 if merged[cid]:
@@ -278,8 +257,6 @@ def build_sharded_rows(
             _merge_stats(stats, shard_stats)
         if certificate is not None:
             certificate.merge(shard_cert)
-        if build_columnar and slab is not None:
-            columnar_slabs.append(slab)
     return merged
 
 

@@ -29,12 +29,20 @@ go.  A torn read is impossible by construction — there is no state a
 reader can observe half-written, because published state is never
 written again.
 
-The one deliberate reader-visible mutation is memoisation (flat
-columns memoise :class:`~repro.core.results.LookupResult` objects and
-the snapshot memoises public Red/Blue conversions).  Both are
-idempotent single-reference writes of value-identical objects, so
+Every read of a published snapshot — a point :meth:`TableSnapshot
+.lookup` or a :meth:`TableSnapshot.lookup_many` batch — answers from
+one layout: the dense :class:`~repro.core.columnar.ColumnarTable` laid
+out lazily on the first read and derived copy-on-write by each publish
+after that.  Point reads try the flat overlay's certified columns
+first; everything else is the columnar layout's memoised result cell.
+
+The one deliberate reader-visible mutation is memoisation (the
+columnar and flat layouts memoise
+:class:`~repro.core.results.LookupResult` objects, the snapshot
+memoises its columnar layout and public Red/Blue conversions).  All
+are idempotent single-reference writes of value-identical objects, so
 racing readers can only ever install equal values — the answers are
-immutable even though the memo dictionaries are not.
+immutable even though the memo containers are not.
 
 :class:`~repro.core.lookup.MemberLookupTable` is the thin writer over
 this tier: it owns the chain head, serializes ``apply_delta`` calls,
@@ -47,14 +55,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from repro.core.columnar import ColumnarTable, merge_shards
+from repro.core.columnar import ColumnarTable
 from repro.core.fastpath import FlatTable, build_flat_table
 from repro.core.kernel import (
     AmbiguityCertificate,
     KernelBlue,
     LookupStats,
     TableEntry,
-    result_from_entry,
     to_table_entry,
 )
 from repro.core.results import LookupResult, not_found_result
@@ -68,7 +75,6 @@ from repro.hierarchy.compiled import (
 )
 
 __all__ = [
-    "COLUMNAR_MODES",
     "DeltaStats",
     "SNAPSHOT_MODES",
     "TableSnapshot",
@@ -78,12 +84,6 @@ __all__ = [
 #: column-major layout has no row sharing to exploit, so it stays the
 #: writer's in-place reference table.
 SNAPSHOT_MODES = ("batched", "sharded")
-
-#: The accepted ``columnar=`` settings: ``True`` lays the batch-serving
-#: columnar table out lazily on the first ``lookup_many``, ``"eager"``
-#: builds it with the snapshot (the sharded mode merges per-worker
-#: slabs), ``False`` keeps batches on the per-query loop.
-COLUMNAR_MODES = (True, False, "eager")
 
 
 @dataclass
@@ -131,8 +131,9 @@ class TableSnapshot:
 
     Holds the complete serving state of one compiled hierarchy
     generation: the row-major red/blue kernel rows, the optional flat
-    overlay with its persistent ambiguity certificate, and the entry
-    count.  Construct one with :meth:`build`; derive the next
+    overlay with its persistent ambiguity certificate, the columnar
+    layout every read answers from (laid out on the first read), and
+    the entry count.  Construct one with :meth:`build`; derive the next
     generation with :meth:`apply_delta` — ``self`` is never modified,
     sharing everything outside the invalidation cone with the child.
 
@@ -153,7 +154,6 @@ class TableSnapshot:
         "shards",
         "delta_stats",
         "parent_generation",
-        "columnar_enabled",
         "semantics",
         "_columnar",
         "_public",
@@ -171,10 +171,8 @@ class TableSnapshot:
         mode: str,
         max_workers: Optional[int],
         shards: Optional[int],
-        public: Optional[dict] = None,
         delta_stats: Optional[DeltaStats] = None,
         parent_generation: Optional[int] = None,
-        columnar=True,
         semantics: Optional[Semantics] = None,
     ) -> None:
         self.ch = ch
@@ -186,16 +184,13 @@ class TableSnapshot:
         self.mode = mode
         self.max_workers = max_workers
         self.shards = shards
-        self._public = {} if public is None else public
+        self._public: dict = {}
         #: The :class:`DeltaStats` of the publish that created this
         #: snapshot (all zeroes for a fresh :meth:`build`); the writer
         #: accumulates these along the chain.
         self.delta_stats = DeltaStats() if delta_stats is None else delta_stats
         #: Generation of the parent snapshot, or ``None`` for a root.
         self.parent_generation = parent_generation
-        #: Whether batches route through the columnar gather (see
-        #: :data:`COLUMNAR_MODES`; the table itself is built lazily).
-        self.columnar_enabled = bool(columnar)
         #: The dispatch rule whose sweeps produced (and maintain) these
         #: rows (:mod:`repro.core.semantics`); the default is the
         #: paper's dominance kernel.
@@ -219,7 +214,6 @@ class TableSnapshot:
         shards: Optional[int] = None,
         fastpath: bool = True,
         stats: Optional[LookupStats] = None,
-        columnar=True,
         semantics: Optional[str | Semantics] = None,
     ) -> "TableSnapshot":
         """Sweep a hierarchy from scratch into a root snapshot.
@@ -227,11 +221,8 @@ class TableSnapshot:
         ``mode`` is ``"batched"`` (serial row-major sweep) or
         ``"sharded"`` (member-sharded process pool); both certify
         ambiguity per column, so ``fastpath=True`` (the default) also
-        builds the flat overlay.  ``columnar`` governs the batch-query
-        layout (:data:`COLUMNAR_MODES`): ``True`` builds it lazily on
-        first ``lookup_many``, ``"eager"`` with the snapshot — the
-        sharded mode then builds per-worker columnar slabs and merges
-        them.  ``stats`` receives the sweep's
+        builds the flat overlay.  The columnar serving layout is laid
+        out lazily on the first read.  ``stats`` receives the sweep's
         :class:`~repro.core.kernel.LookupStats` counters.
 
         ``semantics`` selects the dispatch rule the rows are swept
@@ -254,18 +245,11 @@ class TableSnapshot:
                 f"semantics {semantics.name!r} only supports the "
                 f"'batched' snapshot mode, not {mode!r}"
             )
-        if columnar not in COLUMNAR_MODES:
-            raise ValueError(
-                f"unknown columnar setting {columnar!r}; "
-                f"expected one of {COLUMNAR_MODES}"
-            )
         ch = compiled_of(hierarchy)
         certificate = AmbiguityCertificate() if fastpath else None
-        slabs: Optional[list] = None
         if mode == "sharded":
             from repro.core.parallel import build_sharded_rows
 
-            slabs = [] if columnar == "eager" else None
             rows = build_sharded_rows(
                 ch,
                 stats=stats,
@@ -273,7 +257,6 @@ class TableSnapshot:
                 max_workers=max_workers,
                 shards=shards,
                 certificate=certificate,
-                columnar_slabs=slabs,
             )
         else:
             rows = semantics.sweep(
@@ -287,7 +270,7 @@ class TableSnapshot:
             if certificate is not None
             else None
         )
-        snapshot = cls(
+        return cls(
             ch=ch,
             rows=rows,
             flat=flat,
@@ -297,15 +280,8 @@ class TableSnapshot:
             mode=mode,
             max_workers=max_workers,
             shards=shards,
-            columnar=columnar,
             semantics=semantics,
         )
-        if columnar == "eager":
-            if slabs:
-                snapshot._columnar = merge_shards(ch, slabs)
-            else:
-                snapshot.columnar_table()
-        return snapshot
 
     def apply_delta(
         self,
@@ -322,10 +298,11 @@ class TableSnapshot:
         .HierarchyDelta`), copy the row *list* (O(|N|) references),
         re-fold the invalidation cone with the copy-on-write
         ``cone_sweep`` so the cone rows land in fresh dicts, and derive
-        the flat overlay with ``FlatTable.apply_delta``.  Everything
-        outside ``cone × affected-members`` — row dicts, flat columns,
-        memoised results, memoised public conversions — is shared with
-        this snapshot by reference.
+        the flat overlay with ``FlatTable.apply_delta`` and, when this
+        snapshot has laid out its columnar layout, the child's with
+        ``ColumnarTable.apply_delta``.  Everything outside ``cone ×
+        affected-members`` — row dicts, flat and columnar columns,
+        memoised results — is shared with this snapshot by reference.
 
         Same generation returns ``self``; incomparable snapshots (never
         the case under the append-only graph API) fall back to a full
@@ -347,7 +324,6 @@ class TableSnapshot:
                 shards=self.shards,
                 fastpath=self.flat is not None,
                 stats=stats,
-                columnar=self.columnar_enabled,
                 semantics=self.semantics,
             )
             child.delta_stats.deltas_applied = 1
@@ -430,24 +406,6 @@ class TableSnapshot:
             0, entry_total - result.entries_recomputed
         )
 
-        # Carry the warm public conversions across the publish, minus
-        # the cone × affected rectangle.  Iterate whichever side is
-        # smaller, exactly like the in-place writer's surgical drop.
-        public = dict(self._public)
-        if public:
-            if delta.cone_size * delta.member_count < len(public):
-                for cid in delta.cone_ids():
-                    for mid in delta.member_ids():
-                        public.pop((cid, mid), None)
-            else:
-                stale = [
-                    key
-                    for key in public
-                    if (cone >> key[0]) & 1 and (mmask >> key[1]) & 1
-                ]
-                for key in stale:
-                    del public[key]
-
         child = TableSnapshot(
             ch=new,
             rows=rows,
@@ -458,10 +416,8 @@ class TableSnapshot:
             mode=self.mode,
             max_workers=self.max_workers,
             shards=self.shards,
-            public=public,
             delta_stats=result,
             parent_generation=old.generation,
-            columnar=self.columnar_enabled,
             semantics=self.semantics,
         )
         parent_columnar = self._columnar
@@ -490,7 +446,11 @@ class TableSnapshot:
         """``lookup(C, m)`` per Definition 9, answered from this one
         generation — lock-free, never influenced by later publishes.
         Raises :class:`~repro.errors.UnknownClassError` for a class
-        this generation has never heard of."""
+        this generation has never heard of.
+
+        A certified-unambiguous column answers from the flat overlay;
+        every other cell is the columnar layout's memoised result, so a
+        repeated query returns the same object."""
         ch = self.ch
         cid = ch.class_ids.get(class_name)
         if cid is None:
@@ -498,20 +458,22 @@ class TableSnapshot:
         mid = ch.member_ids.get(member)
         if mid is None:
             return not_found_result(class_name, member)
-        return self._result(cid, mid, class_name, member)
+        flat = self.flat
+        if flat is not None:
+            result = flat.serve(ch, cid, mid, class_name, member)
+            if result is not None:
+                return result
+        return self.columnar_table()._result_one(ch, cid, class_name, member)
 
-    def columnar_table(self) -> Optional[ColumnarTable]:
-        """The dense batch-serving layout of this generation
+    def columnar_table(self) -> ColumnarTable:
+        """The dense serving layout of this generation
         (:class:`~repro.core.columnar.ColumnarTable`), built lazily on
-        first use and memoised; ``None`` when ``columnar=False``.
+        first read and memoised.
 
-        The lazy install is the snapshot's one memo-class mutation: an
-        idempotent single-reference write of a value-equivalent object
-        (two racing readers can only ever install equal layouts over
-        the same immutable rows), so it keeps the lock-free reader
-        contract."""
-        if not self.columnar_enabled:
-            return None
+        The lazy install is an idempotent single-reference write of a
+        value-equivalent object (two racing readers can only ever
+        install equal layouts over the same immutable rows), so it
+        keeps the lock-free reader contract."""
         table = self._columnar
         if table is None:
             table = ColumnarTable.from_rows(self.ch, self.rows)
@@ -519,8 +481,8 @@ class TableSnapshot:
         return table
 
     def columnar_stats(self):
-        """The columnar layout's serving counters, or ``None`` when the
-        layout is disabled or not yet materialised."""
+        """The columnar layout's serving counters, or ``None`` while
+        the layout is not yet materialised."""
         table = self._columnar
         return table.stats if table is not None else None
 
@@ -529,29 +491,9 @@ class TableSnapshot:
     ) -> list[LookupResult]:
         """Answer a batch of ``(class, member)`` queries against this
         one generation — the coherent multi-query read the service
-        tier's ``lookup_many`` op is built on.
-
-        With the columnar layout enabled (the default) the whole batch
-        is answered by vectorized per-member gathers over the dense
-        entry arrays; ``columnar=False`` snapshots keep the historical
-        per-query loop.  Both produce value-identical results."""
-        table = self.columnar_table()
-        if table is not None:
-            return table.lookup_many(self.ch, queries)
-        out: list[LookupResult] = []
-        ch = self.ch
-        class_ids = ch.class_ids
-        member_ids = ch.member_ids
-        for class_name, member in queries:
-            cid = class_ids.get(class_name)
-            if cid is None:
-                raise UnknownClassError(class_name)
-            mid = member_ids.get(member)
-            if mid is None:
-                out.append(not_found_result(class_name, member))
-            else:
-                out.append(self._result(cid, mid, class_name, member))
-        return out
+        tier's ``lookup_many`` op is built on — by vectorized
+        per-member gathers over the columnar layout."""
+        return self.columnar_table().lookup_many(self.ch, queries)
 
     def entry(self, class_name: str, member: str) -> Optional[TableEntry]:
         """The raw Red/Blue table entry (``None`` if ``m`` is not a
@@ -597,18 +539,6 @@ class TableSnapshot:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _result(
-        self, cid: int, mid: int, class_name: str, member: str
-    ) -> LookupResult:
-        flat = self.flat
-        if flat is not None:
-            result = flat.serve(self.ch, cid, mid, class_name, member)
-            if result is not None:
-                return result
-        return result_from_entry(
-            class_name, member, self._entry_at(cid, mid)
-        )
 
     def _kentry(self, cid: int, mid: int):
         row = self.rows[cid]

@@ -348,9 +348,7 @@ def semantics_outcomes(
     members = graph.member_names()
     for name in names:
         try:
-            table = build_lookup_table(
-                graph, mode="batched", semantics=name, columnar=False
-            )
+            table = build_lookup_table(graph, mode="batched", semantics=name)
         except SemanticsRejection as exc:
             rejections[name] = exc
             continue

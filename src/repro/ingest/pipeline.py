@@ -112,7 +112,6 @@ class StreamingIngest:
         batch_size: int = DEFAULT_BATCH_SIZE,
         mode: str = "batched",
         semantics=None,
-        columnar: bool = True,
         keep_going: bool = False,
         on_batch: Optional[Callable[[BatchRecord], None]] = None,
     ) -> None:
@@ -123,7 +122,6 @@ class StreamingIngest:
                 ClassHierarchyGraph(),
                 mode=mode,
                 fastpath=True,
-                columnar=columnar,
                 semantics=semantics,
             )
         if table.graph is None:
@@ -237,7 +235,6 @@ def ingest_paths(
     batch_size: int = DEFAULT_BATCH_SIZE,
     mode: str = "batched",
     semantics=None,
-    columnar: bool = True,
     keep_going: bool = False,
 ) -> tuple[MemberLookupTable, IngestReport]:
     """One-shot convenience: stream-ingest ``paths`` into a fresh
@@ -246,7 +243,6 @@ def ingest_paths(
         batch_size=batch_size,
         mode=mode,
         semantics=semantics,
-        columnar=columnar,
         keep_going=keep_going,
     )
     report = pipeline.ingest(paths)
@@ -258,7 +254,6 @@ def rebuild_baseline(
     *,
     mode: str = "batched",
     semantics=None,
-    columnar: bool = True,
 ) -> tuple[MemberLookupTable, int]:
     """The pre-delta shape of ingestion, kept as the benchmark
     baseline: parse each whole file, lower all of it, then rebuild the
@@ -280,11 +275,8 @@ def rebuild_baseline(
             graph.compile(),
             mode=mode,
             fastpath=True,
-            columnar=columnar,
             semantics=semantics,
         )
     if table is None:
-        table = MemberLookupTable(
-            graph, mode=mode, columnar=columnar, semantics=semantics
-        )
+        table = MemberLookupTable(graph, mode=mode, semantics=semantics)
     return table, sema.classes_declared

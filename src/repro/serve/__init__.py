@@ -3,7 +3,7 @@
 This package is the service tier above :mod:`repro.core.snapshot`: a
 :class:`~repro.serve.service.LookupService` hosts many named tenant
 hierarchies, each owning an immutable generation-stamped snapshot
-chain, with a shared LRU keyed by snapshot identity.
+chain that every read answers from directly.
 :class:`~repro.serve.server.ServeFront` exposes the service over an
 asyncio newline-JSON endpoint (``repro serve``) with one writer task
 per tenant serializing its deltas, and

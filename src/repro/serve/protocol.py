@@ -7,9 +7,8 @@ Requests carry ``{"id": ..., "op": ..., ...}``; responses echo the
 is opaque to the server — clients use it to match pipelined responses.
 
 Lookup results cross the wire as plain dicts (see
-:func:`result_to_dict`), with Ω encoded by the same ``"Ω!"`` tag the
-table serializer of :mod:`repro.core.table_io` uses, so a client can
-round-trip answers without importing the core types.
+:func:`result_to_dict`), with Ω encoded by the ``"Ω!"`` tag, so a
+client can round-trip answers without importing the core types.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ __all__ = [
     "result_to_dict",
 ]
 
-#: Wire tag for the Ω abstraction (matches ``repro.core.table_io``).
+#: Wire tag for the Ω abstraction (distinct from any plausible class name).
 OMEGA_TAG = "Ω!"
 
 

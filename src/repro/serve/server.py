@@ -6,8 +6,8 @@ Concurrency model
 
 *Reads stay on the event loop.*  A ``lookup`` / ``lookup_many`` op
 captures the tenant's published snapshot and answers directly — no
-locks, no executor hop, because snapshots are immutable and the shared
-LRU's operations are single-swap atomic under the GIL.
+locks, no executor hop, because snapshots are immutable and their memo
+writes are single-reference stores, atomic under the GIL.
 
 *Writes go through one writer task per tenant.*  Each tenant owns an
 ``asyncio.Queue``; its writer task dequeues one delta at a time and

@@ -6,14 +6,10 @@ with its own snapshot chain: the tenant's
 :mod:`repro.core.snapshot`, so every published generation is immutable
 and reads are lock-free — a query captures the tenant's chain head once
 and answers against that one generation no matter what the writer does
-concurrently.
-
-The service adds the shared serving LRU on top, keyed by **snapshot
-identity** ``(tenant, generation, class, member)``: a publish never
-needs to hunt down stale entries, because entries of the retired
-generation simply stop being probed and age out of the LRU — the
-"invalidation is retiring the old snapshot" policy of the cache tier,
-taken to its logical end.
+concurrently.  Point and batch reads both answer straight from the
+captured snapshot's memoised columnar layout, so the service keeps no
+answer cache of its own: a publish or a removed tenant leaves nothing
+stale behind.
 
 This module is transport-free on purpose: the asyncio newline-JSON
 front lives in :mod:`repro.serve.server` (one writer task per tenant
@@ -26,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from repro.core.cache import DEFAULT_CACHE_SIZE, LookupCache
 from repro.core.lookup import MemberLookupTable
 from repro.core.semantics import get_semantics
 from repro.core.results import LookupResult
@@ -92,7 +87,7 @@ class Tenant:
 
 
 class LookupService:
-    """Many tenants, one shared snapshot-identity-keyed serving LRU.
+    """Many tenants, each served from its own published snapshot chain.
 
     ``add_tenant`` accepts a ready
     :class:`~repro.hierarchy.graph.ClassHierarchyGraph`, a ``repro-chg``
@@ -107,20 +102,16 @@ class LookupService:
     def __init__(
         self,
         *,
-        cache_size: int = DEFAULT_CACHE_SIZE,
         mode: str = "batched",
         max_workers: Optional[int] = None,
         shards: Optional[int] = None,
-        columnar: bool = True,
         semantics: Optional[str] = None,
         preload: Optional[dict] = None,
     ) -> None:
         self._tenants: dict[str, Tenant] = {}
-        self._cache = LookupCache(cache_size)
         self._mode = mode
         self._max_workers = max_workers
         self._shards = shards
-        self._columnar = bool(columnar)
         self._semantics = get_semantics(semantics)
         # ``preload`` maps tenant name -> flatpack path: each tenant
         # boots straight off the mmapped file (O(mmap) cold start, no
@@ -164,8 +155,7 @@ class LookupService:
         must be omitted or agree).  ``semantics`` overrides the
         service-wide dispatch rule for this tenant
         (:mod:`repro.core.semantics`) — tenants under different
-        semantics share the service and its LRU, since cache keys carry
-        the tenant name.  Non-default semantics need the ``"batched"``
+        semantics share the service.  Non-default semantics need the ``"batched"``
         table mode (the service default); the rule may also reject the
         hierarchy outright with
         :class:`~repro.core.semantics.SemanticsRejection`, in which
@@ -205,7 +195,6 @@ class LookupService:
             max_workers=self._max_workers,
             shards=self._shards,
             fastpath=True,
-            columnar=self._columnar,
             semantics=(
                 self._semantics if semantics is None else semantics
             ),
@@ -216,8 +205,7 @@ class LookupService:
 
     def remove_tenant(self, name: str) -> None:
         """Drop a tenant.  Its whole snapshot chain retires with the
-        last reference; its shared-LRU entries are generation-keyed and
-        simply age out — no sweep needed."""
+        last reference — no sweep needed."""
         if self._tenants.pop(name, None) is None:
             raise UnknownTenantError(name)
 
@@ -225,33 +213,12 @@ class LookupService:
     # Reads (lock-free against one captured snapshot)
     # ------------------------------------------------------------------
 
-    def _cached_lookup(
-        self,
-        tenant_name: str,
-        snapshot: TableSnapshot,
-        class_name: str,
-        member: str,
-    ) -> LookupResult:
-        """One query against an already-captured snapshot, through the
-        shared LRU.  The key carries the snapshot's generation, so a
-        concurrent publish can never surface a stale answer: the new
-        generation probes fresh keys, the old generation's entries age
-        out.  Both read entry points funnel through here."""
-        key = (tenant_name, snapshot.generation, class_name, member)
-        result = self._cache.get(key)
-        if result is None:
-            result = snapshot.lookup(class_name, member)
-            self._cache.put(key, result)
-        return result
-
     def lookup(
         self, tenant_name: str, class_name: str, member: str
     ) -> LookupResult:
-        """``lookup(C, m)`` for one tenant, through the shared LRU."""
+        """``lookup(C, m)`` for one tenant, against its chain head."""
         tenant = self.tenant(tenant_name)
-        result = self._cached_lookup(
-            tenant_name, tenant.table.snapshot, class_name, member
-        )
+        result = tenant.table.snapshot.lookup(class_name, member)
         tenant.stats.lookups += 1
         return result
 
@@ -260,24 +227,10 @@ class LookupService:
     ) -> list[LookupResult]:
         """A batch of queries answered against **one** captured
         snapshot — a publish cannot split the batch across
-        generations.
-
-        With the service's default ``columnar=True`` the whole batch is
-        one vectorized gather over the captured snapshot's columnar
-        table (:meth:`TableSnapshot.lookup_many`) and skips the shared
-        LRU entirely — the gather is cheaper than a cache probe per
-        query.  With ``columnar=False`` the batch degrades to the
-        per-query LRU path through :meth:`_cached_lookup`."""
+        generations — as one vectorized gather over its columnar
+        layout (:meth:`TableSnapshot.lookup_many`)."""
         tenant = self.tenant(tenant_name)
-        snapshot = tenant.table.snapshot
-        if self._columnar:
-            out = snapshot.lookup_many(queries)
-        else:
-            cached_lookup = self._cached_lookup
-            out = [
-                cached_lookup(tenant_name, snapshot, class_name, member)
-                for class_name, member in queries
-            ]
+        out = tenant.table.snapshot.lookup_many(queries)
         tenant.stats.lookups += len(out)
         tenant.stats.batches += 1
         return out
@@ -381,18 +334,7 @@ class LookupService:
 
     def stats(self, tenant_name: Optional[str] = None) -> dict:
         """Service-wide (or one tenant's) counters: per-tenant serving
-        stats, generations, and the shared LRU's hit/miss/eviction
-        numbers."""
-        cache = self._cache.stats
-        out: dict = {
-            "cache": {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "evictions": cache.evictions,
-                "size": len(self._cache),
-                "maxsize": self._cache.maxsize,
-            },
-        }
+        stats and generations."""
         names = (
             [tenant_name] if tenant_name is not None else list(self._tenants)
         )
@@ -410,5 +352,4 @@ class LookupService:
                 "batches": tenant.stats.batches,
                 "deltas_applied": tenant.stats.deltas_applied,
             }
-        out["tenants"] = tenants
-        return out
+        return {"tenants": tenants}

@@ -3,22 +3,24 @@
 These tests pin the whole contract of the dense layout: entry interning
 over the shared pool (blue entries included — the generalization past
 :mod:`repro.core.fastpath`), strict result equality of the vectorized
-gather against the per-query row path on every workload family, the
-numpy and no-numpy gathers producing identical answers, copy-on-write
-delta derivation (parent untouched, unaffected columns shared by
-reference, short shared columns bounds-guarded), per-worker slab
-merging with slot-id translation, and the batch's error semantics
-(first unknown class raises, unknown members answer NOT_FOUND).
+gather against the per-member reference table on every workload
+family, the numpy and no-numpy gathers producing identical answers,
+copy-on-write delta derivation (parent untouched, unaffected columns
+shared by reference, short shared columns bounds-guarded), and the
+batch's error semantics (first unknown class raises, unknown members
+answer NOT_FOUND).
 """
 
 import pytest
 
 import repro.core.columnar as columnar_mod
-from repro.core.columnar import ColumnarTable, EntryPool, merge_shards
+from repro.core.columnar import ColumnarTable, EntryPool
+from repro.core.flatpack import pack
 from repro.core.kernel import KernelBlue, batched_sweep
 from repro.core.lookup import build_lookup_table
 from repro.core.snapshot import TableSnapshot
 from repro.errors import UnknownClassError
+from repro.serve.service import LookupService
 from repro.workloads.generators import (
     ambiguous_fan,
     binary_tree,
@@ -64,9 +66,9 @@ def build_columnar(graph, *, use_numpy=None):
 
 def assert_batch_matches_rows(graph, *, use_numpy=None):
     """Strict equality (witnesses included) of one big gather against
-    the plain per-query batched table."""
+    the independent per-member reference table."""
     ch, table = build_columnar(graph, use_numpy=use_numpy)
-    rows = build_lookup_table(graph, mode="batched")
+    rows = build_lookup_table(graph)
     queries = all_queries(graph)
     batched = table.lookup_many(ch, queries)
     assert len(batched) == len(queries)
@@ -259,7 +261,7 @@ def test_apply_delta_shares_unaffected_columns(use_numpy):
     assert child.columns[mid_other] is table.columns[mid_other]
     assert child.columns[mid_m] is not table.columns[mid_m]
     # Parent answers its own generation unchanged.
-    parent_rows = build_lookup_table(chainless_copy(graph, "Zed"), mode="batched")
+    parent_rows = build_lookup_table(chainless_copy(graph, "Zed"))
     for name in ch.class_names:
         assert (
             table.lookup_many(ch, [(name, "m")])[0]
@@ -267,7 +269,7 @@ def test_apply_delta_shares_unaffected_columns(use_numpy):
         )
     # Child matches a fresh build of the mutated graph, short shared
     # column ("other" never grew to include Zed) bounds-guarded.
-    fresh = build_lookup_table(graph, mode="batched")
+    fresh = build_lookup_table(graph)
     queries = all_queries(graph)
     for (class_name, member), result in zip(
         queries, child.lookup_many(new_ch, queries)
@@ -322,60 +324,6 @@ def test_apply_delta_without_members_shares_pool(use_numpy):
 
 
 # ----------------------------------------------------------------------
-# Shard merging
-# ----------------------------------------------------------------------
-
-
-def shard_slabs(graph, *, use_numpy):
-    """Build per-member-shard slabs the way the sharded builder does:
-    each slab sweeps a disjoint member subset against its own pool."""
-    ch = graph.compile()
-    rows = batched_sweep(ch)
-    mids = sorted(
-        {mid for row in rows for mid in row}
-    )
-    halves = (set(mids[0::2]), set(mids[1::2]))
-    slabs = []
-    for half in halves:
-        shard_rows = [
-            {mid: entry for mid, entry in row.items() if mid in half}
-            for row in rows
-        ]
-        slabs.append(
-            ColumnarTable.from_rows(ch, shard_rows, use_numpy=use_numpy)
-        )
-    return ch, slabs
-
-
-def test_merge_shards_matches_single_build(use_numpy):
-    graph = random_hierarchy(14, seed=11, member_probability=0.8)
-    ch, slabs = shard_slabs(graph, use_numpy=use_numpy)
-    assert all(len(slab.pool) > 0 for slab in slabs)
-    merged = merge_shards(ch, slabs, use_numpy=use_numpy)
-    rows = build_lookup_table(graph, mode="batched")
-    queries = all_queries(graph)
-    for (class_name, member), result in zip(
-        queries, merged.lookup_many(ch, queries)
-    ):
-        assert result == rows.lookup(class_name, member)
-
-
-def test_merge_rehomes_fallback_slab_into_numpy_merge():
-    if not columnar_mod.HAVE_NUMPY:
-        pytest.skip("numpy not installed; single-mode environment")
-    graph = binary_tree(4)
-    ch, slabs = shard_slabs(graph, use_numpy=False)
-    merged = merge_shards(ch, slabs, use_numpy=True)
-    assert merged.use_numpy
-    queries = [(name, "m") for name in ch.class_names]
-    rows = build_lookup_table(graph, mode="batched")
-    for (class_name, member), result in zip(
-        queries, merged.lookup_many(ch, queries)
-    ):
-        assert result == rows.lookup(class_name, member)
-
-
-# ----------------------------------------------------------------------
 # The snapshot integration point
 # ----------------------------------------------------------------------
 
@@ -387,18 +335,24 @@ def test_snapshot_lazy_columnar_is_memoised(use_numpy):
     assert snapshot.columnar_table() is table
 
 
-def test_snapshot_eager_columnar_builds_at_publish():
-    snapshot = TableSnapshot.build(
-        binary_tree(4), mode="batched", columnar="eager"
-    )
-    assert snapshot.columnar_stats() is not None
+def test_point_reads_return_the_memoised_cell(tmp_path):
+    """An ambiguous cell lies outside the flat overlay, so point reads
+    answer it from the columnar layout's memo — the same object every
+    time, on a built snapshot and on a tenant booted from a pack."""
+    graph = ambiguous_fan(5)
+    expected = build_lookup_table(graph)
+    snapshot = TableSnapshot.build(graph, mode="batched")
+    class_name, member = snapshot.ambiguous_queries()[0]
+    first = snapshot.lookup(class_name, member)
+    assert first.is_ambiguous
+    assert first == expected.lookup(class_name, member)
+    assert snapshot.lookup(class_name, member) is first
 
-
-def test_snapshot_columnar_disabled():
-    snapshot = TableSnapshot.build(
-        binary_tree(4), mode="batched", columnar=False
-    )
-    assert snapshot.columnar_table() is None
-    # lookup_many still answers, through the per-query loop.
-    out = snapshot.lookup_many([("N1", "m"), ("N1", "ghost")])
-    assert out[0].is_unique and out[1].is_not_found
+    path = tmp_path / "fan.pack"
+    pack(snapshot, path)
+    service = LookupService()
+    service.add_tenant("t", pack=path)
+    booted = service.tenant("t").snapshot
+    first = booted.lookup(class_name, member)
+    assert first == expected.lookup(class_name, member)
+    assert booted.lookup(class_name, member) is first

@@ -4,7 +4,7 @@ The format contract, pinned over the full benchmark-family sweep: every
 answer a :class:`~repro.core.flatpack.PackedTable` serves off the
 buffer — scalar, batch, witness paths included — is value-identical to
 the live table it was packed from; malformed files are rejected at open
-time with :class:`~repro.core.table_io.TableSerializationError`; and a
+time with :class:`~repro.core.flatpack.TableSerializationError`; and a
 pack is a first-class snapshot-chain parent (``to_table`` +
 ``apply_delta`` converge on the same answers as a fresh build).
 """
@@ -17,11 +17,11 @@ import repro.core.columnar as columnar_mod
 from repro.core.flatpack import (
     FLATPACK_MAGIC,
     FLATPACK_VERSION,
+    TableSerializationError,
     mmap_table,
     pack,
 )
 from repro.core.lookup import MemberLookupTable, build_lookup_table
-from repro.core.table_io import TableSerializationError
 from repro.errors import UnknownClassError
 from repro.serve.service import LookupService
 from repro.workloads.generators import (

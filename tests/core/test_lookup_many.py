@@ -1,11 +1,13 @@
 """Batch/one-shot equivalence of every ``lookup_many`` entry point.
 
 One invariant, pinned across the whole engine matrix: a batch answer is
-value-identical (witnesses included) to the per-query answers — through
-the columnar gather (snapshot-backed tables, lazy and eager), the
-per-query loops (in-place tables, ``columnar=False`` snapshots), the
-cached engine's hit/miss-splitting batch, and the serving tier — and
-stays so after delta maintenance.  Mid-publish coherence is pinned too:
+value-identical (witnesses included) to an independent per-member
+reference table's per-query answers — through the columnar gather
+(snapshot-backed and mmapped tables), the in-place table's per-query
+loop, the cached engine's hit/miss-splitting batch, and the serving
+tier — and stays so after delta maintenance.  Snapshot point and batch
+reads share one columnar layout, so the reference is always a separate
+build, never the same table's point path.  Mid-publish coherence is pinned too:
 a batch is answered against exactly one captured generation, never
 split by a concurrent publish.
 """
@@ -16,7 +18,6 @@ import tempfile
 import pytest
 
 import repro.core.columnar as columnar_mod
-from repro.core import table_io
 from repro.core.cache import CachedMemberLookup
 from repro.core.flatpack import mmap_table, pack
 from repro.core.lookup import MemberLookupTable, build_lookup_table
@@ -54,8 +55,6 @@ TABLE_KINDS = (
     "batched-fastpath",
     "sharded",
     "per-member",
-    "no-columnar",
-    "frozen",
     "packed",
 )
 
@@ -70,13 +69,6 @@ def build_table(kind, graph):
     if kind == "per-member":
         # The in-place table: lookup_many loops per query (no columnar).
         return build_lookup_table(graph, mode="per-member")
-    if kind == "no-columnar":
-        return build_lookup_table(graph, mode="batched", columnar=False)
-    if kind == "frozen":
-        # The JSON round trip: batch routes through the rebuilt flat
-        # overlay per query.
-        live = build_lookup_table(graph, mode="batched", fastpath=True)
-        return table_io.loads(table_io.dumps(live))
     if kind == "packed":
         # The mmapped flatpack: batch gathers straight off the buffer.
         live = build_lookup_table(graph, mode="batched", fastpath=True)
@@ -97,18 +89,23 @@ def build_table(kind, graph):
 )
 def test_table_batch_equals_one_shot(kind, name, graph):
     table = build_table(kind, graph)
+    reference = build_lookup_table(graph)
     queries = all_queries(graph)
     batch = table.lookup_many(queries)
-    assert batch == [table.lookup(c, m) for c, m in queries]
+    assert batch == [reference.lookup(c, m) for c, m in queries]
 
 
-@pytest.mark.parametrize("columnar", [True, False, "eager"])
-def test_snapshot_batch_equals_one_shot(columnar):
+@pytest.mark.parametrize("fastpath", [True, False])
+def test_snapshot_batch_equals_one_shot(fastpath):
+    """Point reads (flat overlay first when on) and batch gathers both
+    match the reference, with and without the flat overlay."""
     graph = random_hierarchy(12, seed=9, member_probability=0.6)
-    snapshot = TableSnapshot.build(graph, mode="batched", columnar=columnar)
+    snapshot = TableSnapshot.build(graph, mode="batched", fastpath=fastpath)
+    reference = build_lookup_table(graph)
     queries = all_queries(graph)
-    batch = snapshot.lookup_many(queries)
-    assert batch == [snapshot.lookup(c, m) for c, m in queries]
+    expected = [reference.lookup(c, m) for c, m in queries]
+    assert snapshot.lookup_many(queries) == expected
+    assert [snapshot.lookup(c, m) for c, m in queries] == expected
 
 
 def test_batch_equals_one_shot_after_apply_delta():
@@ -119,9 +116,8 @@ def test_batch_equals_one_shot_after_apply_delta():
     graph.add_edge("C15", "Zed")
     table.apply_delta()
     queries = all_queries(graph)
-    fresh = build_lookup_table(graph, mode="batched")
+    fresh = build_lookup_table(graph)
     batch = table.lookup_many(queries)
-    assert batch == [table.lookup(c, m) for c, m in queries]
     assert batch == [fresh.lookup(c, m) for c, m in queries]
 
 
@@ -131,9 +127,10 @@ def test_batch_equals_one_shot_without_numpy(monkeypatch):
     table = build_lookup_table(graph, mode="batched")
     columnar = table.columnar_table
     assert columnar is not None and not columnar.use_numpy
+    reference = build_lookup_table(graph)
     queries = all_queries(graph)
     assert table.lookup_many(queries) == [
-        table.lookup(c, m) for c, m in queries
+        reference.lookup(c, m) for c, m in queries
     ]
 
 
@@ -158,11 +155,6 @@ def test_mid_publish_batch_is_one_generation():
     assert declared["C5"] == "C0" and declared["C6"] == "C6"
     assert declared["C11"] == "C6"
     assert table.snapshot.generation > captured.generation
-
-
-def test_in_place_table_rejects_columnar():
-    with pytest.raises(ValueError):
-        build_lookup_table(binary_tree(3), mode="per-member", columnar=True)
 
 
 # ----------------------------------------------------------------------
@@ -225,13 +217,14 @@ def test_cached_batch_promotes_on_distinct_misses():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("columnar", [True, False])
-def test_service_batch_equals_one_shot(columnar):
+def test_service_batch_equals_one_shot():
     graph = random_hierarchy(12, seed=4, member_probability=0.6)
-    service = LookupService(columnar=columnar)
+    service = LookupService()
     service.add_tenant("t", graph)
+    reference = build_lookup_table(graph)
     queries = all_queries(graph)
     batch = service.lookup_many("t", queries)
+    assert batch == [reference.lookup(c, m) for c, m in queries]
     assert batch == [service.lookup("t", c, m) for c, m in queries]
     stats = service.stats("t")["tenants"]["t"]
     assert stats["batches"] == 1
