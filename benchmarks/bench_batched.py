@@ -25,7 +25,6 @@ import time
 
 import pytest
 
-from repro.core.cache import CachedMemberLookup
 from repro.core.lookup import MemberLookupTable
 from repro.workloads.generators import (
     binary_tree,
@@ -111,19 +110,6 @@ def test_build_sharded(benchmark, workload):
     )
     _annotate(benchmark, name, graph, table)
     benchmark.extra_info["n_members"] = graph.compile().n_members
-
-
-def test_cached_hot_query(benchmark, workload):
-    """The generation-keyed cache's steady state: one warm query."""
-    name, graph = workload
-    cached = CachedMemberLookup(graph)
-    hottest = graph.classes[-1]  # most derived: the deepest demand cone
-    cached.lookup(hottest, "m")
-    benchmark(cached.lookup, hottest, "m")
-    benchmark.extra_info["workload"] = name
-    benchmark.extra_info["hit_rate"] = round(
-        cached.cache_stats.hit_rate(), 3
-    )
 
 
 def test_same_tables_across_modes():

@@ -1,17 +1,16 @@
-"""Extension benchmark: incremental lookup under hierarchy growth.
+"""Extension benchmark: lookup under hierarchy growth.
 
 A compiler interleaves declarations with lookups.  This bench replays a
 random hierarchy declaration-by-declaration with a lookup burst after
-every class, comparing (a) rebuilding the eager table each time, (b) a
-fresh lazy engine each time, and (c) the incremental engine with cache
-invalidation.
+every class, comparing (a) rebuilding the eager table each time and (b)
+a fresh lazy engine each time.
 
 The ``storm_*`` half measures the delta-maintenance tier at production
 scale: grow the 1024-class scaling families one declaration at a time
 (a ``STORM_TAIL``-step mutation storm with probe queries interleaved)
 and compare a full batched rebuild per step against
-``MemberLookupTable.apply_delta`` (cone-restricted re-sweep) and the
-incremental engine's lazy refill.  ``test_delta_speedup_floor`` pins
+``MemberLookupTable.apply_delta`` (cone-restricted re-sweep).
+``test_delta_speedup_floor`` pins
 the acceptance floor — apply_delta ≥ 5× over the full rebuild for
 single-declaration deltas — and ``BENCH_delta.json`` records the
 measured ratios (see ``scripts/collect_bench_numbers.py``).
@@ -21,7 +20,6 @@ import time
 
 import pytest
 
-from repro.core.incremental import IncrementalLookupEngine
 from repro.core.lazy import LazyMemberLookup
 from repro.core.lookup import build_lookup_table
 from repro.workloads.generators import (
@@ -71,20 +69,6 @@ def run_with_rebuild(steps, engine_factory):
     return answers
 
 
-def run_incremental(steps):
-    engine = IncrementalLookupEngine()
-    answers = 0
-    for name, members, edges in steps:
-        engine.add_class(name, members)
-        for base, derived, virtual in edges:
-            engine.add_edge(base, derived, virtual=virtual)
-        for declared in engine.graph.classes:
-            for member in MEMBERS:
-                engine.lookup(declared, member)
-                answers += 1
-    return answers
-
-
 @pytest.mark.parametrize("n", [20, 60])
 def test_rebuild_eager_each_step(benchmark, n):
     steps = script(n)
@@ -96,13 +80,6 @@ def test_rebuild_eager_each_step(benchmark, n):
 def test_fresh_lazy_each_step(benchmark, n):
     steps = script(n)
     answers = benchmark(run_with_rebuild, steps, LazyMemberLookup)
-    benchmark.extra_info["answers"] = answers
-
-
-@pytest.mark.parametrize("n", [20, 60])
-def test_incremental_engine(benchmark, n):
-    steps = script(n)
-    answers = benchmark(run_incremental, steps)
     benchmark.extra_info["answers"] = answers
 
 
@@ -174,19 +151,6 @@ def run_storm_apply_delta(graph, member, steps):
     return answers
 
 
-def run_storm_lazy_refill(graph, member, steps):
-    """The incremental engine: surgical eviction plus demand refill."""
-    engine = IncrementalLookupEngine(graph)
-    answers = 0
-    for name, base, probes in steps:
-        engine.add_class(name, [member])
-        engine.add_edge(base, name)
-        for probe in (name, *probes):
-            engine.lookup(probe, member)
-            answers += 1
-    return answers
-
-
 @pytest.mark.parametrize("family", sorted(STORM_FAMILIES))
 def test_storm_full_rebuild(benchmark, family):
     answers = benchmark.pedantic(
@@ -204,18 +168,6 @@ def test_storm_full_rebuild(benchmark, family):
 def test_storm_apply_delta(benchmark, family):
     answers = benchmark.pedantic(
         run_storm_apply_delta,
-        setup=lambda: _storm_setup(family),
-        rounds=3,
-        iterations=1,
-    )
-    benchmark.extra_info["workload"] = family
-    benchmark.extra_info["answers"] = answers
-
-
-@pytest.mark.parametrize("family", sorted(STORM_FAMILIES))
-def test_storm_lazy_refill(benchmark, family):
-    answers = benchmark.pedantic(
-        run_storm_lazy_refill,
         setup=lambda: _storm_setup(family),
         rounds=3,
         iterations=1,
@@ -303,23 +255,3 @@ def test_delta_speedup_floor(family):
     assert speedup >= 5.0, (
         f"{family}: apply_delta only {speedup:.2f}x over the full rebuild"
     )
-
-
-def test_incremental_results_match_rebuild():
-    steps = script(40)
-    engine = IncrementalLookupEngine()
-    for name, members, edges in steps:
-        engine.add_class(name, members)
-        for base, derived, virtual in edges:
-            engine.add_edge(base, derived, virtual=virtual)
-        for declared in engine.graph.classes:
-            for member in MEMBERS:
-                engine.lookup(declared, member)
-    table = build_lookup_table(engine.graph)
-    for declared in engine.graph.classes:
-        for member in MEMBERS:
-            left = engine.lookup(declared, member)
-            right = table.lookup(declared, member)
-            assert left.status == right.status
-            if right.is_unique:
-                assert left.declaring_class == right.declaring_class

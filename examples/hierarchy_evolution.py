@@ -1,17 +1,20 @@
 #!/usr/bin/env python3
-"""Hierarchy evolution: incremental lookup and lookup-impact diffing.
+"""Hierarchy evolution: delta-maintained lookup and lookup-impact diffing.
 
 Simulates a refactoring session on a widget library: the hierarchy is
-grown declaration by declaration through the incremental engine (as a
-compiler would see it), then a refactor is applied and the lookup-impact
-diff reports exactly which call targets changed.
+grown declaration by declaration (as a compiler would see it) under a
+batched lookup table that ``apply_delta()`` rolls forward after each
+step, re-folding only the invalidation cone of the edit; then a refactor
+is applied and the lookup-impact diff reports exactly which call targets
+changed.
 
 Run:  python examples/hierarchy_evolution.py
 """
 
 from repro.analysis.diff import diff_hierarchies, render_diff
-from repro.core.incremental import IncrementalLookupEngine
+from repro.core.lookup import MemberLookupTable
 from repro.frontend import analyze_or_raise
+from repro.hierarchy.graph import ClassHierarchyGraph
 
 VERSION_1 = """
 class Object { public: void hash(); };
@@ -34,25 +37,38 @@ class IconButton : Button {};
 
 def grow_incrementally() -> None:
     print("=== growing version 1 declaration-by-declaration ===")
-    engine = IncrementalLookupEngine()
-    engine.add_class("Object", ["hash"])
-    engine.add_class("Paintable", ["paint"])
-    engine.add_class("Widget")
-    engine.add_edge("Object", "Widget")
-    engine.add_member("Widget", "resize")
-    print(f"  so far: {engine.lookup('Widget', 'hash')}")
+    graph = ClassHierarchyGraph()
+    graph.add_class("Object", ["hash"])
+    graph.add_class("Paintable", ["paint"])
+    table = MemberLookupTable(graph, mode="batched")
 
-    engine.add_class("Button")
-    engine.add_edge("Widget", "Button")
-    engine.add_edge("Paintable", "Button")
-    print(f"  after Button: {engine.lookup('Button', 'paint')}")
+    def step(label: str, class_name: str, member: str) -> None:
+        delta = table.apply_delta()
+        print(
+            f"  {label}: {table.lookup(class_name, member)}  "
+            f"(cone {delta.cone_classes} classes, "
+            f"{delta.entries_recomputed} entries recomputed, "
+            f"{delta.entries_reused} reused)"
+        )
 
-    engine.add_class("IconButton")
-    engine.add_edge("Button", "IconButton")
-    print(f"  after IconButton: {engine.lookup('IconButton', 'paint')}")
+    graph.add_class("Widget")
+    graph.add_edge("Object", "Widget")
+    graph.add_member("Widget", "resize")
+    step("so far", "Widget", "hash")
+
+    graph.add_class("Button")
+    graph.add_edge("Widget", "Button")
+    graph.add_edge("Paintable", "Button")
+    step("after Button", "Button", "paint")
+
+    graph.add_class("IconButton")
+    graph.add_edge("Button", "IconButton")
+    step("after IconButton", "IconButton", "paint")
+    totals = table.delta_stats
     print(
-        f"  mutations: {engine.stats.mutations}, "
-        f"cache invalidations: {engine.stats.entries_invalidated}"
+        f"  deltas applied: {totals.deltas_applied}, "
+        f"entries reused: {totals.entries_reused}, "
+        f"full rebuilds: {totals.full_rebuilds}"
     )
     print()
 

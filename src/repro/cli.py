@@ -11,7 +11,7 @@ Commands:
 * ``check``    parse + analyse, print diagnostics (exit 1 on errors)
 * ``lookup``   resolve one ``Class::member`` query
 * ``table``    print the whole lookup table
-* ``build``    build the table, report build + query-cache statistics
+* ``build``    build the table, report build statistics, check every answer
 * ``explain``  step-by-step dominance explanation of one query
 * ``metrics``  structural metrics of the hierarchy
 * ``dot``      DOT export of the CHG or of one class's subobject graph
@@ -31,8 +31,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.core.cache import DEFAULT_CACHE_SIZE, CachedMemberLookup
-from repro.core.lookup import BUILD_MODES, build_lookup_table
+from repro.core.lazy import LazyMemberLookup
+from repro.core.lookup import BUILD_MODES, MemberLookupTable, build_lookup_table
 from repro.core.semantics import DEFAULT_SEMANTICS, SEMANTICS_NAMES
 from repro.core.static_lookup import StaticAwareLookupTable
 from repro.diagnostics.dot import chg_to_dot, subobject_graph_to_dot
@@ -118,7 +118,7 @@ def _add_build_mode_options(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="replay the hierarchy's last leaf class as a mutation and "
         "report what delta maintenance did (cone size, rows reused vs "
-        "recomputed, cache evictions)",
+        "recomputed)",
     )
     parser.add_argument(
         "--semantics",
@@ -255,20 +255,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     build = commands.add_parser(
         "build",
-        help="build the lookup table and report build + cache statistics",
+        help="build the lookup table, report build statistics and check "
+        "every answer against an independent engine",
     )
     build.add_argument("file")
     _add_build_mode_options(build)
     build.set_defaults(mode="auto")
-    build.add_argument(
-        "--cache-size",
-        dest="cache_maxsize",
-        type=int,
-        default=DEFAULT_CACHE_SIZE,
-        metavar="N",
-        help="LRU capacity of the query cache exercised by the report "
-        f"(default {DEFAULT_CACHE_SIZE})",
-    )
 
     explain = commands.add_parser(
         "explain", help="explain the dominance reasoning for one query"
@@ -363,8 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="A,B,...",
         help="comma-separated engine subset (default: "
-        "per-member,batched,sharded,fastpath,cached,lazy,incremental,"
-        "snapshot,columnar)",
+        "per-member,batched,sharded,fastpath,lazy,snapshot,columnar)",
     )
     fuzz.add_argument(
         "--corpus",
@@ -495,14 +486,32 @@ def _exercise_columnar(graph: ClassHierarchyGraph, table) -> Optional[str]:
     return _render_columnar_stats(table)
 
 
+def _check_against_reference(
+    graph: ClassHierarchyGraph, table, semantics: str
+) -> str:
+    """Check every visible answer of ``table`` against an engine sharing
+    none of its build or delta path: the §5 lazy engine under the
+    paper's rule, else a from-scratch batched build (the lazy engine
+    runs only the dominance fold).  Returns the report line."""
+    if semantics == DEFAULT_SEMANTICS:
+        reference = LazyMemberLookup(graph)
+    else:
+        reference = MemberLookupTable(graph, mode="batched", semantics=semantics)
+    pairs = [(c, m) for c in graph.classes for m in table.visible_members(c)]
+    for class_name, member in pairs:
+        result = table.lookup(class_name, member)
+        assert result == reference.lookup(class_name, member)
+    return f"checked {len(pairs)} answers against {type(reference).__name__}"
+
+
 def _report_delta_stats(
     graph: ClassHierarchyGraph, args: argparse.Namespace
 ) -> None:
     """The ``--delta-stats`` report: rebuild the hierarchy without its
-    last leaf class, warm a table and a query cache over that prefix,
-    replay the leaf as a live mutation, and show what
-    ``MemberLookupTable.apply_delta`` / the surgical cache invalidation
-    actually touched — the delta win without the benchmark harness."""
+    last leaf class, warm a table over that prefix, replay the leaf as
+    a live mutation, show what ``MemberLookupTable.apply_delta``
+    actually touched — the delta win without the benchmark harness —
+    and check the maintained table's every answer."""
     leaves = [
         name for name in graph.classes if not graph.direct_derived(name)
     ]
@@ -531,10 +540,6 @@ def _report_delta_stats(
         fastpath=args.fastpath,
         semantics=args.semantics,
     )
-    cached = CachedMemberLookup(prefix, semantics=args.semantics)
-    for name in prefix.classes:
-        for member in table.visible_members(name):
-            cached.lookup(name, member)
 
     prefix.add_class(leaf, graph.declared_members(leaf).values())
     for edge in graph.direct_bases(leaf):
@@ -543,11 +548,6 @@ def _report_delta_stats(
         )
     delta = table.apply_delta()
     ch = table.compiled
-    probe = table.visible_members(leaf)
-    for member in probe:
-        result = cached.lookup(leaf, member)
-        assert result == table.lookup(leaf, member)
-    cache = cached.cache_stats
     print(
         f"delta stats: replayed leaf class {leaf!r} "
         f"({graph.base_count(leaf)} base edge(s), "
@@ -563,11 +563,7 @@ def _report_delta_stats(
         f"boundary_rows={delta.boundary_rows} "
         f"full_rebuilds={delta.full_rebuilds}"
     )
-    print(
-        f"  query cache: evicted={cache.entries_evicted} "
-        f"survived={cache.entries_survived} "
-        f"full_flushes={cache.full_flushes}"
-    )
+    print("  " + _check_against_reference(prefix, table, args.semantics))
     if table.fastpath_stats is not None:
         fast = table.fastpath_stats
         print(
@@ -579,8 +575,8 @@ def _report_delta_stats(
 
 def _run_build(graph: ClassHierarchyGraph, args: argparse.Namespace) -> int:
     """The ``build`` command: construct the table in the requested mode,
-    then exercise the generation-keyed query cache over every visible
-    ``(class, member)`` pair twice, and report both sets of counters."""
+    report its build counters, and check every visible ``(class,
+    member)`` answer against an independent engine."""
     import time
 
     ch = graph.compile()
@@ -605,23 +601,7 @@ def _run_build(graph: ClassHierarchyGraph, args: argparse.Namespace) -> int:
     )
     print("  " + _render_lookup_stats(table))
 
-    cached = CachedMemberLookup(
-        graph, maxsize=args.cache_maxsize, semantics=args.semantics
-    )
-    queries = 0
-    for _ in range(2):
-        for class_name in graph.classes:
-            for member in table.visible_members(class_name):
-                result = cached.lookup(class_name, member)
-                assert result == table.lookup(class_name, member)
-                queries += 1
-    cache = cached.cache_stats
-    print(
-        f"  query cache (size {args.cache_maxsize}): {queries} queries, "
-        f"hits={cache.hits} misses={cache.misses} "
-        f"evictions={cache.evictions} invalidations={cache.invalidations} "
-        f"hit_rate={cache.hit_rate():.1%}"
-    )
+    print("  " + _check_against_reference(graph, table, args.semantics))
     fastpath_line = _render_fastpath_stats(table)
     if fastpath_line is not None:
         # The cross-check above queried the table once per pair, so the
@@ -647,10 +627,14 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         else ENGINES
     )
     unknown = [name for name in engines if name not in ENGINES]
-    if unknown:
+    if unknown or not engines:
+        named = (
+            f"unknown engine(s) {', '.join(unknown)}"
+            if unknown
+            else f"no engine named in {args.engines!r}"
+        )
         print(
-            f"error: unknown engine(s) {', '.join(unknown)} "
-            f"(choose from {', '.join(ENGINES)})",
+            f"error: {named} (choose from {', '.join(ENGINES)})",
             file=sys.stderr,
         )
         return 2

@@ -31,7 +31,6 @@ from repro.core.fastpath import (
     build_flat_table,
     flatten_column,
 )
-from repro.core.incremental import IncrementalLookupEngine, IncrementalStats
 from repro.core.kernel import AmbiguityCertificate
 from repro.core.lazy import LazyMemberLookup
 from repro.core.lookup import (
@@ -81,8 +80,6 @@ __all__ = [
     "Abstraction",
     "BlueEntry",
     "DeltaStats",
-    "IncrementalLookupEngine",
-    "IncrementalStats",
     "LazyMemberLookup",
     "LookupResult",
     "LookupStats",

@@ -55,8 +55,8 @@ def certify(
     ``lookup(result.class_name, result.member)``.
 
     ``result`` may come from *any* engine — the eager table in any build
-    mode (per-member, batched, sharded), the lazy or cached engines, or
-    the incremental engine; certification only reads the
+    mode (per-member, batched, sharded), a published snapshot or the
+    lazy engine; certification only reads the
     :class:`~repro.core.results.LookupResult` fields, and engines that do
     not track witnesses (e.g. sharded builds with witness tracking off)
     certify on status and declaring class alone.  ``hierarchy`` may be a
@@ -133,8 +133,8 @@ def certify_table(
     only the *invalid* certificates (empty list = fully certified).
 
     ``engine`` is anything with a ``lookup(class_name, member)`` method —
-    the eager table in any build mode (per-member, batched, sharded), the
-    lazy, cached or incremental engines, or a baseline.  ``members``
+    the eager table in any build mode (per-member, batched, sharded), a
+    published snapshot, the lazy engine, or a baseline.  ``members``
     restricts the member names swept; ``queries`` overrides the sweep
     with an explicit iterable of ``(class, member)`` pairs (the fuzzing
     campaign certifies exactly the query surface it compared).  One

@@ -70,8 +70,8 @@ __all__ = [
 ]
 
 #: ``entry_at(cid, mid)`` — however the owning engine stores its kernel
-#: entries (row-major rows, column-major dicts, a lazy memo), the fast
-#: path reads them through this one shape.
+#: entries (row-major rows or column-major dicts), the fast path reads
+#: them through this one shape.
 EntryAt = Callable[[int, int], object]
 
 

@@ -6,8 +6,7 @@ edge (the ⋄ operator on table entries), candidate selection among the
 entries arriving from the direct bases, and the blue-set resolution that
 decides whether a red candidate survives.  Every engine — the eager
 :class:`~repro.core.lookup.MemberLookupTable`, the demand-driven
-:class:`~repro.core.lazy.LazyMemberLookup`, the growing
-:class:`~repro.core.incremental.IncrementalLookupEngine` and the
+:class:`~repro.core.lazy.LazyMemberLookup` and the
 dataflow framing in :mod:`repro.analysis.lookup_as_dataflow` — is a thin
 driver over these functions; none re-implements dominance or
 propagation.

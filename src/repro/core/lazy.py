@@ -14,22 +14,18 @@ a topological sweep).  The recursion terminates because the CHG is
 acyclic.
 
 The engine tolerates mutation of the underlying graph: each query
-revalidates the compiled snapshot against the graph's generation
-counter, recompiles (cheaply, as a delta where possible) when stale,
-and evicts exactly the ``invalidation-cone × affected-members``
-rectangle the mutations can have touched
-(:func:`~repro.hierarchy.compiled.describe_delta`).  Interned ids are
-stable across recompiles, so the rest of the memo survives and keeps
-answering — the incremental engine (:mod:`repro.core.incremental`)
-builds on the same hooks, evicting at mutation time so large cones can
-be refilled eagerly in one batch.
+checks the compiled snapshot against the graph's generation counter and,
+when stale, recompiles and drops its whole memo.  After an edit it
+therefore recomputes the entries the next queries need; callers who want
+answers maintained across edits in O(cone) use a batched
+:class:`~repro.core.lookup.MemberLookupTable` and its
+:meth:`~repro.core.lookup.MemberLookupTable.apply_delta`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
-from repro.core import fastpath as _fastpath
 from repro.core.kernel import (
     LookupStats,
     TableEntry,
@@ -38,17 +34,11 @@ from repro.core.kernel import (
     to_table_entry,
 )
 from repro.core.results import LookupResult, not_found_result
-from repro.hierarchy.compiled import (
-    HierarchyLike,
-    compiled_of,
-    describe_delta,
-    hierarchy_of,
-)
+from repro.hierarchy.compiled import HierarchyLike, compiled_of, hierarchy_of
 
 #: Memo columns are keyed by interned member id; member names the
 #: hierarchy has never declared (no id exists) key their column by the
-#: raw string — those columns hold only "not visible" results and are
-#: migrated to the id key if the name is declared later.
+#: raw string — those columns hold only "not visible" results.
 ColumnKey = Union[int, str]
 
 
@@ -69,13 +59,6 @@ class LazyMemberLookup:
         # None is a meaningful cached value: "m not visible in C".
         self._columns: dict[ColumnKey, dict[int, object]] = {}
         self._public: dict[tuple[ColumnKey, int], TableEntry] = {}
-        # Flat serving overlay: columns the caller proved unambiguous
-        # via flatten_column(), served ahead of the memo.  Any delta or
-        # eviction touching a flat column demotes it (drops the whole
-        # flat column — the memo stays authoritative); re-promotion is
-        # the caller's call, re-verified from scratch.
-        self._flat: dict[int, _fastpath.FlatColumn] = {}
-        self.flat_hits = 0
         self.stats = LookupStats()
 
     def lookup(self, class_name: str, member: str) -> LookupResult:
@@ -86,12 +69,6 @@ class LazyMemberLookup:
             self._graph.direct_bases(class_name)  # raises UnknownClassError
             return not_found_result(class_name, member)
         key = ch.member_ids.get(member, member)
-        flat = self._flat
-        if flat:
-            column = flat.get(key)
-            if column is not None:
-                self.flat_hits += 1
-                return column.result_at(ch, cid, class_name, member)
         kentry = self._demand(cid, key)
         if kentry is None:
             return not_found_result(class_name, member)
@@ -100,113 +77,22 @@ class LazyMemberLookup:
             public = self._public[(key, cid)] = to_table_entry(ch, kentry)
         return result_from_entry(class_name, member, public)
 
-    def flatten_column(self, member: str) -> bool:
-        """Promote one member column onto the unambiguous fast path
-        (:mod:`repro.core.fastpath`), if the whole column is red.
-
-        Demands every entry of the column (the §5 per-member
-        ``O(|N|+|E|)`` footprint — :meth:`CompiledHierarchy
-        .classes_with_member`), verifies none is blue, and installs a
-        flat array-backed column served ahead of the memo by
-        :meth:`lookup`.  Returns whether the column is now flat; an
-        ambiguous column (or an undeclared name) stays on the memo and
-        returns ``False``.  Unlike the eager table's cone-certified
-        overlay, this is a *full-column* certification, so a demoted
-        column may be safely re-promoted after any delta.
-        """
-        self._refresh()
-        ch = self._ch
-        mid = ch.member_ids.get(member)
-        if mid is None:
-            return False
-        if mid in self._flat:
-            return True
-        remaining = ch.classes_with_member(mid)
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            entry = self._demand(low.bit_length() - 1, mid)
-            if entry is not None and type(entry) is not tuple:
-                return False  # blue somewhere: the column stays general
-        column = self._columns.get(mid, {})
-        self._flat[mid] = _fastpath.flatten_column(
-            ch, mid, lambda cid, _mid: column.get(cid)
-        )
-        return True
-
-    @property
-    def flat_members(self) -> tuple[str, ...]:
-        """The member names currently served from flat columns."""
-        names = self._ch.member_names
-        return tuple(sorted(names[mid] for mid in self._flat))
-
     def entries_computed(self) -> int:
         """Number of memoised entries, counting "not visible" results."""
         return sum(len(column) for column in self._columns.values())
-
-    @property
-    def generation(self) -> int:
-        """The graph generation of the current compiled snapshot (the
-        generation-keyed query cache in :mod:`repro.core.cache` and the
-        CLI stats report key invalidation decisions on this)."""
-        return self._ch.generation
 
     # ------------------------------------------------------------------
     # The demand-driven driver (the fold lives in repro.core.kernel)
     # ------------------------------------------------------------------
 
     def _refresh(self) -> None:
-        """Recompile if the graph mutated, keeping every memo entry the
-        mutation provably cannot affect.
-
-        Interned ids are stable across recompiles, so the memo stays
-        addressable; what can go *stale* is exactly the
-        ``invalidation-cone × affected-members`` rectangle of
-        :func:`~repro.hierarchy.compiled.describe_delta`, which is
-        evicted here.  Flat columns touched by the delta are demoted
-        wholesale (a cone re-certification story needs eager rows; the
-        memo is the lazy engine's source of truth), untouched ones only
-        grow their arrays for appended class ids.  Only incomparable
-        snapshots (never produced by the append-only graph API) drop
-        the whole memo."""
+        """Recompile if the graph mutated, dropping the whole memo: the
+        next queries recompute exactly the entries they demand."""
         if self._ch.generation == self._graph.generation:
             return
-        old = self._ch
         self._ch = self._graph.compile()
-        member_ids = self._ch.member_ids
-        for name in [k for k in self._columns if isinstance(k, str)]:
-            mid = member_ids.get(name)
-            if mid is not None:
-                # String-keyed columns hold only "not visible" results,
-                # so there are no public conversions to migrate.
-                self._columns[mid] = self._columns.pop(name)
-        if not self._columns and not self._flat:
-            return
-        delta = describe_delta(old, self._ch)
-        if delta is None:
-            self._columns.clear()
-            self._public.clear()
-            self._flat.clear()
-            return
-        if self._flat:
-            for mid in delta.member_ids():
-                self._flat.pop(mid, None)
-            n_classes = self._ch.n_classes
-            for column in self._flat.values():
-                column.ensure_size(n_classes)
-        if delta.is_empty or not self._columns:
-            return
-        cone = list(delta.cone_ids())
-        for mid in delta.member_ids():
-            column = self._columns.get(mid)
-            if not column:
-                continue
-            for cid in cone:
-                if cid in column:
-                    del column[cid]
-                    self._public.pop((mid, cid), None)
-            if not column:
-                del self._columns[mid]
+        self._columns = {}
+        self._public = {}
 
     def _demand(self, cid: int, key: ColumnKey):
         """The cached kernel entry of ``(cid, key)``, computing it — and
@@ -246,76 +132,3 @@ class LazyMemberLookup:
                     if base not in column:
                         stack.append((base, False))
         return column[cid]
-
-    # ------------------------------------------------------------------
-    # Invalidation hooks (used by the incremental engine)
-    # ------------------------------------------------------------------
-
-    def _evict(
-        self, class_names, member: Optional[str] = None
-    ) -> list[tuple[ColumnKey, int]]:
-        """Drop the cached entries of the given classes — for one member
-        name, or for all (``member=None``).  Returns the evicted
-        ``(column key, class id)`` pairs — the work-list a batched
-        :meth:`refill` accepts verbatim.  Uses the *current* snapshot's
-        interner; classes it does not know cannot have cached entries.
-
-        Any flat column of an affected member is demoted whole — flat
-        cells cannot be served around a hole, and re-promotion
-        (:meth:`flatten_column`) re-verifies from scratch anyway."""
-        ch = self._ch
-        cids = {
-            ch.class_ids[name]
-            for name in class_names
-            if name in ch.class_ids
-        }
-        if not cids:
-            return []
-        if member is not None:
-            keys: list[ColumnKey] = [ch.member_ids.get(member, member)]
-            if self._flat and type(keys[0]) is int:
-                self._flat.pop(keys[0], None)
-        else:
-            keys = list(self._columns)
-            self._flat.clear()
-        removed: list[tuple[ColumnKey, int]] = []
-        for key in keys:
-            column = self._columns.get(key)
-            if not column:
-                continue
-            for cid in cids:
-                if cid in column:
-                    del column[cid]
-                    self._public.pop((key, cid), None)
-                    removed.append((key, cid))
-            if not column:
-                del self._columns[key]
-        return removed
-
-    def refill(self, pairs) -> int:
-        """Recompute a batch of evicted entries eagerly, in one pass per
-        column — the restart-iteration alternative to letting each
-        future query fault its entry back in one at a time.
-
-        ``pairs`` is an ``_evict`` return value (possibly from before a
-        recompile: string column keys are re-resolved against the fresh
-        interner, so a name that has been declared since lands in its id
-        column).  Entries are demanded smallest class id first — ids
-        follow declaration order, so within a column almost every fold
-        finds its base entries already recomputed, exactly the boundary
-        reuse of the eager cone sweep; :meth:`_demand` tops up any
-        stragglers.  Returns the number of entries recomputed.
-        """
-        self._refresh()
-        member_ids = self._ch.member_ids
-        by_key: dict[ColumnKey, list[int]] = {}
-        for key, cid in pairs:
-            if isinstance(key, str):
-                key = member_ids.get(key, key)
-            by_key.setdefault(key, []).append(cid)
-        refilled = 0
-        for key, cids in by_key.items():
-            for cid in sorted(cids):
-                self._demand(cid, key)
-                refilled += 1
-        return refilled

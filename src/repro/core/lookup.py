@@ -40,7 +40,7 @@ All modes produce identical tables (differentially tested in
 publish immutable :class:`~repro.core.snapshot.TableSnapshot`
 generations, whose columnar layout answers both point and batch reads;
 the per-member driver is the one in-place table, kept as the
-independent reference build path.
+independent reference build path (an edit rebuilds it whole).
 
 Complexity (Section 5): ``O(|M| * |N| * (|N| + |E|))`` to build the whole
 table, dropping to ``O((|M| + |N|) * (|N| + |E|))`` when no entry is
@@ -64,6 +64,7 @@ from repro.core.kernel import (
     result_from_entry,
     to_table_entry,
 )
+from repro.core.lazy import LazyMemberLookup
 from repro.core.results import LookupResult, not_found_result
 from repro.errors import UnknownClassError
 from repro.core.semantics import DEFAULT_SEMANTICS, Semantics, get_semantics
@@ -72,7 +73,6 @@ from repro.hierarchy.compiled import (
     HierarchyDelta,
     HierarchyLike,
     compiled_of,
-    describe_delta,
     hierarchy_of,
 )
 from repro.hierarchy.graph import ClassHierarchyGraph
@@ -165,7 +165,7 @@ class MemberLookupTable:
     :meth:`lookup` captures the head once per query — so readers in
     other threads never need a lock and never observe a half-applied
     delta.  The per-member driver is the one in-place table
-    (single-threaded use only).
+    (single-threaded use only), rebuilt whole by :meth:`apply_delta`.
     """
 
     def __init__(
@@ -234,12 +234,8 @@ class MemberLookupTable:
                 stats=self.stats,
                 semantics=self.semantics,
             )
-            self._entry_total = self._head.entry_total
             return
         self._build()
-        self._entry_total = sum(
-            len(column) for column in self._columns.values()
-        )
 
     @classmethod
     def from_snapshot(
@@ -273,7 +269,6 @@ class MemberLookupTable:
         table.stats = LookupStats()
         table.delta_stats = DeltaStats()
         table.mode = snapshot.mode
-        table._entry_total = snapshot.entry_total
         return table
 
     # ------------------------------------------------------------------
@@ -434,34 +429,19 @@ class MemberLookupTable:
         self, delta: Optional[HierarchyDelta] = None
     ) -> DeltaStats:
         """Bring the table up to date with the source graph's current
-        generation by re-folding **only** the invalidation cone ×
-        affected members, instead of rebuilding all ``|N| × |M|``.
+        generation — the library's one cone-invalidation path.
 
-        The machinery: recompile the graph (the delta recompile keeps
-        every interned id stable), describe what changed as a
-        :class:`~repro.hierarchy.compiled.HierarchyDelta` (or accept
-        one precomputed by the caller), and re-run the fold over cone
-        classes in topological order seeded from the surviving boundary
-        rows.  Entries outside ``cone × affected`` are never touched;
-        their memoised public conversions survive too.
-
-        When the snapshots are incomparable (ids would shift — never
-        the case under the append-only graph API) the table falls back
-        to a full rebuild in its own mode, so ``apply_delta`` is always
-        safe to call.  Returns the :class:`DeltaStats` of this one
-        application; the running totals accumulate on
-        :attr:`delta_stats`.
-
-        The row-major modes publish through
-        :meth:`TableSnapshot.apply_delta` (:func:`repro.core.kernel
-        .cone_sweep`, or :func:`repro.core.parallel.apply_sharded_delta`
-        when sharded): the delta lands in a fresh child snapshot sharing
-        all out-of-cone state with the current head, which is then
-        published by one atomic reference swap — concurrent readers
-        never lock and never see a torn table.  With the fast path on,
-        the cone re-sweep also re-certifies the affected flat columns.
-        The per-member table instead re-folds each affected column in
-        place with a cone-restricted :func:`fold_entry` walk.
+        The row-major modes publish the child snapshot
+        :meth:`TableSnapshot.apply_delta` builds off to the side: it
+        re-folds **only** the invalidation cone × affected members of the
+        :class:`~repro.hierarchy.compiled.HierarchyDelta` (precomputed
+        by the caller or described from the recompile) and shares all
+        out-of-cone state with the current head, which is then swapped
+        with one reference assignment, so readers never see a torn
+        table.  The per-member table is the independent from-scratch
+        reference, so every edit rebuilds it whole (``full_rebuilds``).
+        Returns this application's :class:`DeltaStats`; running totals
+        accumulate on :attr:`delta_stats`.
         """
         if self._graph is None:
             raise ValueError(
@@ -470,123 +450,22 @@ class MemberLookupTable:
             )
         old = self._ch
         new = self._graph.compile()
-        result = DeltaStats()
         if new.generation == old.generation:
-            return result  # nothing happened since the last (re)build
-        if delta is None:
-            delta = describe_delta(old, new)
+            return DeltaStats()  # nothing happened since the last (re)build
         head = self._head
-        if head is not None:
-            # Snapshot mode: build the child off to the side (sharing
-            # everything out-of-cone with the parent), then publish it
-            # with a single reference swap — readers capturing the head
-            # see either the old generation or the new one, never a
-            # half-applied delta.
+        if head is None:
+            self._ch = new
+            self._build_full()
+            result = DeltaStats(deltas_applied=1, full_rebuilds=1)
+        else:
+            # A rejection raised while building the child leaves the
+            # old head (and its compiled hierarchy) fully published.
             child = head.apply_delta(new, delta, stats=self.stats)
             self._head = child
             self._ch = new
-            self._entry_total = child.entry_total
             result = child.delta_stats
-            self.delta_stats.accumulate(result)
-            return result
-        if delta is None:
-            self._ch = new
-            self._build_full()
-            result.deltas_applied = 1
-            result.full_rebuilds = 1
-            self.delta_stats.accumulate(result)
-            return result
-
-        self._ch = new
-        result.deltas_applied = 1
-        result.cone_classes = delta.cone_size
-        result.affected_members = delta.member_count
-        cone = delta.cone_mask
-        mmask = delta.member_mask
-
-        # Surgically drop the memoised public conversions of cone ×
-        # affected pairs; everything else stays warm.  Iterate whichever
-        # side is smaller: the cone × member product or the memo itself.
-        if self._public:
-            public = self._public
-            if delta.cone_size * delta.member_count < len(public):
-                for cid in delta.cone_ids():
-                    for mid in delta.member_ids():
-                        public.pop((cid, mid), None)
-            else:
-                stale = [
-                    key
-                    for key in public
-                    if (cone >> key[0]) & 1 and (mmask >> key[1]) & 1
-                ]
-                for key in stale:
-                    del public[key]
-
-        columns = self._columns
-        cone_ids = list(delta.cone_ids())
-        member_ids = list(delta.member_ids())
-        before = sum(
-            1
-            for mid in member_ids
-            for cid in cone_ids
-            if cid in columns.get(mid, ())
-        )
-        if not delta.is_empty:
-            result.entries_recomputed = self._refold_columns(delta)
-            result.boundary_rows = self._count_boundary(delta)
-        after = sum(
-            1
-            for mid in member_ids
-            for cid in cone_ids
-            if cid in columns.get(mid, ())
-        )
-        self._entry_total += after - before
-        result.entries_reused = max(
-            0, self._entry_total - result.entries_recomputed
-        )
         self.delta_stats.accumulate(result)
         return result
-
-    def _refold_columns(self, delta: HierarchyDelta) -> int:
-        """Per-member-mode cone refold: for each affected column, rerun
-        :func:`fold_entry` over the cone in topo order.  ``column.get``
-        hands the fold the out-of-cone boundary entries verbatim — the
-        same invariant as :func:`repro.core.kernel.cone_sweep`, one column
-        at a time."""
-        ch = self._ch
-        stats = self.stats
-        track = self._track_witnesses
-        columns = self._columns
-        visible_masks = ch.visible_masks
-        cone_ids = sorted(
-            delta.cone_ids(), key=ch.topo_positions.__getitem__
-        )
-        recomputed = 0
-        for mid in delta.member_ids():
-            column = columns.get(mid)
-            if column is None:
-                column = columns[mid] = {}
-            for cid in cone_ids:
-                if not (visible_masks[cid] >> mid) & 1:
-                    column.pop(cid, None)
-                    continue
-                stats.entries_computed += 1
-                recomputed += 1
-                column[cid] = fold_entry(
-                    ch, cid, mid, column.get, stats, track
-                )
-        return recomputed
-
-    def _count_boundary(self, delta: HierarchyDelta) -> int:
-        """Out-of-cone direct bases read as seeds by a cone refold."""
-        ch = self._ch
-        cone = delta.cone_mask
-        count = 0
-        for cid in delta.cone_ids():
-            for base, _virtual in ch.base_pairs[cid]:
-                if not (cone >> base) & 1:
-                    count += 1
-        return count
 
     # ------------------------------------------------------------------
     # The eager driver (the fold itself lives in repro.core.kernel)
@@ -664,19 +543,20 @@ def build_lookup_table(
 def lookup(
     graph: HierarchyLike, class_name: str, member: str
 ) -> LookupResult:
-    """One-shot convenience wrapper: answer a single query through a
-    generation-keyed LRU cache (:mod:`repro.core.cache`) in front of the
+    """One-shot convenience wrapper: answer a single query through the
     memoising lazy engine (:mod:`repro.core.lazy`), computing only the
-    entries the query actually demands and answering repeats in O(1).
+    entries the query actually demands.
 
-    The cached engine is retained per graph in a weak-keyed registry, so
-    repeated module-level calls against the same (possibly mutating)
-    hierarchy hit the cache; invalidation is exact, keyed on the graph's
-    generation counter.  For heavy query loads, build a
-    :class:`MemberLookupTable` once or keep a
-    :class:`~repro.core.cache.CachedMemberLookup` /
-    :class:`~repro.core.lazy.LazyMemberLookup` around explicitly.
+    The engine is kept on the graph itself, so repeated module-level
+    calls against the same hierarchy share one memo and the engine lives
+    exactly as long as the graph.  After an edit the engine drops its
+    memo and recomputes the entries the next queries need; for heavy
+    query loads, or answers maintained across edits, build a batched
+    :class:`MemberLookupTable` and roll it forward with
+    :meth:`~MemberLookupTable.apply_delta`.
     """
-    from repro.core.cache import shared_cached_lookup
-
-    return shared_cached_lookup(graph).lookup(class_name, member)
+    source = hierarchy_of(graph)
+    engine = getattr(source, "_one_shot_lookup", None)
+    if engine is None:
+        engine = source._one_shot_lookup = LazyMemberLookup(source)
+    return engine.lookup(class_name, member)

@@ -19,7 +19,7 @@ list :func:`repro.core.kernel.batched_sweep` produces, and
 :func:`repro.core.kernel.cone_sweep` (same COW discipline, same
 :class:`~repro.core.kernel.ConeSweepStats`).  Because the row shape is
 shared, everything downstream — :class:`~repro.core.snapshot.TableSnapshot`,
-the flat fast path, the columnar batch gather, the cache and the
+the flat fast path, the columnar batch gather and the
 serving tier — works for any registered semantics without knowing which
 rule produced the rows.
 
@@ -51,8 +51,7 @@ rendered as ``None`` (not Ω) at every result boundary.
 
 The registry (:data:`SEMANTICS`, :func:`get_semantics`) is what the
 ``semantics=`` parameters of :class:`~repro.core.lookup.MemberLookupTable`,
-:class:`~repro.core.snapshot.TableSnapshot`,
-:class:`~repro.core.cache.CachedMemberLookup` and
+:class:`~repro.core.snapshot.TableSnapshot` and
 :class:`~repro.serve.service.LookupService` resolve through, and what
 the ``--semantics`` CLI flags validate against.
 """

@@ -17,11 +17,11 @@ On top of the oracle comparison each iteration:
   :func:`repro.core.certify.certify`;
 * **metamorphic invariants** — every applied mutation's paper-derived
   invariant is checked against the fast lookup tables;
-* **cache staleness** — periodically, a
-  :class:`~repro.core.cache.CachedMemberLookup` is warmed, the live
-  graph is mutated in place (pure-growth operators), and every cached
-  answer is re-compared against a fresh oracle: the surgical
-  generation-keyed invalidation must never serve a stale row;
+* **memo staleness** — periodically, the one-shot
+  :func:`repro.core.lookup.lookup` is warmed over the whole query
+  surface, the live graph is mutated in place (pure-growth operators),
+  and every one-shot answer is re-compared against a fresh oracle: the
+  per-graph lazy engine behind it must never serve a stale row;
 * **delta storms** — periodically, a warm
   :class:`~repro.core.lookup.MemberLookupTable` (build mode drawn per
   iteration) absorbs a burst of random in-place growth mutations
@@ -57,11 +57,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from repro.core.cache import CachedMemberLookup
 from repro.core.certify import certify
 from repro.core.lazy import LazyMemberLookup
-from repro.core.incremental import IncrementalLookupEngine
-from repro.core.lookup import build_lookup_table
+from repro.core.lookup import build_lookup_table, lookup
 from repro.core.snapshot import TableSnapshot
 from repro.core.results import describe_disagreement
 from repro.core.semantics import SEMANTICS_NAMES
@@ -96,8 +94,9 @@ __all__ = [
 
 #: The full engine matrix a campaign compares by default: the eager
 #: table in its three explicit build modes, the batched table with the
-#: certified-unambiguous flat serving overlay (``fastpath``), the lazy,
-#: cached and incremental engines, plus a bare published
+#: certified-unambiguous flat serving overlay (``fastpath``), the lazy
+#: engine replaying the hierarchy with queries interleaved between
+#: declarations, plus a bare published
 #: :class:`~repro.core.snapshot.TableSnapshot` (``snapshot``) and the
 #: same snapshot answering every query through the columnar batch
 #: gather (``columnar`` — each oracle probe goes through
@@ -107,9 +106,7 @@ ENGINES: tuple[str, ...] = (
     "batched",
     "sharded",
     "fastpath",
-    "cached",
     "lazy",
-    "incremental",
     "snapshot",
     "columnar",
 )
@@ -131,15 +128,38 @@ class _ColumnarProbe:
         return self._snapshot.lookup_many([(class_name, member)])[0]
 
 
+def _lazy_replay(graph: ClassHierarchyGraph) -> LazyMemberLookup:
+    """A :class:`~repro.core.lazy.LazyMemberLookup` over a copy of
+    ``graph`` grown in place one declaration at a time, with queries
+    between the edges so later edges land on a warm memo."""
+    replay = ClassHierarchyGraph()
+    engine = LazyMemberLookup(replay)
+    members = graph.member_names()
+    probe = members[0] if members else MISSING_MEMBER
+    for class_name in graph.classes:
+        replay.add_class(
+            class_name,
+            graph.declared_members(class_name).values(),
+            is_struct=graph.is_struct(class_name),
+        )
+    for index, edge in enumerate(graph.edges):
+        replay.add_edge(
+            edge.base, edge.derived, virtual=edge.virtual, access=edge.access
+        )
+        if index % 3 == 0:
+            engine.lookup(edge.derived, probe)
+    return engine
+
+
 def build_engine(name: str, graph: ClassHierarchyGraph):
     """Construct the named lookup engine over ``graph``.
 
     The eager modes build the whole table up front (``sharded`` with two
     worker processes over two shards, so the parallel merge path really
-    runs); ``incremental`` replays the hierarchy declaration-by-
-    declaration through :class:`~repro.core.incremental.IncrementalLookupEngine`
-    with queries interleaved between mutations, so surgical eviction is
-    exercised, not just the final state.
+    runs); ``lazy`` replays the hierarchy declaration-by-declaration
+    into a fresh graph under a :class:`~repro.core.lazy.LazyMemberLookup`
+    with queries interleaved between mutations, so the engine's
+    recompile-on-generation-bump is exercised, not just the final state.
     """
     if name in ("per-member", "batched"):
         return build_lookup_table(graph, mode=name)
@@ -150,12 +170,7 @@ def build_engine(name: str, graph: ClassHierarchyGraph):
         # flat arrays (repro.core.fastpath), red/blue rows elsewhere.
         return build_lookup_table(graph, mode="batched", fastpath=True)
     if name == "lazy":
-        return LazyMemberLookup(graph)
-    if name == "cached":
-        # A small threshold so the lazy flat-column promotion (and its
-        # demote-on-mutation path) is exercised by every campaign, not
-        # just the dedicated unit tests.
-        return CachedMemberLookup(graph, maxsize=64, fastpath_threshold=4)
+        return _lazy_replay(graph)
     if name == "snapshot":
         # The serving tier's unit: an immutable generation-stamped
         # published table, queried directly (no writer façade).
@@ -166,25 +181,6 @@ def build_engine(name: str, graph: ClassHierarchyGraph):
         # one-element lookup_many(), so the dense-array gather path is
         # differentially checked against the oracle like any engine.
         return _ColumnarProbe(TableSnapshot.build(graph, mode="batched"))
-    if name == "incremental":
-        engine = IncrementalLookupEngine()
-        members = graph.member_names()
-        probe = members[0] if members else MISSING_MEMBER
-        for class_name in graph.classes:
-            engine.add_class(
-                class_name,
-                graph.declared_members(class_name).values(),
-                is_struct=graph.is_struct(class_name),
-            )
-        for index, edge in enumerate(graph.edges):
-            engine.add_edge(
-                edge.base, edge.derived, virtual=edge.virtual, access=edge.access
-            )
-            if index % 3 == 0:
-                # Interleave queries so later edges must surgically evict
-                # entries the engine has already memoised.
-                engine.lookup(edge.derived, probe)
-        return engine
     raise ValueError(f"unknown engine {name!r} (choose from {ENGINES})")
 
 
@@ -355,14 +351,12 @@ def _check_mutation_invariant(
 def _stale_cache_check(
     graph: ClassHierarchyGraph, rng: random.Random
 ) -> tuple[Optional[AppliedMutation], list[Divergence], int]:
-    """Warm a cache on ``graph``, mutate the graph *in place*, and
-    re-compare every cached answer with a fresh oracle — the
-    generation-keyed invalidation must never serve a stale row (nor a
-    stale flat column: the small promotion threshold means warm columns
-    are usually flat by the time the mutation lands)."""
-    cached = CachedMemberLookup(graph, maxsize=64, fastpath_threshold=2)
+    """Warm the one-shot :func:`~repro.core.lookup.lookup` on ``graph``,
+    mutate the graph *in place*, and re-compare every one-shot answer
+    with a fresh oracle — the per-graph lazy engine behind it must never
+    serve a row memoised before the mutation."""
     for class_name, member in _query_surface(graph):
-        cached.lookup(class_name, member)  # warm (and overflow) the LRU
+        lookup(graph, class_name, member)  # warm the per-graph memo
     applied = mutate(graph, rng, in_place_only=True)
     if applied is None:
         return None, [], 0
@@ -373,12 +367,12 @@ def _stale_cache_check(
     for class_name, member in _query_surface(graph):
         checked += 1
         diff = describe_disagreement(
-            cached.lookup(class_name, member), oracle.lookup(class_name, member)
+            lookup(graph, class_name, member), oracle.lookup(class_name, member)
         )
         if diff is not None:
             divergences.append(
                 Divergence(
-                    engine="cached",
+                    engine="one-shot",
                     kind="stale-cache",
                     detail=f"after {mutation.describe()}: {diff}",
                     class_name=class_name,
@@ -402,7 +396,7 @@ def _delta_storm_check(
     The build mode is drawn per check (restricted to the campaign's
     engine matrix so e.g. the broken-engine tests keep ``sharded``'s
     worker processes out of play), so the cone sweep, the per-member
-    column refold and the member-sharded delta path all get storm
+    full rebuild and the member-sharded delta path all get storm
     coverage.  Returns ``(mutation names, divergences, queries)``.
     """
     storm = copy_hierarchy(graph)
@@ -659,9 +653,14 @@ def run_campaign(
     whose worker processes would not see a monkeypatched kernel).
     ``semantics`` restricts the cross-semantics pairwise leg (default:
     every registered semantics).  Deterministic in ``seed`` for a
-    fixed iteration budget.
+    fixed iteration budget.  An empty ``engines`` raises ``ValueError``.
     """
     engines = tuple(engines)
+    if not engines:
+        raise ValueError(
+            f"run_campaign needs at least one engine (choose from "
+            f"{', '.join(ENGINES)})"
+        )
     semantics = (
         tuple(semantics) if semantics is not None else SEMANTICS_NAMES
     )

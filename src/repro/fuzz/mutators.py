@@ -40,8 +40,8 @@ kernel it is meant to check.
 
 All operators except **virtualize-join** are pure growth and can also be
 applied *in place* to a live graph — the campaign uses that to exercise
-the generation-keyed query cache across real mutations
-(warm → mutate → re-query).
+the one-shot lookup's per-graph memo and the delta-maintained tables
+across real mutations (warm → mutate → re-query).
 """
 
 from __future__ import annotations
@@ -472,7 +472,7 @@ def mutate(
     ``graph``; ``None`` when no operator applies.  With
     ``in_place_only`` the choice is restricted to pure-growth operators
     and the mutation is applied to ``graph`` *itself* (the
-    cached-after-mutation leg of the campaign relies on this)."""
+    memo-staleness leg of the campaign relies on this)."""
     pool = [m for m in mutators if m.in_place] if in_place_only else list(mutators)
     for mutator in rng.sample(pool, len(pool)):
         plan = mutator.pick(graph, rng)

@@ -28,8 +28,8 @@ class Finding:
       engine's result;
     * ``"invariant"`` — a metamorphic mutator's paper-derived invariant
       was violated by the lookup table;
-    * ``"stale-cache"`` — the generation-keyed cache served a row that
-      does not match the post-mutation hierarchy;
+    * ``"stale-cache"`` — the one-shot lookup's per-graph memo served a
+      row that does not match the post-mutation hierarchy;
     * ``"delta-storm"`` — a table maintained through
       :meth:`~repro.core.lookup.MemberLookupTable.apply_delta` across a
       burst of mutations disagrees with a from-scratch rebuild or the

@@ -22,7 +22,7 @@ engines share:
 * ``generation`` mirrors the source graph's mutation counter, and
   :func:`compile_hierarchy` recompiles *deltas* cheaply when the graph
   only grew downward (new classes appended — the common compiler case),
-  which the incremental engine relies on.
+  which delta maintenance and streaming ingest rely on.
 
 Engines accept either a graph (compiled on demand and memoised via
 :meth:`ClassHierarchyGraph.compile`) or an already compiled hierarchy.

@@ -1,21 +1,16 @@
-"""The generation-keyed LRU query cache (:mod:`repro.core.cache`).
+"""The bounded LRU mapping (:mod:`repro.core.cache`) and the contract
+of the one-shot :func:`repro.core.lookup.lookup` across mutations.
 
 The differential matrix in ``test_engine_equivalence.py`` pins the
-*results*; this file pins the cache's observable mechanics — LRU order,
-eviction and invalidation counters, the one-flush-per-generation
-contract, and the per-graph shared engine behind the module-level
-:func:`repro.core.lookup.lookup`.
+*results*; this file pins the LRU's observable mechanics — recency
+order and its hit/miss/eviction counters.
 """
 
 import pytest
 
-from repro.core.cache import (
-    CachedMemberLookup,
-    LookupCache,
-    shared_cached_lookup,
-)
+from repro.core.cache import LookupCache
 from repro.core.lookup import lookup
-from repro.workloads.generators import chain, random_hierarchy
+from repro.workloads.generators import chain
 
 
 def test_lookup_cache_lru_eviction_order():
@@ -35,66 +30,6 @@ def test_lookup_cache_rejects_silly_sizes():
         LookupCache(maxsize=0)
 
 
-def test_cached_lookup_counts_hits_and_misses():
-    graph = chain(16, member_every=4)
-    cached = CachedMemberLookup(graph)
-    first = cached.lookup("C10", "m")
-    work_after_first = cached.lazy.stats.entries_computed
-    again = cached.lookup("C10", "m")
-    assert first == again
-    assert cached.cache_stats.misses == 1
-    assert cached.cache_stats.hits == 1
-    # The second query did no kernel work at all.
-    assert cached.lazy.stats.entries_computed == work_after_first
-
-
-def test_cached_lookup_eviction_bounds_memory():
-    graph = chain(32, member_every=4)
-    cached = CachedMemberLookup(graph, maxsize=8)
-    for i in range(32):
-        cached.lookup(f"C{i}", "m")
-    assert len(cached) == 8
-    assert cached.cache_stats.evictions == 32 - 8
-
-
-def test_generation_flush_is_exact():
-    """One flush per observed generation bump — no flush without a
-    mutation, no stale entry after one."""
-    graph = random_hierarchy(10, seed=5, member_probability=0.6)
-    cached = CachedMemberLookup(graph)
-    for class_name in graph.classes:
-        cached.lookup(class_name, "m")
-    assert cached.cache_stats.invalidations == 0
-
-    # Some class without its own m gains one: the old answer must die.
-    target = next(
-        name for name in graph.classes if not graph.declares(name, "m")
-    )
-    before = cached.lookup(target, "m")
-    graph.add_member(target, "m")
-    after = cached.lookup(target, "m")
-    assert cached.cache_stats.invalidations == 1
-    assert after.declaring_class == target
-    assert before != after
-
-    # Several mutations between queries still cost exactly one flush.
-    graph.add_class("Kx", members=["m"])
-    graph.add_edge("K0", "Kx")
-    assert cached.lookup("Kx", "m").declaring_class == "Kx"
-    assert cached.cache_stats.invalidations == 2
-
-
-def test_shared_cached_lookup_is_per_graph():
-    g1 = chain(8, member_every=2)
-    g2 = chain(8, member_every=2)
-    assert shared_cached_lookup(g1) is shared_cached_lookup(g1)
-    assert shared_cached_lookup(g1) is not shared_cached_lookup(g2)
-    # It is also what the module-level one-shot routes through.
-    lookup(g1, "C7", "m")
-    lookup(g1, "C7", "m")
-    assert shared_cached_lookup(g1).cache_stats.hits >= 1
-
-
 def test_one_shot_lookup_survives_mutation():
     """The documented contract of repro.core.lookup.lookup(): correct
     answers across mutations of the same graph object."""
@@ -102,142 +37,3 @@ def test_one_shot_lookup_survives_mutation():
     assert lookup(graph, "C7", "m").declaring_class == "C0"
     graph.add_member("C7", "m")
     assert lookup(graph, "C7", "m").declaring_class == "C7"
-
-
-def test_surgical_invalidation_spares_out_of_cone_entries():
-    """A mutation at C8 of a 16-class chain must evict exactly the
-    cached answers of C8..C15 (the invalidation cone) and leave
-    C0..C7's answers warm — observable via the eviction/survival
-    counters and via the absence of recomputation on a re-query."""
-    graph = chain(16, member_every=16)  # only C0 declares m
-    cached = CachedMemberLookup(graph)
-    for i in range(16):
-        assert cached.lookup(f"C{i}", "m").declaring_class == "C0"
-
-    graph.add_member("C8", "m")
-    assert cached.lookup("C8", "m").declaring_class == "C8"
-    stats = cached.cache_stats
-    assert stats.invalidations == 1
-    assert stats.full_flushes == 0
-    assert stats.entries_evicted == 8  # C8..C15
-    assert stats.entries_survived == 8  # C0..C7
-    assert len(cached) == 8 + 1  # survivors plus the refilled C8
-
-    # Out-of-cone answers are cache hits: zero new kernel work.
-    work = cached.lazy.stats.entries_computed
-    hits = stats.hits
-    assert cached.lookup("C3", "m").declaring_class == "C0"
-    assert stats.hits == hits + 1
-    assert cached.lazy.stats.entries_computed == work
-    # In-cone answers were recomputed against the new generation.
-    assert cached.lookup("C15", "m").declaring_class == "C8"
-
-
-def test_growth_outside_cached_surface_evicts_nothing():
-    """Appending a leaf under C7 touches only the new class's row; a
-    cache warmed on other classes keeps every entry."""
-    graph = chain(8, member_every=8)
-    cached = CachedMemberLookup(graph)
-    for i in range(4):
-        cached.lookup(f"C{i}", "m")
-    graph.add_class("Leaf", ["m"])
-    graph.add_edge("C7", "Leaf")
-    assert cached.lookup("Leaf", "m").declaring_class == "Leaf"
-    stats = cached.cache_stats
-    assert stats.entries_evicted == 0
-    assert stats.entries_survived == 4
-    assert stats.full_flushes == 0
-
-
-def test_lookup_cache_resize_mechanics():
-    cache = LookupCache(maxsize=4)
-    for key in "abcd":
-        cache.put(key, key.upper())
-    cache.resize(2)  # shrink: evict LRU-first ("a" then "b")
-    assert len(cache) == 2
-    assert cache.stats.evictions == 2
-    assert cache.get("a") is None and cache.get("b") is None
-    assert cache.get("c") == "C" and cache.get("d") == "D"
-    cache.resize(8)  # growing drops nothing
-    assert len(cache) == 2
-    assert cache.stats.evictions == 2
-    with pytest.raises(ValueError):
-        cache.resize(0)
-
-
-def test_shared_cached_lookup_honors_explicit_maxsize():
-    """Regression: an explicit maxsize used to be silently ignored when
-    the shared engine already existed — the second caller inherited the
-    first caller's capacity.  Now the shared LRU is resized in place;
-    only ``maxsize=None`` (the one-shot default) means "keep whatever
-    bound is already there"."""
-    graph = chain(16, member_every=16)
-    first = shared_cached_lookup(graph)  # default-sized
-    for i in range(16):
-        first.lookup(f"C{i}", "m")
-    assert len(first) == 16
-
-    small = shared_cached_lookup(graph, maxsize=8)
-    assert small is first  # still the one shared engine...
-    assert small._cache.maxsize == 8  # ...but the requested bound holds
-    assert len(small) == 8  # shrink evicted LRU-first
-    assert small.lookup("C15", "m").declaring_class == "C0"  # kept warm
-
-    # The None sentinel (what the one-shot lookup() passes) keeps the
-    # explicit bound instead of resetting it to the default.
-    assert lookup(graph, "C3", "m").declaring_class == "C0"
-    assert shared_cached_lookup(graph)._cache.maxsize == 8
-
-
-def test_bump_over_empty_lru_with_warm_memo_is_counted():
-    """Regression: a generation bump observed through an empty LRU used
-    to go uncounted even though it evicted warm lazy-memo entries — the
-    invalidation event is real work and must show in the counters."""
-    graph = chain(8, member_every=8)
-    cached = CachedMemberLookup(graph, maxsize=4)
-    for i in range(8):
-        cached.lookup(f"C{i}", "m")
-    cached._cache._data.clear()  # LRU emptied; the lazy memo stays warm
-    assert cached.lazy.entries_computed() > 0
-
-    graph.add_member("C5", "m")
-    assert cached.lookup("C7", "m").declaring_class == "C5"
-    stats = cached.cache_stats
-    assert stats.invalidations == 1
-    assert stats.memo_entries_evicted > 0
-    assert stats.entries_evicted == 0  # the LRU had nothing to evict
-
-
-def test_memo_evictions_are_counted_alongside_lru_evictions():
-    """The surgical breakdown must cover the lazy memo too: the same
-    cone × member rectangle dropped from the LRU is dropped from the
-    memo, visible in ``memo_entries_evicted``."""
-    graph = chain(16, member_every=16)
-    cached = CachedMemberLookup(graph)
-    for i in range(16):
-        cached.lookup(f"C{i}", "m")
-    graph.add_member("C8", "m")
-    cached.lookup("C0", "m")
-    stats = cached.cache_stats
-    assert stats.invalidations == 1
-    assert stats.entries_evicted == 8  # LRU: C8..C15
-    assert stats.memo_entries_evicted == 8  # memo: the same rectangle
-
-
-def test_incomparable_snapshots_fall_back_to_full_flush(monkeypatch):
-    """The cache must not assume its callers mutate through the
-    append-only API: when snapshots cannot be diffed it flushes
-    everything, once."""
-    import repro.core.cache as cache_module
-
-    graph = chain(8, member_every=2)
-    cached = CachedMemberLookup(graph)
-    for i in range(8):
-        cached.lookup(f"C{i}", "m")
-    monkeypatch.setattr(cache_module, "describe_delta", lambda old, new: None)
-    graph.add_member("C5", "m")
-    assert cached.lookup("C5", "m").declaring_class == "C5"
-    stats = cached.cache_stats
-    assert stats.full_flushes == 1
-    assert stats.entries_evicted == 0
-    assert len(cached) == 1  # only the refilled C5 entry

@@ -1,28 +1,26 @@
 """Differential testing of every engine over one shared kernel.
 
 Eager (:class:`MemberLookupTable` — in all three build modes:
-per-member, batched single-sweep, sharded-parallel), lazy
-(:class:`LazyMemberLookup`), cached-lazy (:class:`CachedMemberLookup`)
-and incremental (:class:`IncrementalLookupEngine`) are all thin drivers
-over :func:`repro.core.kernel.fold_entry` /
+per-member, batched single-sweep, sharded-parallel) and lazy
+(:class:`LazyMemberLookup`, also over a graph grown in place) are all
+thin drivers over :func:`repro.core.kernel.fold_entry` /
 :func:`repro.core.kernel.batched_sweep`, so they must return *identical*
 :class:`LookupResult` objects — same status, same declaring class, same
 least-virtual abstraction, and the very same witness path — for every
 ``(class, member)`` pair, on every hierarchy.  This file checks that on
 the generator families and on seeded random DAGs, including queries for
-member names no class declares, with the incremental engine built by
+member names no class declares, with one lazy engine built by
 replaying the hierarchy one declaration at a time with queries
-interleaved mid-growth (so the invalidation logic is actually
-exercised), and across post-mutation generations (so the batched/sharded
-rebuilds and the generation-keyed cache flush are exercised too).
+interleaved mid-growth (so its memo is dropped on every generation
+bump), and across post-mutation generations (so the batched/sharded
+rebuilds and delta maintenance are exercised too).
 """
 
 import pytest
 
-from repro.core.cache import CachedMemberLookup
-from repro.core.incremental import IncrementalLookupEngine
 from repro.core.lazy import LazyMemberLookup
-from repro.core.lookup import build_lookup_table
+from repro.core.lookup import build_lookup_table, lookup
+from repro.hierarchy.graph import ClassHierarchyGraph
 from repro.workloads.generators import (
     ambiguous_fan,
     binary_tree,
@@ -40,17 +38,18 @@ from repro.workloads.generators import (
 QUERY_MEMBERS = ("m", "f", "g", "does_not_exist")
 
 
-def replay_into_incremental(graph) -> IncrementalLookupEngine:
-    """Rebuild ``graph`` inside an incremental engine, declaration by
-    declaration, interleaving queries so the cache is warm (and therefore
+def replay_into_lazy(graph) -> LazyMemberLookup:
+    """Rebuild ``graph`` in place under a lazy engine, declaration by
+    declaration, interleaving queries so the memo is warm (and therefore
     invalidation actually has something to invalidate)."""
-    engine = IncrementalLookupEngine()
+    replay = ClassHierarchyGraph()
+    engine = LazyMemberLookup(replay)
     for name in graph.classes:
-        engine.add_class(name)
+        replay.add_class(name)
         for edge in graph.direct_bases(name):
-            engine.add_edge(edge.base, name, virtual=edge.virtual)
+            replay.add_edge(edge.base, name, virtual=edge.virtual)
         for member in graph.declared_members(name).values():
-            engine.add_member(name, member)
+            replay.add_member(name, member)
         # Query mid-growth: later mutations must invalidate these.
         engine.lookup(name, "m")
     return engine
@@ -62,11 +61,7 @@ def assert_engines_identical(graph, *, sharded: bool = True) -> None:
         "batched": build_lookup_table(graph, mode="batched"),
         "fastpath": build_lookup_table(graph, mode="batched", fastpath=True),
         "lazy": LazyMemberLookup(graph),
-        "cached": CachedMemberLookup(graph),
-        "cached-fastpath": CachedMemberLookup(
-            graph, maxsize=32, fastpath_threshold=2
-        ),
-        "incremental": replay_into_incremental(graph),
+        "lazy-replay": replay_into_lazy(graph),
     }
     if sharded:
         rivals["sharded"] = build_lookup_table(
@@ -82,8 +77,6 @@ def assert_engines_identical(graph, *, sharded: bool = True) -> None:
                 assert engine.lookup(class_name, member) == expected, (
                     f"{engine_name} disagrees on {class_name}::{member}"
                 )
-            # The cached engine must also agree on a repeat (cache hit).
-            assert rivals["cached"].lookup(class_name, member) == expected
 
 
 FAMILIES = [
@@ -137,16 +130,13 @@ def test_full_table_surfaces_match(mode):
 
 def test_engines_identical_after_mutation():
     """Post-mutation generations: engines warmed before the mutation and
-    tables rebuilt after it must all agree, and the generation-keyed
-    cache must flush exactly once."""
+    tables rebuilt after it must all agree."""
     graph = random_hierarchy(
         12, seed=3, virtual_probability=0.4, member_probability=0.5
     )
-    cached = CachedMemberLookup(graph)
     lazy = LazyMemberLookup(graph)
     for class_name in graph.classes:
         for member in QUERY_MEMBERS:
-            cached.lookup(class_name, member)
             lazy.lookup(class_name, member)
 
     generation = graph.generation
@@ -167,8 +157,6 @@ def test_engines_identical_after_mutation():
             assert sharded.lookup(class_name, member) == expected
             assert flat.lookup(class_name, member) == expected
             assert lazy.lookup(class_name, member) == expected
-            assert cached.lookup(class_name, member) == expected
-    assert cached.cache_stats.invalidations == 1
 
 
 @pytest.mark.parametrize(
@@ -209,8 +197,12 @@ def test_apply_delta_matches_fresh_build_in_every_mode(mode):
             ), f"{mode} drifted on {class_name}::{member}"
     stats = table.delta_stats
     assert stats.deltas_applied == 2
-    assert stats.cone_classes >= 1
-    assert stats.entries_reused > 0  # the out-of-cone bulk survived
+    if mode == "per-member":
+        # The independent reference table rebuilds whole on every edit.
+        assert stats.full_rebuilds == 2
+    else:
+        assert stats.cone_classes >= 1
+        assert stats.entries_reused > 0  # the out-of-cone bulk survived
 
 
 def test_apply_delta_on_unchanged_graph_is_a_no_op():
@@ -224,8 +216,6 @@ def test_apply_delta_on_unchanged_graph_is_a_no_op():
 def test_one_shot_lookup_matches_engines():
     """The one-shot convenience must agree with the table and must not
     build eagerly (it routes through the lazy engine)."""
-    from repro.core.lookup import lookup
-
     graph = random_hierarchy(12, seed=7, member_probability=0.6)
     table = build_lookup_table(graph)
     for class_name in graph.classes:
@@ -243,3 +233,6 @@ def test_one_shot_lookup_is_demand_driven():
     lazy.lookup("C4", "m")
     # C4's cone is C0..C4: five entries, nowhere near the 64-class table.
     assert lazy.entries_computed() == 5
+    # The one-shot wrapper keeps exactly such an engine on the graph.
+    lookup(graph, "C4", "m")
+    assert graph._one_shot_lookup.entries_computed() == 5

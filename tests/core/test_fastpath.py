@@ -9,19 +9,15 @@ against the row path and the subobject-poset oracle, and all four
 delta-maintenance behaviours — demotion on ambiguation (permanent, the
 cone certificate proves nothing out of cone), in-place cone updates of
 columns that stayed red, promotion of brand-new columns, and array
-growth for appended classes.  The lazy engine's re-verifiable
-``flatten_column`` and the cached engine's miss-threshold promotion ride
-the same structures and are pinned here too.
+growth for appended classes.
 """
 
 from collections import namedtuple
 
 import pytest
 
-from repro.core.cache import CachedMemberLookup
 from repro.core.certify import certify_table
 from repro.core.fastpath import AmbiguousColumnError, FlatColumn
-from repro.core.lazy import LazyMemberLookup
 from repro.core.lookup import build_lookup_table
 from repro.core.results import LookupStatus
 from repro.hierarchy.graph import ClassHierarchyGraph
@@ -263,77 +259,6 @@ def test_flat_column_interns_slots_and_grows():
     assert column.cells[4] == -1
     column.set_cell(1, None)  # cell can be cleared again
     assert len(column) == 2
-
-
-# ----------------------------------------------------------------------
-# Lazy flatten and the cached engine's miss-threshold promotion
-# ----------------------------------------------------------------------
-
-
-def test_lazy_flatten_certifies_and_serves():
-    graph = chain(12, member_every=3)
-    lazy = LazyMemberLookup(graph)
-    assert lazy.flatten_column("m") is True
-    assert lazy.flat_members == ("m",)
-    rows = build_lookup_table(graph)
-    for class_name, member in all_queries(graph):
-        assert lazy.lookup(class_name, member) == rows.lookup(
-            class_name, member
-        )
-    assert lazy.flat_hits > 0
-
-
-def test_lazy_flatten_refuses_ambiguous_and_unknown_columns():
-    lazy = LazyMemberLookup(ambiguous_fan(4))
-    assert lazy.flatten_column("m") is False
-    assert lazy.flatten_column("never_declared") is False
-    assert lazy.flat_members == ()
-
-
-def test_lazy_delta_demotes_then_flatten_repromotes():
-    """Unlike the eager table's cone certificates, the lazy flatten is a
-    full-column certification — so re-promotion after a demoting delta
-    is sound and must work."""
-    graph = chain(6, member_every=6)
-    lazy = LazyMemberLookup(graph)
-    assert lazy.flatten_column("m")
-    graph.add_class("D", members=["m"])
-    graph.add_edge("C5", "D")
-    assert lazy.lookup("D", "m").declaring_class == "D"
-    assert lazy.flat_members == ()  # the delta demoted the column
-    assert lazy.flatten_column("m") is True  # ...and it re-certifies
-    rows = build_lookup_table(graph)
-    for class_name, member in all_queries(graph):
-        assert lazy.lookup(class_name, member) == rows.lookup(
-            class_name, member
-        )
-
-
-def test_cached_threshold_promotes_hot_columns():
-    graph = chain(16, member_every=4)
-    cached = CachedMemberLookup(graph, maxsize=4, fastpath_threshold=3)
-    for i in range(16):
-        cached.lookup(f"C{i}", "m")
-    assert cached.lazy.flat_members == ("m",)
-    rows = build_lookup_table(graph)
-    for class_name, member in all_queries(graph):
-        assert cached.lookup(class_name, member) == rows.lookup(
-            class_name, member
-        )
-
-
-def test_cached_threshold_ignores_ambiguous_columns():
-    graph = ambiguous_fan(4)
-    cached = CachedMemberLookup(graph, maxsize=2, fastpath_threshold=2)
-    for class_name in graph.classes:
-        cached.lookup(class_name, "m")
-    assert cached.lazy.flat_members == ()
-    assert certify_table(graph, cached) == []
-
-
-def test_cached_threshold_validation():
-    with pytest.raises(ValueError):
-        CachedMemberLookup(chain(2), fastpath_threshold=0)
 
 
 def test_flat_column_len_is_incremental():

@@ -66,22 +66,18 @@ def test_demands_less_than_eager():
 
 
 def test_standalone_engine_survives_in_place_mutation():
-    """A bare LazyMemberLookup (no cache wrapper, no incremental
-    engine) must not serve stale memo entries after the graph mutates:
-    the generation check surgically evicts the cone × affected-members
-    rectangle and leaves the rest of the memo standing."""
+    """A bare LazyMemberLookup must not serve stale memo entries after
+    the graph mutates: the generation check recompiles and drops the
+    memo, and the next queries recompute what they demand."""
     graph = chain(16, member_every=16)  # only C0 declares m
     lazy = LazyMemberLookup(graph)
     for i in range(16):
         assert lazy.lookup(f"C{i}", "m").declaring_class == "C0"
-    warm = lazy.entries_computed()
 
     graph.add_member("C8", "m")  # touches a class with a warm entry
     assert lazy.lookup("C8", "m").declaring_class == "C8"
     assert lazy.lookup("C15", "m").declaring_class == "C8"
     assert lazy.lookup("C7", "m").declaring_class == "C0"
-    # Only the C8..C15 cone was dropped; the rest survived the bump.
-    assert lazy.entries_computed() == warm
 
     # A name the old interner never saw, declared mid-flight on a class
     # whose "not visible" result is already memoised.

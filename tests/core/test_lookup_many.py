@@ -4,8 +4,7 @@ One invariant, pinned across the whole engine matrix: a batch answer is
 value-identical (witnesses included) to an independent per-member
 reference table's per-query answers — through the columnar gather
 (snapshot-backed and mmapped tables), the in-place table's per-query
-loop, the cached engine's hit/miss-splitting batch, and the serving
-tier — and stays so after delta maintenance.  Snapshot point and batch
+loop, and the serving tier — and stays so after delta maintenance.  Snapshot point and batch
 reads share one columnar layout, so the reference is always a separate
 build, never the same table's point path.  Mid-publish coherence is pinned too:
 a batch is answered against exactly one captured generation, never
@@ -18,7 +17,6 @@ import tempfile
 import pytest
 
 import repro.core.columnar as columnar_mod
-from repro.core.cache import CachedMemberLookup
 from repro.core.flatpack import mmap_table, pack
 from repro.core.lookup import MemberLookupTable, build_lookup_table
 from repro.core.snapshot import TableSnapshot
@@ -155,61 +153,6 @@ def test_mid_publish_batch_is_one_generation():
     assert declared["C5"] == "C0" and declared["C6"] == "C6"
     assert declared["C11"] == "C6"
     assert table.snapshot.generation > captured.generation
-
-
-# ----------------------------------------------------------------------
-# The cached engine's batch entry point
-# ----------------------------------------------------------------------
-
-
-def test_cached_batch_equals_sequential():
-    graph = random_hierarchy(12, seed=2, member_probability=0.6)
-    queries = all_queries(graph) * 2  # repeats exercise the dedup
-    batched = CachedMemberLookup(graph)
-    sequential = CachedMemberLookup(graph)
-    assert batched.lookup_many(queries) == [
-        sequential.lookup(c, m) for c, m in queries
-    ]
-
-
-def test_cached_batch_computes_each_distinct_pair_once():
-    graph = binary_tree(4)
-    cached = CachedMemberLookup(graph)
-    queries = [("N1", "m")] * 50 + [("N7", "m")] * 50
-    out = cached.lookup_many(queries)
-    assert out[0] is out[49] and out[50] is out[99]
-    assert cached.lazy.stats.entries_computed <= graph.compile().n_classes
-
-
-def test_cached_batch_hits_warm_entries():
-    graph = binary_tree(3)
-    cached = CachedMemberLookup(graph)
-    queries = [(name, "m") for name in graph.classes]
-    cached.lookup_many(queries)
-    misses_before = cached.cache_stats.misses
-    cached.lookup_many(queries)
-    assert cached.cache_stats.misses == misses_before
-    assert cached.cache_stats.hits >= len(queries)
-
-
-def test_cached_batch_invalidates_on_mutation():
-    graph = chain(6, member_every=6)
-    cached = CachedMemberLookup(graph)
-    queries = [(name, "m") for name in graph.classes]
-    assert all(
-        r.declaring_class == "C0" for r in cached.lookup_many(queries)
-    )
-    graph.add_member("C3", "m")
-    out = cached.lookup_many(queries)
-    declared = {r.class_name: r.declaring_class for r in out}
-    assert declared["C2"] == "C0" and declared["C3"] == "C3"
-
-
-def test_cached_batch_promotes_on_distinct_misses():
-    graph = binary_tree(4)
-    cached = CachedMemberLookup(graph, fastpath_threshold=3)
-    cached.lookup_many([("N1", "m"), ("N2", "m"), ("N3", "m")])
-    assert "m" in cached.lazy.flat_members
 
 
 # ----------------------------------------------------------------------

@@ -53,8 +53,8 @@ def test_property_unrelated_class_changes_nothing(graph):
 @settings(max_examples=40, deadline=None)
 def test_property_new_member_affects_only_its_cone(graph, data):
     """Declaring a brand-new member name in class X changes only the
-    entries (D, that-name) for X and its descendants — the invariant the
-    incremental engine's invalidation relies on."""
+    entries (D, that-name) for X and its descendants — the invariant
+    delta maintenance's cone × affected-members re-fold relies on."""
     target = data.draw(st.sampled_from(list(graph.classes)))
     extended = rebuild_with(graph, extra_member=(target, "fresh_name"))
     before = build_lookup_table(graph)

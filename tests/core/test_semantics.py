@@ -20,7 +20,6 @@ from repro.baselines.eiffel import EiffelHierarchy
 from repro.baselines.gxx import gxx_lookup
 from repro.baselines.self_lookup import SelfStyleLookup
 from repro.baselines.topo_number import TopoNumberLookup
-from repro.core.cache import CachedMemberLookup
 from repro.core.lookup import MemberLookupTable, build_lookup_table
 from repro.core.semantics import (
     DEFAULT_SEMANTICS,
@@ -449,25 +448,5 @@ def test_non_default_semantics_require_batched_mode():
         TableSnapshot.build(
             graph.compile(), mode="per-member", semantics="self"
         )
-    with pytest.raises(ValueError, match="fastpath_threshold"):
-        CachedMemberLookup(graph, semantics="self", fastpath_threshold=4)
     # The default semantics keeps every mode.
     MemberLookupTable(graph, mode="per-member", semantics="cpp-dominance")
-
-
-@pytest.mark.parametrize("semantics", SEMANTICS_NAMES[1:])
-def test_cached_lookup_serves_non_default_semantics(semantics):
-    """The generation-keyed cache front serves any semantics: answers
-    match a direct table before and after a mutation."""
-    graph = wide_unambiguous(4)
-    cached = CachedMemberLookup(graph, semantics=semantics)
-    direct = build_lookup_table(graph, mode="batched", semantics=semantics)
-    assert_agrees(
-        cached, direct.lookup, graph, context=f"cache[{semantics}]"
-    )
-    graph.add_class("Deeper", members=("m",))
-    graph.add_edge("Join", "Deeper")
-    direct = build_lookup_table(graph, mode="batched", semantics=semantics)
-    assert_agrees(
-        cached, direct.lookup, graph, context=f"cache+delta[{semantics}]"
-    )

@@ -12,9 +12,8 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.core.cache import CachedMemberLookup
-from repro.core.incremental import IncrementalLookupEngine
-from repro.core.lookup import MemberLookupTable, build_lookup_table
+from repro.core.lazy import LazyMemberLookup
+from repro.core.lookup import MemberLookupTable, build_lookup_table, lookup
 from repro.core.semantics import SemanticsRejection
 from repro.errors import CycleError, DuplicateBaseError, DuplicateMemberError
 from repro.fuzz import copy_hierarchy
@@ -26,18 +25,20 @@ MEMBERS = ("m", "f")
 
 
 class IncrementalMachine(RuleBasedStateMachine):
-    """Grow a hierarchy step by step through the incremental engine; at
-    every step its answers must equal a freshly built table's."""
+    """Grow a hierarchy in place step by step under a bare
+    :class:`LazyMemberLookup`, querying between mutations; at every step
+    its answers must equal a freshly built table's."""
 
     def __init__(self):
         super().__init__()
-        self.engine = IncrementalLookupEngine()
+        self.graph = ClassHierarchyGraph()
+        self.engine = LazyMemberLookup(self.graph)
         self.counter = 0
 
     @rule(member_mask=st.integers(0, 3))
     def add_class(self, member_mask):
         members = [m for i, m in enumerate(MEMBERS) if member_mask & (1 << i)]
-        self.engine.add_class(f"K{self.counter}", members)
+        self.graph.add_class(f"K{self.counter}", members)
         self.counter += 1
 
     @precondition(lambda self: self.counter >= 2)
@@ -46,7 +47,7 @@ class IncrementalMachine(RuleBasedStateMachine):
         derived_index = data.draw(st.integers(1, self.counter - 1))
         base_index = data.draw(st.integers(0, derived_index - 1))
         try:
-            self.engine.add_edge(
+            self.graph.add_edge(
                 f"K{base_index}", f"K{derived_index}", virtual=virtual
             )
         except (DuplicateBaseError, CycleError):
@@ -57,7 +58,7 @@ class IncrementalMachine(RuleBasedStateMachine):
     def add_member(self, data, member):
         target = f"K{data.draw(st.integers(0, self.counter - 1))}"
         try:
-            self.engine.add_member(target, member)
+            self.graph.add_member(target, member)
         except DuplicateMemberError:
             pass
 
@@ -71,14 +72,14 @@ class IncrementalMachine(RuleBasedStateMachine):
     def matches_fresh_table(self):
         if self.counter == 0:
             return
-        fresh = build_lookup_table(self.engine.graph)
-        for class_name in self.engine.graph.classes:
+        fresh = build_lookup_table(self.graph)
+        for class_name in self.graph.classes:
             for member in MEMBERS:
                 left = self.engine.lookup(class_name, member)
-                right = fresh.lookup(class_name, member)
-                assert left.status == right.status, (class_name, member)
-                if right.is_unique:
-                    assert left.declaring_class == right.declaring_class
+                assert left == fresh.lookup(class_name, member), (
+                    class_name,
+                    member,
+                )
 
 
 IncrementalMachine.TestCase.settings = settings(
@@ -166,18 +167,14 @@ TestRuntimeStorageMachine = RuntimeStorageMachine.TestCase
 
 
 class CachedLookupMachine(RuleBasedStateMachine):
-    """Random mutation sequences interleaved with queries through a
-    small :class:`CachedMemberLookup` front: the generation-keyed
-    invalidation must never serve a row computed before a mutation, so
-    every cached answer must equal a freshly built table's — and the LRU
-    must never exceed its capacity."""
-
-    MAXSIZE = 8
+    """Random mutation sequences interleaved with queries through the
+    one-shot :func:`repro.core.lookup.lookup`: the per-graph lazy engine
+    behind it must never serve a row memoised before a mutation, so
+    every one-shot answer must equal a freshly built table's."""
 
     def __init__(self):
         super().__init__()
         self.graph = ClassHierarchyGraph()
-        self.cached = CachedMemberLookup(self.graph, maxsize=self.MAXSIZE)
         self.counter = 0
 
     @rule(member_mask=st.integers(0, 3))
@@ -210,10 +207,10 @@ class CachedLookupMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.counter >= 1)
     @rule(data=st.data(), member=st.sampled_from(MEMBERS))
     def query(self, data, member):
-        # Interleaved queries warm the cache *between* mutations, so the
+        # Interleaved queries warm the memo *between* mutations, so the
         # invariant below really checks invalidation, not cold misses.
         target = f"K{data.draw(st.integers(0, self.counter - 1))}"
-        self.cached.lookup(target, member)
+        lookup(self.graph, target, member)
 
     @invariant()
     def never_serves_stale_rows(self):
@@ -222,12 +219,11 @@ class CachedLookupMachine(RuleBasedStateMachine):
         fresh = build_lookup_table(self.graph)
         for class_name in self.graph.classes:
             for member in MEMBERS:
-                cached = self.cached.lookup(class_name, member)
-                assert cached == fresh.lookup(class_name, member), (
+                answer = lookup(self.graph, class_name, member)
+                assert answer == fresh.lookup(class_name, member), (
                     class_name,
                     member,
                 )
-        assert len(self.cached) <= self.MAXSIZE
 
 
 CachedLookupMachine.TestCase.settings = settings(

@@ -1,10 +1,11 @@
 """Cross-feature interaction tests: the extensions must compose."""
 
-from repro.core.incremental import IncrementalLookupEngine
+from repro.core.lazy import LazyMemberLookup
 from repro.core.lookup import build_lookup_table
 from repro.core.static_lookup import StaticAwareLookupTable
 from repro.core.using_decls import lookup_through_using
 from repro.hierarchy.builder import HierarchyBuilder
+from repro.hierarchy.graph import ClassHierarchyGraph
 from repro.hierarchy.members import Member, MemberKind
 from repro.hierarchy.serialize import dumps, loads
 from repro.slicing.slicer import slice_hierarchy
@@ -80,27 +81,32 @@ class TestSerializationComposition:
 
 class TestIncrementalComposition:
     def test_incremental_with_static_members_via_plain_engine(self):
-        # The incremental engine wraps the PLAIN algorithm; statics are
-        # ambiguous under it in a diamond — document the composition.
-        engine = IncrementalLookupEngine()
-        engine.add_class("B", [Member("s", is_static=True)])
-        engine.add_class("X")
-        engine.add_edge("B", "X")
-        engine.add_class("Y")
-        engine.add_edge("B", "Y")
-        engine.add_class("Z")
-        engine.add_edge("X", "Z")
-        engine.add_edge("Y", "Z")
+        # The lazy engine over a growing graph runs the PLAIN algorithm;
+        # statics are ambiguous under it in a diamond — document the
+        # composition.
+        graph = ClassHierarchyGraph()
+        engine = LazyMemberLookup(graph)
+        graph.add_class("B", [Member("s", is_static=True)])
+        graph.add_class("X")
+        graph.add_edge("B", "X")
+        assert engine.lookup("X", "s").is_unique
+        graph.add_class("Y")
+        graph.add_edge("B", "Y")
+        graph.add_class("Z")
+        graph.add_edge("X", "Z")
+        graph.add_edge("Y", "Z")
         assert engine.lookup("Z", "s").is_ambiguous  # plain semantics
-        assert StaticAwareLookupTable(engine.graph).lookup("Z", "s").is_unique
+        assert StaticAwareLookupTable(graph).lookup("Z", "s").is_unique
 
     def test_incremental_then_slice(self):
-        engine = IncrementalLookupEngine()
-        engine.add_class("A", ["m"])
-        engine.add_class("B")
-        engine.add_edge("A", "B")
-        engine.add_class("Junk", ["x"])
-        sliced = slice_hierarchy(engine.graph, [("B", "m")]).hierarchy
+        graph = ClassHierarchyGraph()
+        engine = LazyMemberLookup(graph)
+        graph.add_class("A", ["m"])
+        graph.add_class("B")
+        graph.add_edge("A", "B")
+        assert engine.lookup("B", "m").is_unique
+        graph.add_class("Junk", ["x"])
+        sliced = slice_hierarchy(graph, [("B", "m")]).hierarchy
         assert "Junk" not in sliced
         assert build_lookup_table(sliced).lookup("B", "m").is_unique
 

@@ -133,6 +133,21 @@ def test_cli_rejects_unknown_engine(capsys):
     assert "unknown engine" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("engines", [",", " , ,", "cached", "incremental"])
+def test_cli_rejects_empty_and_removed_engine_lists(capsys, engines):
+    """An engine list that parses to nothing used to crash the campaign
+    with ZeroDivisionError; the removed cached-LRU and incremental
+    engines are unknown names now."""
+    code = main(["fuzz", "--seed", "0", "--budget", "1", "--engines", engines])
+    assert code == 2
+    assert "choose from" in capsys.readouterr().err
+
+
+def test_run_campaign_rejects_empty_engine_list():
+    with pytest.raises(ValueError, match="at least one engine"):
+        run_campaign(seed=0, budget=1, engines=())
+
+
 def test_time_budget_cuts_campaign_short():
     report = run_campaign(seed=3, budget=10_000, time_budget=0.0)
     assert report.stopped_by == "time"

@@ -57,7 +57,7 @@ def test_invariant_holds_at_path_level(mutator, data):
 )
 def test_in_place_matches_copy_apply(mutator):
     """Pure-growth operators produce the identical hierarchy whether
-    applied to a copy or to the live graph (the cached-after-mutation
+    applied to a copy or to the live graph (the memo-staleness
     leg relies on the in-place path)."""
     graph = figure9()
     plan = mutator.pick(graph, random.Random(3))

@@ -94,7 +94,7 @@ class TestTable:
         out = capsys.readouterr().out
         assert "delta stats: replayed leaf class" in out
         assert "cone:" in out
-        assert "query cache:" in out
+        assert "answers against LazyMemberLookup" in out
 
     @pytest.mark.parametrize("mode", ["batched", "sharded"])
     def test_delta_stats_in_other_build_modes(

@@ -63,7 +63,7 @@ def test_hierarchy_slicing():
 def test_hierarchy_evolution():
     out = run_example("hierarchy_evolution.py")
     assert "became-ambiguous" in out
-    assert "cache invalidations" in out
+    assert "entries reused" in out
 
 
 def test_devirtualization():
