@@ -1,23 +1,14 @@
-"""Per-member vs batched vs sharded full-table construction.
+"""Per-member vs batched full-table construction.
 
 The per-member eager driver runs the Figure-8 fold once per visible
 ``(class, member)`` pair — ``|M|`` topological sweeps re-reading the
 same CSR rows.  The batched driver
 (:func:`repro.core.kernel.batched_sweep`) makes one sweep carrying whole
-per-class rows; the sharded builder (:mod:`repro.core.parallel`)
-partitions the member space across worker processes on top of that.
-This file measures all three on the scaling families at three sizes
-each, and pins the headline floor: the batched build is ≥ 2× the
-per-member build on ``chain_1024`` and ``tree_depth10``.
+per-class rows.  This file measures both on the scaling families at
+three sizes each, and pins the headline floor: the batched build is
+≥ 2× the per-member build on ``chain_1024`` and ``tree_depth10``.
 
-The sharded timings are honest about their regime: on few-member
-workloads (these families intern 1 member name) and few-core machines
-the pool spin-up dominates and sharding *loses* — the numbers are
-recorded anyway because they justify the ``mode="auto"`` threshold
-(:data:`repro.core.lookup.AUTO_SHARD_THRESHOLD`) rather than embarrass
-it.
-
-A non-benchmark guard asserts all three modes return identical tables on
+A non-benchmark guard asserts both modes return identical tables on
 every workload, witnesses included.
 """
 
@@ -34,10 +25,8 @@ from repro.workloads.generators import (
     wide_unambiguous,
 )
 
-#: The classic scaling families intern a single member name, so the
-#: member-space sharder has nothing to split there (it falls back to the
-#: serial batched sweep — recorded as n_members=1).  The ``dense_*``
-#: family gives it a real member space.
+#: The classic scaling families intern a single member name; the
+#: ``dense_*`` family gives the sweep a real member space.
 MEMBER_NAMES = tuple(f"m{i}" for i in range(24))
 
 
@@ -97,21 +86,6 @@ def test_build_batched(benchmark, workload):
     _annotate(benchmark, name, graph, table)
 
 
-def test_build_sharded(benchmark, workload):
-    name, graph = workload
-    # Pool spin-up per round is expensive; pedantic keeps the suite fast
-    # while still recording a faithful per-build wall clock.
-    table = benchmark.pedantic(
-        MemberLookupTable,
-        args=(graph,),
-        kwargs={"mode": "sharded", "max_workers": 2, "shards": 2},
-        rounds=3,
-        iterations=1,
-    )
-    _annotate(benchmark, name, graph, table)
-    benchmark.extra_info["n_members"] = graph.compile().n_members
-
-
 def test_same_tables_across_modes():
     """The modes exist to differ in *speed* only: identical entries,
     witnesses included, on every workload."""
@@ -119,12 +93,7 @@ def test_same_tables_across_modes():
         graph = factory()
         per_member = MemberLookupTable(graph)
         batched = MemberLookupTable(graph, mode="batched")
-        sharded = MemberLookupTable(
-            graph, mode="sharded", max_workers=2, shards=2
-        )
-        expected = per_member.all_entries()
-        assert batched.all_entries() == expected, name
-        assert sharded.all_entries() == expected, name
+        assert batched.all_entries() == per_member.all_entries(), name
 
 
 def test_batched_speedup_floor():

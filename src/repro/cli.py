@@ -44,6 +44,7 @@ from repro.analysis.lint import LintSeverity, lint_hierarchy, render_findings
 from repro.errors import ReproError
 from repro.frontend.errors import ParseError
 from repro.frontend.sema import analyze
+from repro.fuzz import ENGINES
 from repro.hierarchy.graph import ClassHierarchyGraph
 from repro.analysis.metrics import compute_metrics
 from repro.hierarchy.serialize import dumps as hierarchy_dumps
@@ -79,31 +80,17 @@ def _add_build_mode_options(parser: argparse.ArgumentParser) -> None:
         "--mode",
         choices=BUILD_MODES,
         default="per-member",
-        help="table build strategy (default: per-member; 'auto' picks "
-        "batched or sharded from the |M|·|E| work estimate)",
-    )
-    parser.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the sharded builder (default: cpu count)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="member-space shards for the sharded builder "
-        "(default: one per worker)",
+        help="table build strategy: per-member (one fold per (class, "
+        "member) pair; the table default) or batched (one Figure-8 "
+        "sweep; the build default)",
     )
     parser.add_argument(
         "--fastpath",
         action=argparse.BooleanOptionalAction,
         default=None,
         help="serve certified-unambiguous member columns from the flat "
-        "fast path (default: on for --mode auto, off for batched/"
-        "sharded, rejected for per-member)",
+        "fast path (default: off for table, on for build's batched "
+        "tables; rejected for per-member)",
     )
     parser.add_argument(
         "--columnar",
@@ -126,20 +113,21 @@ def _add_build_mode_options(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_SEMANTICS,
         help="dispatch rule the table is built under (default: "
         f"{DEFAULT_SEMANTICS}; non-default rules force the batched "
-        "mode unless --mode sharded was requested explicitly, which "
-        "is rejected)",
+        "mode)",
     )
 
 
-def _coerce_semantics_mode(args: argparse.Namespace) -> None:
+def _resolve_build_options(
+    args: argparse.Namespace, *, fastpath_default: bool
+) -> None:
     """Non-default semantics only run on the batched driver: upgrade
-    the per-member/auto defaults silently, leave an explicit sharded
-    request to be rejected with the table's own error message."""
-    if args.semantics != DEFAULT_SEMANTICS and args.mode in (
-        "per-member",
-        "auto",
-    ):
+    the per-member mode silently.  An unset ``--fastpath`` means
+    ``fastpath_default`` on a batched table and off on a per-member
+    one, whose fold does not certify."""
+    if args.semantics != DEFAULT_SEMANTICS:
         args.mode = "batched"
+    if args.fastpath is None:
+        args.fastpath = fastpath_default and args.mode == "batched"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -260,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     build.add_argument("file")
     _add_build_mode_options(build)
-    build.set_defaults(mode="auto")
+    build.set_defaults(mode="batched")
 
     explain = commands.add_parser(
         "explain", help="explain the dominance reasoning for one query"
@@ -355,7 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="A,B,...",
         help="comma-separated engine subset (default: "
-        "per-member,batched,sharded,fastpath,lazy,snapshot,columnar)",
+        f"{','.join(ENGINES)})",
     )
     fuzz.add_argument(
         "--corpus",
@@ -535,8 +523,6 @@ def _report_delta_stats(
     table = build_lookup_table(
         prefix,
         mode=args.mode,
-        max_workers=args.max_workers,
-        shards=args.shards,
         fastpath=args.fastpath,
         semantics=args.semantics,
     )
@@ -584,8 +570,6 @@ def _run_build(graph: ClassHierarchyGraph, args: argparse.Namespace) -> int:
     table = build_lookup_table(
         graph,
         mode=args.mode,
-        max_workers=args.max_workers,
-        shards=args.shards,
         fastpath=args.fastpath,
         semantics=args.semantics,
     )
@@ -595,10 +579,7 @@ def _run_build(graph: ClassHierarchyGraph, args: argparse.Namespace) -> int:
         f"{ch.n_members} member names / {len(ch.base_targets)} edges "
         f"in {elapsed * 1e3:.2f} ms"
     )
-    print(
-        f"  requested mode: {args.mode}  resolved mode: {table.mode}  "
-        f"semantics: {table.semantics.name}"
-    )
+    print(f"  mode: {table.mode}  semantics: {table.semantics.name}")
     print("  " + _render_lookup_stats(table))
 
     print("  " + _check_against_reference(graph, table, args.semantics))
@@ -619,7 +600,7 @@ def _run_build(graph: ClassHierarchyGraph, args: argparse.Namespace) -> int:
 def _run_fuzz(args: argparse.Namespace) -> int:
     """The ``fuzz`` command: run a campaign, print the summary, write the
     JSON report, and exit nonzero iff any engine diverged."""
-    from repro.fuzz import ENGINES, run_campaign
+    from repro.fuzz import run_campaign
 
     engines = (
         tuple(name.strip() for name in args.engines.split(",") if name.strip())
@@ -857,12 +838,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if result.is_unique else 1
 
     if args.command == "table":
-        _coerce_semantics_mode(args)
+        _resolve_build_options(args, fastpath_default=False)
         table = build_lookup_table(
             graph,
             mode=args.mode,
-            max_workers=args.max_workers,
-            shards=args.shards,
             fastpath=args.fastpath,
             semantics=args.semantics,
         )
@@ -909,7 +888,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "build":
-        _coerce_semantics_mode(args)
+        _resolve_build_options(args, fastpath_default=True)
         return _run_build(graph, args)
 
     if args.command == "explain":

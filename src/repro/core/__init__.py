@@ -42,7 +42,7 @@ from repro.core.lookup import (
     build_lookup_table,
     lookup,
 )
-from repro.core.snapshot import SNAPSHOT_MODES, TableSnapshot
+from repro.core.snapshot import TableSnapshot
 from repro.core.paths import OMEGA, Abstraction, Path, extend_abstraction, path_in
 from repro.core.results import (
     LookupResult,
@@ -87,7 +87,6 @@ __all__ = [
     "MemberLookupTable",
     "Path",
     "RedEntry",
-    "SNAPSHOT_MODES",
     "StaticAwareLookupTable",
     "StaticBlueEntry",
     "StaticRedEntry",

@@ -55,10 +55,10 @@ def certify(
     ``lookup(result.class_name, result.member)``.
 
     ``result`` may come from *any* engine — the eager table in any build
-    mode (per-member, batched, sharded), a published snapshot or the
+    mode (per-member or batched), a published snapshot or the
     lazy engine; certification only reads the
     :class:`~repro.core.results.LookupResult` fields, and engines that do
-    not track witnesses (e.g. sharded builds with witness tracking off)
+    not track witnesses (e.g. tables built with witness tracking off)
     certify on status and declaring class alone.  ``hierarchy`` may be a
     mutable graph or a compiled snapshot.
     """
@@ -133,7 +133,7 @@ def certify_table(
     only the *invalid* certificates (empty list = fully certified).
 
     ``engine`` is anything with a ``lookup(class_name, member)`` method —
-    the eager table in any build mode (per-member, batched, sharded), a
+    the eager table in either build mode (per-member or batched), a
     published snapshot, the lazy engine, or a baseline.  ``members``
     restricts the member names swept; ``queries`` overrides the sweep
     with an explicit iterable of ``(class, member)`` pairs (the fuzzing

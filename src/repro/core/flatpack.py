@@ -161,9 +161,9 @@ def _snapshot_of(table) -> TableSnapshot:
     snapshot = getattr(table, "snapshot", None)
     if snapshot is None:
         raise ValueError(
-            "pack() needs a snapshot-backed table (mode 'batched' or "
-            "'sharded'); the in-place per-member table has no "
-            "published snapshot to pack"
+            "pack() needs a snapshot-backed table (mode 'batched'); "
+            "the in-place per-member table has no published snapshot "
+            "to pack"
         )
     return snapshot
 
@@ -949,9 +949,6 @@ class PackedTable:
                 certificate=self.certificate,
                 entry_total=self.entry_total,
                 track_witnesses=self.track_witnesses,
-                mode="batched",
-                max_workers=None,
-                shards=None,
                 semantics=self.semantics,
             )
             snapshot._columnar = self._columnar()

@@ -384,12 +384,6 @@ class AmbiguityCertificate:
         """Section 5's premise for the whole table: no blue anywhere."""
         return self.ambiguous_columns == 0
 
-    def merge(self, other: "AmbiguityCertificate") -> None:
-        """Fold in another sweep's certificate (the sharded builder
-        merges one per worker shard)."""
-        self.ambiguous_columns |= other.ambiguous_columns
-        self.blue_cells += other.blue_cells
-
     def record(self, ambiguous_mask: int, blue_cells: int) -> None:
         """Fold in one sweep's locally accumulated counters."""
         self.ambiguous_columns |= ambiguous_mask
@@ -404,7 +398,6 @@ class AmbiguityCertificate:
 def batched_sweep(
     ch: CompiledHierarchy,
     *,
-    member_mask: Optional[int] = None,
     stats: Optional[LookupStats] = None,
     track_witnesses: bool = True,
     certificate: Optional[AmbiguityCertificate] = None,
@@ -428,12 +421,6 @@ def batched_sweep(
     free: entries are only ever *seeded* by declarations, so a member
     not visible in a subgraph never occupies a column there.
 
-    ``member_mask`` restricts the sweep to the member ids whose bits are
-    set (the sharded parallel builder partitions the member space this
-    way); ``None`` sweeps every member.  Classes in whose subgraph no
-    masked member is visible are skipped outright via the precomputed
-    visible-member bitsets.
-
     ``stats`` receives ``classes_visited`` / ``entries_computed`` and
     the propagation counters of the multi-base meet path; the inlined
     single-base fast path deliberately does *not* count its (trivially
@@ -443,30 +430,22 @@ def batched_sweep(
     ``certificate`` (when given) receives the per-column ambiguity
     certification: every blue entry the sweep stores sets that member's
     bit — O(1) per blue, zero cost on the red paths — so a clear bit
-    afterwards *proves* the column unambiguous over the swept member
-    mask (see :class:`AmbiguityCertificate`).
+    afterwards *proves* the column unambiguous (see
+    :class:`AmbiguityCertificate`).
 
     Returns a list indexed by class id: ``rows[cid]`` is the dict
-    ``member id -> kernel entry`` of every (masked) member visible in
-    ``cid``.
+    ``member id -> kernel entry`` of every member visible in ``cid``.
     """
     rows: list = [None] * ch.n_classes
     base_pairs = ch.base_pairs
     declared_masks = ch.declared_masks
     declared_mids = ch.declared_mids
-    visible_masks = ch.visible_masks
-    full = member_mask is None
     count = stats is not None
     blue = KernelBlue
     entries = 0
     amb_mask = 0
     blue_cells = 0
     for cid in ch.topo_order:
-        if not full and not (visible_masks[cid] & member_mask):
-            # Sparse fast path: no masked member is visible in any
-            # subobject of this class — dead columns are never carried.
-            rows[cid] = {}
-            continue
         bases = base_pairs[cid]
         decl = declared_masks[cid]
         row: dict = {}
@@ -526,19 +505,10 @@ def batched_sweep(
                 if type(met) is not tuple:
                     amb_mask |= 1 << mid
                     blue_cells += 1
-        if full:
-            if declared_mids[cid]:
-                cell = (cid, False, None) if track_witnesses else None
-                for mid in declared_mids[cid]:
-                    row[mid] = (cid, OMEGA_ID, cell)
-        else:
-            seed = decl & member_mask
-            if seed:
-                cell = (cid, False, None) if track_witnesses else None
-                while seed:
-                    low = seed & -seed
-                    seed ^= low
-                    row[low.bit_length() - 1] = (cid, OMEGA_ID, cell)
+        if declared_mids[cid]:
+            cell = (cid, False, None) if track_witnesses else None
+            for mid in declared_mids[cid]:
+                row[mid] = (cid, OMEGA_ID, cell)
         entries += len(row)
         rows[cid] = row
     if count:

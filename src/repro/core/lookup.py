@@ -19,7 +19,7 @@ The per-entry fold itself (red/blue extension, candidate selection, the
 blue-kill resolution, Lemma 4's dominance test) lives in exactly one
 place — :mod:`repro.core.kernel` — operating on the interned ids of a
 :class:`~repro.hierarchy.compiled.CompiledHierarchy`.  This module is
-the *eager* driver, in three build modes over that one kernel:
+the *eager* driver, in two build modes over that one kernel:
 
 * ``"per-member"`` — the historical driver: the Figure-8 fold run once
   per visible ``(class, member)`` pair, re-reading the class's adjacency
@@ -29,15 +29,10 @@ the *eager* driver, in three build modes over that one kernel:
   ``topo_order`` carrying whole per-class rows, every CSR row and bitset
   read once *total* instead of once per member (~2-3× faster full-table
   construction; see ``benchmarks/bench_batched.py``).
-* ``"sharded"`` — :mod:`repro.core.parallel`: the member-id space split
-  into contiguous shards, each built batched in a worker process against
-  the pickled frozen snapshot, shard rows merged.
-* ``"auto"`` — heuristic choice between batched and sharded by the
-  ``|M|·|E|`` work estimate (:func:`resolve_build_mode`).
 
-All modes produce identical tables (differentially tested in
-``tests/core/test_engine_equivalence.py``).  The row-major modes always
-publish immutable :class:`~repro.core.snapshot.TableSnapshot`
+Both modes produce identical tables (differentially tested in
+``tests/core/test_engine_equivalence.py``).  The batched mode always
+publishes immutable :class:`~repro.core.snapshot.TableSnapshot`
 generations, whose columnar layout answers both point and batch reads;
 the per-member driver is the one in-place table, kept as the
 independent reference build path (an edit rebuilds it whole).
@@ -49,7 +44,6 @@ ambiguous; a built table answers each query in O(1).
 
 from __future__ import annotations
 
-import os
 from typing import Mapping, Optional
 
 from repro.core.columnar import ColumnarStats, ColumnarTable
@@ -88,45 +82,11 @@ __all__ = [
     "TableSnapshot",
     "build_lookup_table",
     "lookup",
-    "resolve_build_mode",
 ]
 
 #: The accepted ``mode=`` values of :class:`MemberLookupTable` /
 #: :func:`build_lookup_table`.
-BUILD_MODES = ("per-member", "batched", "sharded", "auto")
-
-#: ``|M| * |E|`` above which ``mode="auto"`` prefers the sharded
-#: parallel builder: below it, the serial batched sweep finishes in well
-#: under the worker-pool spin-up + snapshot-pickling cost.
-AUTO_SHARD_THRESHOLD = 1 << 18
-
-
-def resolve_build_mode(
-    mode: str,
-    ch,
-    *,
-    max_workers: Optional[int] = None,
-) -> str:
-    """Resolve ``"auto"`` to a concrete build mode for ``ch``.
-
-    The heuristic mirrors the cost model: a batched build does
-    ``Θ(|M|·|E|)`` row-extension work serially, so sharding only pays
-    once that product is large enough to amortise process start-up and
-    snapshot pickling — and never on a single-core machine.
-    """
-    if mode not in BUILD_MODES:
-        raise ValueError(
-            f"unknown build mode {mode!r}; expected one of {BUILD_MODES}"
-        )
-    if mode != "auto":
-        return mode
-    workers = max_workers if max_workers is not None else os.cpu_count() or 1
-    if (
-        workers > 1
-        and ch.n_members * max(1, len(ch.base_targets)) >= AUTO_SHARD_THRESHOLD
-    ):
-        return "sharded"
-    return "batched"
+BUILD_MODES = ("per-member", "batched")
 
 
 class MemberLookupTable:
@@ -139,26 +99,23 @@ class MemberLookupTable:
     :class:`~repro.hierarchy.compiled.CompiledHierarchy`.
 
     ``mode`` selects the build strategy (see the module docstring):
-    ``"per-member"`` (default), ``"batched"``, ``"sharded"`` or
-    ``"auto"``.  ``max_workers`` / ``shards`` tune the sharded builder
-    and are ignored by the serial modes.  All modes yield identical
+    ``"per-member"`` (default) or ``"batched"``.  Both yield identical
     query results; the per-member mode is the only one maintaining the
     full per-edge propagation counters in :attr:`stats`.
 
     ``fastpath`` controls the unambiguous serving overlay
-    (:mod:`repro.core.fastpath`): the row-major sweeps certify per
+    (:mod:`repro.core.fastpath`): the batched sweep certifies per
     member column whether any entry is ambiguous, certified columns are
     flattened into array-backed :class:`~repro.core.fastpath
     .FlatColumn` structures (§5's ``O(|N|+|E|)`` regime), and
     :meth:`lookup` serves them from memoised results, falling back to
     the snapshot's columnar layout only where ambiguity exists.
-    Defaults to on for ``mode="auto"``, opt-in for
-    ``"batched"``/``"sharded"``, and is rejected for ``"per-member"``
-    (that driver's fold does not certify).  Delta maintenance keeps the
+    Off unless requested, and rejected for ``"per-member"`` (that
+    driver's fold does not certify).  Delta maintenance keeps the
     overlay current — see :meth:`apply_delta`.
 
     Since the snapshot refactor this class is a *thin writer* over the
-    RCU tier of :mod:`repro.core.snapshot`: in the row-major modes it
+    RCU tier of :mod:`repro.core.snapshot`: in the batched mode it
     owns the head of an immutable :class:`TableSnapshot` chain,
     :meth:`apply_delta` publishes a child snapshot built in O(delta)
     and swaps the head with a single reference assignment, and
@@ -174,62 +131,54 @@ class MemberLookupTable:
         *,
         track_witnesses: bool = True,
         mode: str = "per-member",
-        max_workers: Optional[int] = None,
-        shards: Optional[int] = None,
-        fastpath: Optional[bool] = None,
+        fastpath: bool = False,
         semantics: Optional[str | Semantics] = None,
     ) -> None:
+        if mode not in BUILD_MODES:
+            raise ValueError(
+                f"unknown build mode {mode!r}; expected one of {BUILD_MODES}"
+            )
         self._graph = hierarchy_of(hierarchy)
         self._ch = compiled_of(hierarchy)
         self._track_witnesses = track_witnesses
-        self._max_workers = max_workers
-        self._shards = shards
         if isinstance(semantics, str) or semantics is None:
             semantics = get_semantics(semantics)
         self.semantics = semantics
-        if fastpath is None:
-            fastpath = mode == "auto"
-        resolved = resolve_build_mode(mode, self._ch, max_workers=max_workers)
-        if semantics.name != DEFAULT_SEMANTICS:
-            if resolved != "batched":
-                raise ValueError(
-                    f"semantics {semantics.name!r} only supports "
-                    f"mode='batched' (resolved mode here: {resolved!r}); "
-                    "the per-member and sharded drivers run the "
-                    "dominance kernel"
-                )
-        if fastpath and resolved == "per-member":
+        if semantics.name != DEFAULT_SEMANTICS and mode != "batched":
+            raise ValueError(
+                f"semantics {semantics.name!r} only supports "
+                f"mode='batched', not {mode!r}; the per-member driver "
+                "runs the dominance kernel"
+            )
+        if fastpath and mode == "per-member":
             raise ValueError(
                 "fastpath=True requires a row-major build mode "
-                "('batched', 'sharded' or 'auto'); the per-member "
-                "driver's fold does not certify ambiguity"
+                "('batched'); the per-member driver's fold does not "
+                "certify ambiguity"
             )
         self.fastpath = fastpath
         self._head: Optional[TableSnapshot] = None
         # Per-member mode fills a column-major interned table
-        # (member id -> {class id -> entry}); the row-major modes keep
-        # their per-class rows in the published snapshot.  Only visible
+        # (member id -> {class id -> entry}); the batched mode keeps
+        # its per-class rows in the published snapshot.  Only visible
         # (class, member) pairs are stored either way, exactly like the
         # paper's sparse table.
         self._columns: dict[int, dict[int, object]] = {}
         self._public: dict[tuple[int, int], TableEntry] = {}
         self.stats = LookupStats()
         self.delta_stats = DeltaStats()
-        self.mode = resolved
+        self.mode = mode
         self._build_full()
 
     def _build_full(self) -> None:
-        """Build the whole table from scratch in the resolved mode."""
+        """Build the whole table from scratch in the table's mode."""
         self._columns = {}
         self._public = {}
         self._head = None
-        if self.mode != "per-member":
+        if self.mode == "batched":
             self._head = TableSnapshot.build(
                 self._ch,
-                mode=self.mode,
                 track_witnesses=self._track_witnesses,
-                max_workers=self._max_workers,
-                shards=self._shards,
                 fastpath=self.fastpath,
                 stats=self.stats,
                 semantics=self.semantics,
@@ -259,8 +208,6 @@ class MemberLookupTable:
         table._graph = graph
         table._ch = snapshot.ch
         table._track_witnesses = snapshot.track_witnesses
-        table._max_workers = snapshot.max_workers
-        table._shards = snapshot.shards
         table.semantics = snapshot.semantics
         table.fastpath = snapshot.flat is not None
         table._head = snapshot
@@ -268,7 +215,7 @@ class MemberLookupTable:
         table._public = {}
         table.stats = LookupStats()
         table.delta_stats = DeltaStats()
-        table.mode = snapshot.mode
+        table.mode = "batched"
         return table
 
     # ------------------------------------------------------------------
@@ -431,7 +378,7 @@ class MemberLookupTable:
         """Bring the table up to date with the source graph's current
         generation — the library's one cone-invalidation path.
 
-        The row-major modes publish the child snapshot
+        The batched mode publishes the child snapshot
         :meth:`TableSnapshot.apply_delta` builds off to the side: it
         re-folds **only** the invalidation cone × affected members of the
         :class:`~repro.hierarchy.compiled.HierarchyDelta` (precomputed
@@ -512,17 +459,14 @@ def build_lookup_table(
     *,
     track_witnesses: bool = True,
     mode: str = "per-member",
-    max_workers: Optional[int] = None,
-    shards: Optional[int] = None,
-    fastpath: Optional[bool] = None,
+    fastpath: bool = False,
     semantics: Optional[str | Semantics] = None,
 ) -> MemberLookupTable:
     """Run the paper's ``doLookup()`` and return the filled table.
 
-    ``mode="auto"`` picks the serial batched sweep or the sharded
-    parallel builder by the ``|M|·|E|`` work estimate; see the module
-    docstring for the full mode list and the ``fastpath`` default.
-    Row-major tables maintain an immutable snapshot chain (lock-free
+    See the module docstring for the two build modes and
+    :class:`MemberLookupTable` for the ``fastpath`` overlay.  Batched
+    tables maintain an immutable snapshot chain (lock-free
     concurrent reads) whose columnar layout answers every ``lookup``
     and ``lookup_many``; the per-member table is maintained in place.
     ``semantics`` selects the dispatch rule (:mod:`repro.core.semantics`;
@@ -533,8 +477,6 @@ def build_lookup_table(
         hierarchy,
         track_witnesses=track_witnesses,
         mode=mode,
-        max_workers=max_workers,
-        shards=shards,
         fastpath=fastpath,
         semantics=semantics,
     )

@@ -123,7 +123,6 @@ class Semantics:
         self,
         ch: CompiledHierarchy,
         *,
-        member_mask: Optional[int] = None,
         stats: Optional[LookupStats] = None,
         track_witnesses: bool = True,
         certificate: Optional[AmbiguityCertificate] = None,
@@ -152,11 +151,10 @@ class CppDominanceSemantics(Semantics):
 
     name = "cpp-dominance"
 
-    def sweep(self, ch, *, member_mask=None, stats=None,
-              track_witnesses=True, certificate=None):
+    def sweep(self, ch, *, stats=None, track_witnesses=True,
+              certificate=None):
         return batched_sweep(
             ch,
-            member_mask=member_mask,
             stats=stats,
             track_witnesses=track_witnesses,
             certificate=certificate,
@@ -208,21 +206,16 @@ class _LocalFoldSemantics(Semantics):
         a kernel entry, or ``None`` to let the declaration seed win."""
         raise NotImplementedError
 
-    def sweep(self, ch, *, member_mask=None, stats=None,
-              track_witnesses=True, certificate=None):
+    def sweep(self, ch, *, stats=None, track_witnesses=True,
+              certificate=None):
         rows: list = [None] * ch.n_classes
         base_pairs = ch.base_pairs
         declared_masks = ch.declared_masks
-        visible_masks = ch.visible_masks
-        full = member_mask is None
         gather_declared = self.gather_declared
         entries = 0
         amb_mask = 0
         blue_cells = 0
         for cid in ch.topo_order:
-            if not full and not (visible_masks[cid] & member_mask):
-                rows[cid] = {}
-                continue
             decl = declared_masks[cid]
             row: dict = {}
             incoming: dict[int, list] = {}
@@ -245,9 +238,9 @@ class _LocalFoldSemantics(Semantics):
                 if type(met) is not tuple:
                     amb_mask |= 1 << mid
                     blue_cells += 1
-            seed = decl if full else decl & member_mask
-            if seed:
+            if decl:
                 cell = self._declare_entry(cid)
+                seed = decl
                 while seed:
                     low = seed & -seed
                     seed ^= low
@@ -534,17 +527,14 @@ class C3Semantics(Semantics):
                 break
         return row
 
-    def sweep(self, ch, *, member_mask=None, stats=None,
-              track_witnesses=True, certificate=None):
+    def sweep(self, ch, *, stats=None, track_witnesses=True,
+              certificate=None):
         rows: list = [None] * ch.n_classes
         visible_masks = ch.visible_masks
-        full = member_mask is None
         memo: dict = {}
         entries = 0
         for cid in ch.topo_order:
             needed = visible_masks[cid]
-            if not full:
-                needed &= member_mask
             if not needed:
                 rows[cid] = {}
                 continue
@@ -751,17 +741,14 @@ class GxxBfsSemantics(Semantics):
             row[mid] = entry
         return row
 
-    def sweep(self, ch, *, member_mask=None, stats=None,
-              track_witnesses=True, certificate=None):
+    def sweep(self, ch, *, stats=None, track_witnesses=True,
+              certificate=None):
         rows: list = [None] * ch.n_classes
         visible_masks = ch.visible_masks
-        full = member_mask is None
         counters = [0, 0]
         entries = 0
         for cid in ch.topo_order:
             needed = visible_masks[cid]
-            if not full:
-                needed &= member_mask
             if not needed:
                 rows[cid] = {}
                 continue

@@ -65,7 +65,7 @@ from repro.core.kernel import (
     to_table_entry,
 )
 from repro.core.results import LookupResult, not_found_result
-from repro.core.semantics import DEFAULT_SEMANTICS, Semantics, get_semantics
+from repro.core.semantics import Semantics, get_semantics
 from repro.errors import UnknownClassError
 from repro.hierarchy.compiled import (
     HierarchyDelta,
@@ -76,14 +76,8 @@ from repro.hierarchy.compiled import (
 
 __all__ = [
     "DeltaStats",
-    "SNAPSHOT_MODES",
     "TableSnapshot",
 ]
-
-#: The build modes a snapshot can be swept in.  The per-member driver's
-#: column-major layout has no row sharing to exploit, so it stays the
-#: writer's in-place reference table.
-SNAPSHOT_MODES = ("batched", "sharded")
 
 
 @dataclass
@@ -149,9 +143,6 @@ class TableSnapshot:
         "certificate",
         "entry_total",
         "track_witnesses",
-        "mode",
-        "max_workers",
-        "shards",
         "delta_stats",
         "parent_generation",
         "semantics",
@@ -168,9 +159,6 @@ class TableSnapshot:
         certificate: Optional[AmbiguityCertificate],
         entry_total: int,
         track_witnesses: bool,
-        mode: str,
-        max_workers: Optional[int],
-        shards: Optional[int],
         delta_stats: Optional[DeltaStats] = None,
         parent_generation: Optional[int] = None,
         semantics: Optional[Semantics] = None,
@@ -181,9 +169,6 @@ class TableSnapshot:
         self.certificate = certificate
         self.entry_total = entry_total
         self.track_witnesses = track_witnesses
-        self.mode = mode
-        self.max_workers = max_workers
-        self.shards = shards
         self._public: dict = {}
         #: The :class:`DeltaStats` of the publish that created this
         #: snapshot (all zeroes for a fresh :meth:`build`); the writer
@@ -208,63 +193,35 @@ class TableSnapshot:
         cls,
         hierarchy: HierarchyLike,
         *,
-        mode: str = "batched",
         track_witnesses: bool = True,
-        max_workers: Optional[int] = None,
-        shards: Optional[int] = None,
         fastpath: bool = True,
         stats: Optional[LookupStats] = None,
         semantics: Optional[str | Semantics] = None,
     ) -> "TableSnapshot":
         """Sweep a hierarchy from scratch into a root snapshot.
 
-        ``mode`` is ``"batched"`` (serial row-major sweep) or
-        ``"sharded"`` (member-sharded process pool); both certify
-        ambiguity per column, so ``fastpath=True`` (the default) also
-        builds the flat overlay.  The columnar serving layout is laid
-        out lazily on the first read.  ``stats`` receives the sweep's
+        The row-major sweep certifies ambiguity per column, so
+        ``fastpath=True`` (the default) also builds the flat overlay.
+        The columnar serving layout is laid out lazily on the first
+        read.  ``stats`` receives the sweep's
         :class:`~repro.core.kernel.LookupStats` counters.
 
         ``semantics`` selects the dispatch rule the rows are swept
         under (:mod:`repro.core.semantics`; name or instance, default
-        the paper's ``"cpp-dominance"``).  Non-default semantics are
-        batched-only (the sharded worker pool drives the dominance
-        kernel) and may raise
+        the paper's ``"cpp-dominance"``).  Checked rules may raise
         :class:`~repro.core.semantics.SemanticsRejection` for
         hierarchies the rule statically rejects.
         """
-        if mode not in SNAPSHOT_MODES:
-            raise ValueError(
-                f"unknown snapshot mode {mode!r}; "
-                f"expected one of {SNAPSHOT_MODES}"
-            )
         if isinstance(semantics, str) or semantics is None:
             semantics = get_semantics(semantics)
-        if semantics.name != DEFAULT_SEMANTICS and mode != "batched":
-            raise ValueError(
-                f"semantics {semantics.name!r} only supports the "
-                f"'batched' snapshot mode, not {mode!r}"
-            )
         ch = compiled_of(hierarchy)
         certificate = AmbiguityCertificate() if fastpath else None
-        if mode == "sharded":
-            from repro.core.parallel import build_sharded_rows
-
-            rows = build_sharded_rows(
-                ch,
-                stats=stats,
-                track_witnesses=track_witnesses,
-                max_workers=max_workers,
-                shards=shards,
-                certificate=certificate,
-            )
-        else:
-            rows = semantics.sweep(
-                ch,
-                stats=stats,
-                track_witnesses=track_witnesses,
-                certificate=certificate,
-            )
+        rows = semantics.sweep(
+            ch,
+            stats=stats,
+            track_witnesses=track_witnesses,
+            certificate=certificate,
+        )
         flat = (
             build_flat_table(ch, certificate, _entry_reader(rows))
             if certificate is not None
@@ -277,9 +234,6 @@ class TableSnapshot:
             certificate=certificate,
             entry_total=sum(len(row) for row in rows if row),
             track_witnesses=track_witnesses,
-            mode=mode,
-            max_workers=max_workers,
-            shards=shards,
             semantics=semantics,
         )
 
@@ -318,10 +272,7 @@ class TableSnapshot:
         if delta is None:
             child = TableSnapshot.build(
                 new,
-                mode=self.mode,
                 track_witnesses=self.track_witnesses,
-                max_workers=self.max_workers,
-                shards=self.shards,
                 fastpath=self.flat is not None,
                 stats=stats,
                 semantics=self.semantics,
@@ -335,8 +286,6 @@ class TableSnapshot:
         result.deltas_applied = 1
         result.cone_classes = delta.cone_size
         result.affected_members = delta.member_count
-        cone = delta.cone_mask
-        mmask = delta.member_mask
 
         rows = list(self.rows)
         first_new = len(rows)
@@ -350,30 +299,15 @@ class TableSnapshot:
             AmbiguityCertificate() if self.flat is not None else None
         )
         if not delta.is_empty:
-            if self.mode == "sharded":
-                from repro.core.parallel import apply_sharded_delta
-
-                sweep = apply_sharded_delta(
-                    new,
-                    rows,
-                    cone_mask=cone,
-                    member_mask=mmask,
-                    stats=stats,
-                    track_witnesses=self.track_witnesses,
-                    max_workers=self.max_workers,
-                    shards=self.shards,
-                    certificate=certificate,
-                )
-            else:
-                sweep = self.semantics.cone_sweep(
-                    new,
-                    rows,
-                    cone_mask=cone,
-                    member_mask=mmask,
-                    stats=stats,
-                    track_witnesses=self.track_witnesses,
-                    certificate=certificate,
-                )
+            sweep = self.semantics.cone_sweep(
+                new,
+                rows,
+                cone_mask=delta.cone_mask,
+                member_mask=delta.member_mask,
+                stats=stats,
+                track_witnesses=self.track_witnesses,
+                certificate=certificate,
+            )
             result.entries_recomputed = sweep.entries_recomputed
             result.boundary_rows = sweep.boundary_rows
         for cid in range(first_new, new.n_classes):
@@ -413,9 +347,6 @@ class TableSnapshot:
             certificate=cert,
             entry_total=entry_total,
             track_witnesses=self.track_witnesses,
-            mode=self.mode,
-            max_workers=self.max_workers,
-            shards=self.shards,
             delta_stats=result,
             parent_generation=old.generation,
             semantics=self.semantics,

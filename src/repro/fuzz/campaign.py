@@ -63,6 +63,7 @@ from repro.core.lookup import build_lookup_table, lookup
 from repro.core.snapshot import TableSnapshot
 from repro.core.results import describe_disagreement
 from repro.core.semantics import SEMANTICS_NAMES
+from repro.fuzz import ENGINES
 from repro.fuzz.corpus import CorpusEntry, replay_corpus, save_entry
 from repro.fuzz.cross_semantics import cross_semantics_check
 from repro.fuzz.mutators import AppliedMutation, copy_hierarchy, mutate
@@ -85,31 +86,11 @@ from repro.workloads import (
 from repro.workloads.paper_figures import ALL_FIGURES
 
 __all__ = [
-    "ENGINES",
     "Divergence",
     "build_engine",
     "differential_check",
     "run_campaign",
 ]
-
-#: The full engine matrix a campaign compares by default: the eager
-#: table in its three explicit build modes, the batched table with the
-#: certified-unambiguous flat serving overlay (``fastpath``), the lazy
-#: engine replaying the hierarchy with queries interleaved between
-#: declarations, plus a bare published
-#: :class:`~repro.core.snapshot.TableSnapshot` (``snapshot``) and the
-#: same snapshot answering every query through the columnar batch
-#: gather (``columnar`` — each oracle probe goes through
-#: ``lookup_many`` so the dense-array path is differentially tested).
-ENGINES: tuple[str, ...] = (
-    "per-member",
-    "batched",
-    "sharded",
-    "fastpath",
-    "lazy",
-    "snapshot",
-    "columnar",
-)
 
 #: A member name no generator family ever declares — every iteration
 #: also queries it everywhere, pinning the NOT_FOUND row of each engine.
@@ -154,17 +135,14 @@ def _lazy_replay(graph: ClassHierarchyGraph) -> LazyMemberLookup:
 def build_engine(name: str, graph: ClassHierarchyGraph):
     """Construct the named lookup engine over ``graph``.
 
-    The eager modes build the whole table up front (``sharded`` with two
-    worker processes over two shards, so the parallel merge path really
-    runs); ``lazy`` replays the hierarchy declaration-by-declaration
-    into a fresh graph under a :class:`~repro.core.lazy.LazyMemberLookup`
-    with queries interleaved between mutations, so the engine's
-    recompile-on-generation-bump is exercised, not just the final state.
+    The eager modes build the whole table up front; ``lazy`` replays
+    the hierarchy declaration-by-declaration into a fresh graph under a
+    :class:`~repro.core.lazy.LazyMemberLookup` with queries interleaved
+    between mutations, so the engine's recompile-on-generation-bump is
+    exercised, not just the final state.
     """
     if name in ("per-member", "batched"):
         return build_lookup_table(graph, mode=name)
-    if name == "sharded":
-        return build_lookup_table(graph, mode="sharded", max_workers=2, shards=2)
     if name == "fastpath":
         # The batched table serving certified-unambiguous columns from
         # flat arrays (repro.core.fastpath), red/blue rows elsewhere.
@@ -174,13 +152,13 @@ def build_engine(name: str, graph: ClassHierarchyGraph):
     if name == "snapshot":
         # The serving tier's unit: an immutable generation-stamped
         # published table, queried directly (no writer façade).
-        return TableSnapshot.build(graph, mode="batched", fastpath=True)
+        return TableSnapshot.build(graph, fastpath=True)
     if name == "columnar":
         # The same published snapshot, but every query is answered by
         # the columnar batch kernel: lookup() routes through a
         # one-element lookup_many(), so the dense-array gather path is
         # differentially checked against the oracle like any engine.
-        return _ColumnarProbe(TableSnapshot.build(graph, mode="batched"))
+        return _ColumnarProbe(TableSnapshot.build(graph))
     raise ValueError(f"unknown engine {name!r} (choose from {ENGINES})")
 
 
@@ -394,23 +372,18 @@ def _delta_storm_check(
     plus the subobject-poset oracle.
 
     The build mode is drawn per check (restricted to the campaign's
-    engine matrix so e.g. the broken-engine tests keep ``sharded``'s
-    worker processes out of play), so the cone sweep, the per-member
-    full rebuild and the member-sharded delta path all get storm
-    coverage.  Returns ``(mutation names, divergences, queries)``.
+    engine matrix), so the cone sweep, the flat overlay's upkeep and
+    the per-member full rebuild all get storm coverage.  Returns
+    ``(mutation names, divergences, queries)``.
     """
     storm = copy_hierarchy(graph)
     modes = [
         name
-        for name in ("batched", "per-member", "sharded", "fastpath")
+        for name in ("batched", "per-member", "fastpath")
         if name in engines
     ] or ["batched"]
     mode = rng.choice(modes)
-    if mode == "sharded":
-        table = build_lookup_table(
-            storm, mode="sharded", max_workers=2, shards=2
-        )
-    elif mode == "fastpath":
+    if mode == "fastpath":
         # Storms against the flat overlay: mutations that ambiguate a
         # certified column must demote it (and only it) mid-storm.
         table = build_lookup_table(storm, mode="batched", fastpath=True)
@@ -649,11 +622,11 @@ def run_campaign(
     cuts the run short.  ``corpus_dir`` names the regression corpus: its
     entries are replayed through the engine matrix *before* fuzzing
     starts, and new shrunk finds are persisted into it.  ``engines``
-    restricts the matrix (the broken-engine tests exclude ``sharded``,
-    whose worker processes would not see a monkeypatched kernel).
-    ``semantics`` restricts the cross-semantics pairwise leg (default:
-    every registered semantics).  Deterministic in ``seed`` for a
-    fixed iteration budget.  An empty ``engines`` raises ``ValueError``.
+    restricts the matrix.  ``semantics`` restricts the cross-semantics
+    pairwise leg (default: every registered semantics).  Deterministic
+    in ``seed`` for a fixed iteration budget.  An empty ``engines`` or
+    a ``max_classes`` below 3 (the smallest random family) raises
+    ``ValueError``.
     """
     engines = tuple(engines)
     if not engines:
@@ -661,6 +634,8 @@ def run_campaign(
             f"run_campaign needs at least one engine (choose from "
             f"{', '.join(ENGINES)})"
         )
+    if max_classes < 3:
+        raise ValueError("max_classes must be >= 3")
     semantics = (
         tuple(semantics) if semantics is not None else SEMANTICS_NAMES
     )

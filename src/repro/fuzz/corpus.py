@@ -154,7 +154,8 @@ def replay_corpus(
     """Replay every corpus entry through the engine matrix against the
     oracle; returns ``(entries_replayed, findings)`` where each finding
     is a :class:`~repro.fuzz.report.Finding` of kind ``"replay"``."""
-    from repro.fuzz.campaign import ENGINES, differential_check
+    from repro.fuzz import ENGINES
+    from repro.fuzz.campaign import differential_check
     from repro.fuzz.report import Finding
 
     engines = engines if engines is not None else ENGINES

@@ -234,15 +234,15 @@ class CompiledHierarchy:
         return cache[cid]
 
     # ------------------------------------------------------------------
-    # Pickling (the sharded parallel builder ships snapshots to workers)
+    # Pickling (the frozen arrays only; the source graph stays behind)
     # ------------------------------------------------------------------
 
     def __getstate__(self):
         """Everything but the mutable ``source`` graph and the lazily
-        built ordered-visible memo.  Dropping ``source`` is what makes
-        the snapshot picklable at all (the graph is an open-ended object
-        web) and is semantically right for workers: they must only ever
-        see the frozen arrays, never a mutating graph."""
+        built memos.  Dropping ``source`` is what makes the snapshot
+        picklable at all (the graph is an open-ended object web), and a
+        copy must only ever see the frozen arrays, never a graph that
+        keeps mutating after the copy was taken."""
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__

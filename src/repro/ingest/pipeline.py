@@ -110,7 +110,6 @@ class StreamingIngest:
         *,
         table: Optional[MemberLookupTable] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        mode: str = "batched",
         semantics=None,
         keep_going: bool = False,
         on_batch: Optional[Callable[[BatchRecord], None]] = None,
@@ -120,7 +119,7 @@ class StreamingIngest:
         if table is None:
             table = MemberLookupTable(
                 ClassHierarchyGraph(),
-                mode=mode,
+                mode="batched",
                 fastpath=True,
                 semantics=semantics,
             )
@@ -233,7 +232,6 @@ def ingest_paths(
     paths: Iterable[Union[str, Path]],
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    mode: str = "batched",
     semantics=None,
     keep_going: bool = False,
 ) -> tuple[MemberLookupTable, IngestReport]:
@@ -241,7 +239,6 @@ def ingest_paths(
     table.  Returns ``(table, report)``."""
     pipeline = StreamingIngest(
         batch_size=batch_size,
-        mode=mode,
         semantics=semantics,
         keep_going=keep_going,
     )
@@ -252,7 +249,6 @@ def ingest_paths(
 def rebuild_baseline(
     paths: Iterable[Union[str, Path]],
     *,
-    mode: str = "batched",
     semantics=None,
 ) -> tuple[MemberLookupTable, int]:
     """The pre-delta shape of ingestion, kept as the benchmark
@@ -273,10 +269,10 @@ def rebuild_baseline(
             sema.declare(decl)
         table = MemberLookupTable(
             graph.compile(),
-            mode=mode,
+            mode="batched",
             fastpath=True,
             semantics=semantics,
         )
     if table is None:
-        table = MemberLookupTable(graph, mode=mode, semantics=semantics)
+        table = MemberLookupTable(graph, mode="batched", semantics=semantics)
     return table, sema.classes_declared

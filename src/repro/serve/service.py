@@ -102,16 +102,10 @@ class LookupService:
     def __init__(
         self,
         *,
-        mode: str = "batched",
-        max_workers: Optional[int] = None,
-        shards: Optional[int] = None,
         semantics: Optional[str] = None,
         preload: Optional[dict] = None,
     ) -> None:
         self._tenants: dict[str, Tenant] = {}
-        self._mode = mode
-        self._max_workers = max_workers
-        self._shards = shards
         self._semantics = get_semantics(semantics)
         # ``preload`` maps tenant name -> flatpack path: each tenant
         # boots straight off the mmapped file (O(mmap) cold start, no
@@ -155,8 +149,7 @@ class LookupService:
         must be omitted or agree).  ``semantics`` overrides the
         service-wide dispatch rule for this tenant
         (:mod:`repro.core.semantics`) — tenants under different
-        semantics share the service.  Non-default semantics need the ``"batched"``
-        table mode (the service default); the rule may also reject the
+        semantics share the service.  The rule may reject the
         hierarchy outright with
         :class:`~repro.core.semantics.SemanticsRejection`, in which
         case the tenant is not added.  Raises
@@ -191,9 +184,7 @@ class LookupService:
             graph = hierarchy
         table = MemberLookupTable(
             graph,
-            mode=self._mode,
-            max_workers=self._max_workers,
-            shards=self._shards,
+            mode="batched",
             fastpath=True,
             semantics=(
                 self._semantics if semantics is None else semantics

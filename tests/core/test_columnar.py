@@ -329,7 +329,7 @@ def test_apply_delta_without_members_shares_pool(use_numpy):
 
 
 def test_snapshot_lazy_columnar_is_memoised(use_numpy):
-    snapshot = TableSnapshot.build(binary_tree(4), mode="batched")
+    snapshot = TableSnapshot.build(binary_tree(4))
     table = snapshot.columnar_table()
     assert table is not None
     assert snapshot.columnar_table() is table
@@ -341,7 +341,7 @@ def test_point_reads_return_the_memoised_cell(tmp_path):
     time, on a built snapshot and on a tenant booted from a pack."""
     graph = ambiguous_fan(5)
     expected = build_lookup_table(graph)
-    snapshot = TableSnapshot.build(graph, mode="batched")
+    snapshot = TableSnapshot.build(graph)
     class_name, member = snapshot.ambiguous_queries()[0]
     first = snapshot.lookup(class_name, member)
     assert first.is_ambiguous

@@ -1,7 +1,7 @@
 """Differential testing of every engine over one shared kernel.
 
-Eager (:class:`MemberLookupTable` — in all three build modes:
-per-member, batched single-sweep, sharded-parallel) and lazy
+Eager (:class:`MemberLookupTable` — in both build modes: per-member
+and batched single-sweep) and lazy
 (:class:`LazyMemberLookup`, also over a graph grown in place) are all
 thin drivers over :func:`repro.core.kernel.fold_entry` /
 :func:`repro.core.kernel.batched_sweep`, so they must return *identical*
@@ -12,14 +12,14 @@ the generator families and on seeded random DAGs, including queries for
 member names no class declares, with one lazy engine built by
 replaying the hierarchy one declaration at a time with queries
 interleaved mid-growth (so its memo is dropped on every generation
-bump), and across post-mutation generations (so the batched/sharded
-rebuilds and delta maintenance are exercised too).
+bump), and across post-mutation generations (so the batched rebuilds
+and delta maintenance are exercised too).
 """
 
 import pytest
 
 from repro.core.lazy import LazyMemberLookup
-from repro.core.lookup import build_lookup_table, lookup
+from repro.core.lookup import MemberLookupTable, build_lookup_table, lookup
 from repro.hierarchy.graph import ClassHierarchyGraph
 from repro.workloads.generators import (
     ambiguous_fan,
@@ -55,7 +55,7 @@ def replay_into_lazy(graph) -> LazyMemberLookup:
     return engine
 
 
-def assert_engines_identical(graph, *, sharded: bool = True) -> None:
+def assert_engines_identical(graph) -> None:
     table = build_lookup_table(graph)
     rivals = {
         "batched": build_lookup_table(graph, mode="batched"),
@@ -63,10 +63,6 @@ def assert_engines_identical(graph, *, sharded: bool = True) -> None:
         "lazy": LazyMemberLookup(graph),
         "lazy-replay": replay_into_lazy(graph),
     }
-    if sharded:
-        rivals["sharded"] = build_lookup_table(
-            graph, mode="sharded", max_workers=2, shards=2
-        )
     members = set(QUERY_MEMBERS)
     for name in graph.classes:
         members.update(graph.declared_members(name))
@@ -115,17 +111,26 @@ def test_engines_identical_all_virtual(seed):
     assert_engines_identical(graph)
 
 
-@pytest.mark.parametrize("mode", ["batched", "sharded"])
+@pytest.mark.parametrize("mode", ["batched"])
 def test_full_table_surfaces_match(mode):
     """Not just point queries: the whole-table surfaces (all_entries,
     ambiguous_queries, visible_members) must be identical across build
     modes, witnesses included."""
     graph = blue_heavy_hierarchy(4, 3)
     base = build_lookup_table(graph)
-    other = build_lookup_table(graph, mode=mode, max_workers=2, shards=2)
+    other = build_lookup_table(graph, mode=mode)
     assert other.all_entries() == base.all_entries()
     assert other.ambiguous_queries() == base.ambiguous_queries()
     assert other.visible_members("Join") == base.visible_members("Join")
+
+
+@pytest.mark.parametrize("mode", ["sharded", "auto", "warp-speed"])
+def test_unknown_build_mode_is_rejected(mode):
+    """Two build modes, and the error names both."""
+    with pytest.raises(ValueError) as excinfo:
+        MemberLookupTable(chain(4), mode=mode)
+    assert "'per-member'" in str(excinfo.value)
+    assert "'batched'" in str(excinfo.value)
 
 
 def test_engines_identical_after_mutation():
@@ -147,25 +152,23 @@ def test_engines_identical_after_mutation():
 
     table = build_lookup_table(graph)
     batched = build_lookup_table(graph, mode="batched")
-    sharded = build_lookup_table(graph, mode="sharded", max_workers=2, shards=2)
     flat = build_lookup_table(graph, mode="batched", fastpath=True)
     members = set(QUERY_MEMBERS) | {"fresh"}
     for class_name in graph.classes:
         for member in sorted(members):
             expected = table.lookup(class_name, member)
             assert batched.lookup(class_name, member) == expected
-            assert sharded.lookup(class_name, member) == expected
             assert flat.lookup(class_name, member) == expected
             assert lazy.lookup(class_name, member) == expected
 
 
 @pytest.mark.parametrize(
-    "mode", ["per-member", "batched", "sharded", "fastpath"]
+    "mode", ["per-member", "batched", "fastpath"]
 )
 def test_apply_delta_matches_fresh_build_in_every_mode(mode):
     """Tables maintained through apply_delta across a burst of
     mutations must answer exactly like tables built from scratch after
-    them — in all three build modes plus the flat-serving overlay,
+    them — in both build modes plus the flat-serving overlay,
     including on the classes whose rows the cone re-sweep recomputed,
     the ones it reused, and the flat columns the delta demoted or
     cone-updated."""
@@ -175,10 +178,7 @@ def test_apply_delta_matches_fresh_build_in_every_mode(mode):
     if mode == "fastpath":
         table = build_lookup_table(graph, mode="batched", fastpath=True)
     else:
-        kwargs = (
-            {"max_workers": 2, "shards": 2} if mode == "sharded" else {}
-        )
-        table = build_lookup_table(graph, mode=mode, **kwargs)
+        table = build_lookup_table(graph, mode=mode)
 
     anchors = list(graph.classes)
     graph.add_member(anchors[3], "fresh")

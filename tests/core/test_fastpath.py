@@ -93,9 +93,8 @@ def test_serving_splits_flat_and_fallback_hits():
     assert stats.fallback_hits == 2
 
 
-def test_fastpath_defaults_on_for_auto_mode_only():
+def test_fastpath_off_unless_requested():
     graph = chain(4)
-    assert build_lookup_table(graph, mode="auto").flat_table is not None
     assert build_lookup_table(graph).flat_table is None  # per-member
     assert build_lookup_table(graph, mode="batched").flat_table is None
     assert (
@@ -107,24 +106,6 @@ def test_fastpath_defaults_on_for_auto_mode_only():
 def test_per_member_mode_rejects_fastpath():
     with pytest.raises(ValueError):
         build_lookup_table(chain(4), mode="per-member", fastpath=True)
-
-
-def test_sharded_certification_matches_batched():
-    graph = random_hierarchy(
-        16, seed=23, virtual_probability=0.4, member_probability=0.5
-    )
-    batched = build_lookup_table(graph, mode="batched", fastpath=True)
-    sharded = build_lookup_table(
-        graph, mode="sharded", fastpath=True, max_workers=2, shards=3
-    )
-    assert (
-        sharded.flat_table.ambiguous_columns
-        == batched.flat_table.ambiguous_columns
-    )
-    for class_name, member in all_queries(graph):
-        assert sharded.lookup(class_name, member) == batched.lookup(
-            class_name, member
-        )
 
 
 @pytest.mark.parametrize(

@@ -325,19 +325,3 @@ def test_add_tenant_rejects_mismatched_semantics(tmp_path):
         service.add_tenant(
             "t", pack=str(tmp_path / "table.pack"), semantics="c3"
         )
-
-
-def test_sharded_build_from_pack_path(tmp_path):
-    from repro.core.kernel import batched_sweep
-    from repro.core.parallel import build_sharded_rows
-
-    graph = grid(5, 5)
-    table = build_lookup_table(graph, mode="batched", fastpath=True)
-    path = tmp_path / "table.pack"
-    pack(table, path)
-    ch = table.compiled
-    rows = build_sharded_rows(
-        ch, track_witnesses=True, max_workers=2, shards=2,
-        pack_path=str(path),
-    )
-    assert rows == batched_sweep(ch, track_witnesses=True)

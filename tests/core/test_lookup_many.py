@@ -51,7 +51,6 @@ def graphs():
 TABLE_KINDS = (
     "batched",
     "batched-fastpath",
-    "sharded",
     "per-member",
     "packed",
 )
@@ -62,8 +61,6 @@ def build_table(kind, graph):
         return build_lookup_table(graph, mode="batched")
     if kind == "batched-fastpath":
         return build_lookup_table(graph, mode="batched", fastpath=True)
-    if kind == "sharded":
-        return build_lookup_table(graph, mode="sharded", shards=2)
     if kind == "per-member":
         # The in-place table: lookup_many loops per query (no columnar).
         return build_lookup_table(graph, mode="per-member")
@@ -98,7 +95,7 @@ def test_snapshot_batch_equals_one_shot(fastpath):
     """Point reads (flat overlay first when on) and batch gathers both
     match the reference, with and without the flat overlay."""
     graph = random_hierarchy(12, seed=9, member_probability=0.6)
-    snapshot = TableSnapshot.build(graph, mode="batched", fastpath=fastpath)
+    snapshot = TableSnapshot.build(graph, fastpath=fastpath)
     reference = build_lookup_table(graph)
     queries = all_queries(graph)
     expected = [reference.lookup(c, m) for c, m in queries]

@@ -1,110 +1,23 @@
-"""The sharded parallel builder (:mod:`repro.core.parallel`) and the
-snapshot picklability it depends on.
+"""Snapshot picklability: a pickled :class:`CompiledHierarchy` drops its
+``source`` graph and still sweeps to the same rows.
 
-Result equality against the other engines lives in
-``test_engine_equivalence.py``; here we pin the mechanics: member-space
-partitioning, snapshot pickling (the ``source`` graph must be dropped),
-the serial fallbacks, stats merging, and the ``mode="auto"`` heuristic.
+The process-sharded builder this file once covered is deleted; only the
+pickling contract it relied on remains, and it is pinned here.
 """
 
 import pickle
 
-import pytest
-
-from repro.core.kernel import LookupStats, batched_sweep
-from repro.core.lookup import (
-    AUTO_SHARD_THRESHOLD,
-    build_lookup_table,
-    resolve_build_mode,
-)
-from repro.core.parallel import build_sharded_rows, shard_member_masks
-from repro.hierarchy.compiled import OMEGA_ID
-from repro.workloads.generators import chain, random_hierarchy
-
-
-def test_shard_masks_partition_the_member_space():
-    masks = shard_member_masks(10, 3)
-    assert len(masks) == 3
-    combined = 0
-    for mask in masks:
-        assert mask, "no empty shard"
-        assert combined & mask == 0, "shards must be disjoint"
-        combined |= mask
-    assert combined == (1 << 10) - 1, "shards must cover every member id"
-
-
-def test_shard_masks_degenerate_inputs():
-    assert shard_member_masks(0, 4) == []
-    assert shard_member_masks(3, 8) == [0b001, 0b010, 0b100]
-    assert shard_member_masks(5, 1) == [0b11111]
+from repro.core.kernel import batched_sweep
+from repro.workloads.generators import random_hierarchy
 
 
 def test_compiled_hierarchy_pickles_without_source():
     graph = random_hierarchy(12, seed=9, member_probability=0.6)
     ch = graph.compile()
     clone = pickle.loads(pickle.dumps(ch))
-    assert clone.source is None, "workers must never see the mutable graph"
+    assert clone.source is None, "a copy must never see the mutable graph"
     assert clone.generation == ch.generation
     assert clone.class_names == ch.class_names
     assert clone.topo_order == ch.topo_order
     # The clone is fully sweepable — same rows as the original.
     assert batched_sweep(clone) == batched_sweep(ch)
-
-
-def test_masked_sweep_skips_invisible_classes():
-    """The sparse fast path: a shard whose members are invisible in a
-    class never materialises entries there."""
-    graph = chain(8, member_every=1, member="m")
-    graph.add_class("Lonely", members=["z"])
-    ch = graph.compile()
-    zid = ch.member_id("z")
-    rows = batched_sweep(ch, member_mask=1 << zid)
-    lonely = ch.class_id("Lonely")
-    assert rows[lonely] == {zid: (lonely, OMEGA_ID, (lonely, False, None))}
-    for cid in range(ch.n_classes):
-        if cid != lonely:
-            assert rows[cid] == {}
-
-
-def test_sharded_rows_match_serial_and_merge_stats():
-    graph = random_hierarchy(
-        16, seed=21, virtual_probability=0.3, member_probability=0.7
-    )
-    ch = graph.compile()
-    serial = batched_sweep(ch)
-    stats = LookupStats()
-    sharded = build_sharded_rows(ch, stats=stats, max_workers=2, shards=3)
-    assert sharded == serial
-    # One full sweep per shard is the honest cost model.
-    assert stats.classes_visited == 3 * len(ch.topo_order)
-    assert stats.entries_computed == sum(len(row) for row in serial)
-
-
-def test_sharded_falls_back_to_serial_when_pointless():
-    graph = chain(6, member_every=2)
-    ch = graph.compile()
-    # One worker / one shard: no pool is spun up, same rows come back.
-    assert build_sharded_rows(ch, max_workers=1) == batched_sweep(ch)
-    assert build_sharded_rows(ch, shards=1, max_workers=4) == batched_sweep(ch)
-
-
-def test_auto_mode_heuristic():
-    small = chain(8, member_every=2)
-    assert resolve_build_mode("auto", small.compile(), max_workers=4) == "batched"
-    assert resolve_build_mode("auto", small.compile(), max_workers=1) == "batched"
-    assert resolve_build_mode("per-member", small.compile()) == "per-member"
-    with pytest.raises(ValueError):
-        resolve_build_mode("warp-speed", small.compile())
-
-    class FakeCh:
-        n_members = AUTO_SHARD_THRESHOLD
-        base_targets = [0]
-
-    assert resolve_build_mode("auto", FakeCh(), max_workers=4) == "sharded"
-
-
-def test_build_lookup_table_auto_resolves():
-    graph = chain(12, member_every=3)
-    table = build_lookup_table(graph, mode="auto")
-    assert table.mode in ("batched", "sharded")
-    assert table.lookup("C11", "m").declaring_class == "C9"

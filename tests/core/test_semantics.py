@@ -384,30 +384,19 @@ def test_mid_delta_rejection_preserves_parent_snapshot():
         assert table.lookup(c, m).status.name == status
 
 
-#: Every rule (the virtual diamond ladder and its growth delta are
-#: accepted by all of them), plus the dominance kernel's sharded pool.
-COW_CASES = [(name, "batched", {}) for name in SEMANTICS_NAMES] + [
-    (DEFAULT_SEMANTICS, "sharded", {"max_workers": 2, "shards": 2})
-]
-
-
 @pytest.mark.parametrize(
-    "semantics, mode, sharding",
-    COW_CASES,
-    ids=[f"{name}-{mode}" for name, mode, _ in COW_CASES],
+    "semantics",
+    SEMANTICS_NAMES,
+    ids=[f"{name}-batched" for name in SEMANTICS_NAMES],
 )
-def test_delta_never_writes_a_parent_row(semantics, mode, sharding):
+def test_delta_never_writes_a_parent_row(semantics):
     """Publishing a child snapshot is copy-on-write under every rule:
     the parent's row dicts stay the same objects with the same
     content, its answers do not move, and the child's cone rows are
     fresh dicts while every out-of-cone row is shared."""
     graph = virtual_diamond_ladder(2)
     parent = TableSnapshot.build(
-        graph.compile(),
-        mode=mode,
-        fastpath=True,
-        semantics=semantics,
-        **sharding,
+        graph.compile(), fastpath=True, semantics=semantics
     )
     parent_rows = list(parent.rows)
     row_copies = [dict(row) for row in parent_rows]
@@ -444,9 +433,5 @@ def test_non_default_semantics_require_batched_mode():
     graph = chain(3)
     with pytest.raises(ValueError, match="batched"):
         MemberLookupTable(graph, mode="per-member", semantics="self")
-    with pytest.raises(ValueError, match="batched"):
-        TableSnapshot.build(
-            graph.compile(), mode="per-member", semantics="self"
-        )
     # The default semantics keeps every mode.
     MemberLookupTable(graph, mode="per-member", semantics="cpp-dominance")

@@ -11,11 +11,6 @@ from repro.fuzz import ENGINES, build_engine, differential_check, run_campaign
 from repro.hierarchy.serialize import hierarchy_from_dict
 from repro.workloads import figure1, figure9
 
-#: The matrix minus ``sharded``: its worker processes re-import the real
-#: kernel, so a monkeypatched dominance rule would not reach them.
-PATCHABLE_ENGINES = tuple(e for e in ENGINES if e != "sharded")
-
-
 def test_engine_matrix_builds_and_agrees():
     for figure in (figure1(), figure9()):
         for engine_name in ENGINES:
@@ -66,7 +61,7 @@ def test_broken_dominance_is_caught_shrunk_and_persisted(
     )
     corpus = tmp_path / "corpus"
     report = run_campaign(
-        seed=0, budget=12, engines=PATCHABLE_ENGINES, corpus_dir=corpus
+        seed=0, budget=12, engines=ENGINES, corpus_dir=corpus
     )
     assert report.exit_code != 0
     mismatches = [f for f in report.findings if f.kind == "mismatch"]
@@ -96,7 +91,7 @@ def test_broken_dominance_reaches_the_cli(monkeypatch, tmp_path, capsys):
             "--budget",
             "6",
             "--engines",
-            ",".join(PATCHABLE_ENGINES),
+            ",".join(ENGINES),
             "--no-shrink",
         ]
     )
@@ -133,11 +128,13 @@ def test_cli_rejects_unknown_engine(capsys):
     assert "unknown engine" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("engines", [",", " , ,", "cached", "incremental"])
+@pytest.mark.parametrize(
+    "engines", [",", " , ,", "cached", "incremental", "sharded"]
+)
 def test_cli_rejects_empty_and_removed_engine_lists(capsys, engines):
     """An engine list that parses to nothing used to crash the campaign
-    with ZeroDivisionError; the removed cached-LRU and incremental
-    engines are unknown names now."""
+    with ZeroDivisionError; the removed cached-LRU, incremental and
+    sharded engines are unknown names now."""
     code = main(["fuzz", "--seed", "0", "--budget", "1", "--engines", engines])
     assert code == 2
     assert "choose from" in capsys.readouterr().err
@@ -146,6 +143,22 @@ def test_cli_rejects_empty_and_removed_engine_lists(capsys, engines):
 def test_run_campaign_rejects_empty_engine_list():
     with pytest.raises(ValueError, match="at least one engine"):
         run_campaign(seed=0, budget=1, engines=())
+
+
+@pytest.mark.parametrize("max_classes", [2, 0, -1])
+def test_cli_rejects_too_small_max_classes(capsys, max_classes):
+    """Below the smallest random family the draw used to leak
+    ``empty range for randrange()``; it is a plain usage error now."""
+    code = main(
+        ["fuzz", "--seed", "0", "--budget", "1",
+         "--max-classes", str(max_classes)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "max_classes must be >= 3" in err
+    assert "randrange" not in err
+    with pytest.raises(ValueError, match="max_classes must be >= 3"):
+        run_campaign(seed=0, budget=1, max_classes=max_classes)
 
 
 def test_time_budget_cuts_campaign_short():

@@ -96,13 +96,11 @@ class TestTable:
         assert "cone:" in out
         assert "answers against LazyMemberLookup" in out
 
-    @pytest.mark.parametrize("mode", ["batched", "sharded"])
+    @pytest.mark.parametrize("mode", ["batched"])
     def test_delta_stats_in_other_build_modes(
         self, fig3_json, capsys, mode
     ):
         args = ["table", fig3_json, "--delta-stats", "--mode", mode]
-        if mode == "sharded":
-            args += ["--max-workers", "2", "--shards", "2"]
         assert main(args) == 0
         assert "delta stats:" in capsys.readouterr().out
 
@@ -122,18 +120,35 @@ class TestTable:
         assert main(args) == 2
         assert "row-major build mode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra", [["--mode", "auto"], ["--max-workers", "2"]]
+    )
+    def test_removed_build_options_are_usage_errors(
+        self, fig3_json, capsys, extra
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table", fig3_json, *extra])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+
 
 class TestBuild:
     def test_build_defaults_report_fastpath(self, fig3_json, capsys):
         assert main(["build", fig3_json]) == 0
         out = capsys.readouterr().out
-        assert "requested mode: auto" in out
+        assert "mode: batched" in out
         assert "[fastpath]" in out
         assert "flat_hits=" in out
 
     def test_build_no_fastpath_opt_out(self, fig3_json, capsys):
         assert main(["build", fig3_json, "--no-fastpath"]) == 0
         assert "[fastpath]" not in capsys.readouterr().out
+
+    def test_build_per_member_leaves_fastpath_off(self, fig3_json, capsys):
+        assert main(["build", fig3_json, "--mode", "per-member"]) == 0
+        out = capsys.readouterr().out
+        assert "mode: per-member" in out
+        assert "[fastpath]" not in out
 
     def test_build_delta_stats_report_fastpath_maintenance(
         self, fig3_json, capsys
