@@ -9,6 +9,12 @@ generation advanced (and that the new member resolves), and shuts the
 front down cleanly.  Exit code 0 means the serving tier actually
 serves, not just imports.
 
+The lookups go over a raw socket, pipelined (several requests in
+flight), followed by one ``lookup_many`` over every key; each reply
+line must byte-equal ``encode_line(ok_response(id,
+result_to_dict(...)))`` computed by an in-process ``LookupService``
+built from the same hierarchy.
+
 Usage:  PYTHONPATH=src python scripts/serve_smoke.py
 """
 
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import os
 import re
+import socket
 import subprocess
 import sys
 import time
@@ -24,6 +31,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 LOOKUPS = 100
+
+#: Requests in flight at once on the raw-socket connection.
+PIPELINE = 8
+
+#: The lookup keys, cycled; "stop" resolves in every class and
+#: "missing" in none.
+KEYS = [
+    (class_name, member)
+    for member in ("run", "stop", "missing")
+    for class_name in ("Base", "Middle", "Leaf")
+]
 
 HIERARCHY = {
     "format": "repro-chg",
@@ -76,6 +94,61 @@ def spawn_front() -> tuple[subprocess.Popen, str, int]:
             return proc, match.group(1), int(match.group(2))
 
 
+def check_reply_bytes(host: str, port: int) -> None:
+    """Pipeline the lookups and one ``lookup_many`` over a raw socket
+    and compare every reply line byte for byte with the dict-path
+    encoding of an in-process service's answer."""
+    from repro.serve.protocol import encode_line, ok_response, result_to_dict
+    from repro.serve.service import LookupService
+
+    local = LookupService()
+    local.add_tenant("smoke", HIERARCHY)
+    assert local.lookup("smoke", "Leaf", "run").declaring_class == "Middle"
+    requests = []
+    expected = []
+    for index in range(LOOKUPS):
+        class_name, member = KEYS[index % len(KEYS)]
+        request_id = index if index % 2 else f"lookup-{index}"
+        requests.append(
+            {
+                "id": request_id,
+                "op": "lookup",
+                "tenant": "smoke",
+                "class": class_name,
+                "member": member,
+            }
+        )
+        result = local.lookup("smoke", class_name, member)
+        expected.append(
+            encode_line(ok_response(request_id, result_to_dict(result)))
+        )
+    requests.append(
+        {
+            "id": "batch",
+            "op": "lookup_many",
+            "tenant": "smoke",
+            "queries": [{"class": c, "member": m} for c, m in KEYS],
+        }
+    )
+    results = local.lookup_many("smoke", KEYS)
+    expected.append(
+        encode_line(
+            ok_response("batch", [result_to_dict(r) for r in results])
+        )
+    )
+    with socket.create_connection((host, port), timeout=30) as sock:
+        wire = sock.makefile("rwb")
+        for start in range(0, len(requests), PIPELINE):
+            window = slice(start, start + PIPELINE)
+            for request in requests[window]:
+                wire.write(encode_line(request))
+            wire.flush()
+            for want in expected[window]:
+                got = wire.readline()
+                assert got == want, f"reply bytes differ:\n{got!r}\n{want!r}"
+        wire.close()
+
+
 def main() -> int:
     from repro.serve import ServeClient
 
@@ -87,12 +160,7 @@ def main() -> int:
             created = client.add_tenant("smoke", hierarchy=HIERARCHY)
             generation = created["generation"]
 
-            for index in range(LOOKUPS):
-                class_name = ("Base", "Middle", "Leaf")[index % 3]
-                result = client.lookup("smoke", class_name, "run")
-                assert result["status"] == "unique", result
-                expected = "Base" if class_name == "Base" else "Middle"
-                assert result["declaring_class"] == expected, result
+            check_reply_bytes(host, port)
 
             applied = client.apply_delta(
                 "smoke",
@@ -119,7 +187,8 @@ def main() -> int:
             proc.kill()
             proc.wait()
     print(
-        f"serve smoke OK: {LOOKUPS} lookups, one delta "
+        f"serve smoke OK: {LOOKUPS} pipelined lookups and one batch "
+        "byte-identical to the in-process encoding, one delta "
         f"(generation {generation} -> {applied['generation']}), "
         "clean shutdown"
     )

@@ -13,7 +13,7 @@ each edge — compilers need it for code generation).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from repro.core.equivalence import SubobjectKey, subobject_key
@@ -51,6 +51,12 @@ class LookupResult:
     witness: Optional[Path] = None
     blue_abstractions: frozenset[Abstraction] = field(default_factory=frozenset)
     candidates: tuple[str, ...] = ()
+
+    def __getstate__(self) -> dict:
+        # Pickle the declared fields only: a serving layer may memoise a
+        # derived form of the answer in the instance dict, and that memo
+        # must neither travel nor change the pickled bytes.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def is_unique(self) -> bool:

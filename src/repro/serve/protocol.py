@@ -9,6 +9,17 @@ is opaque to the server — clients use it to match pipelined responses.
 Lookup results cross the wire as plain dicts (see
 :func:`result_to_dict`), with Ω encoded by the ``"Ω!"`` tag, so a
 client can round-trip answers without importing the core types.
+
+The wire form of a lookup answer is tabulated per result cell, the way
+paper §5 tabulates the answer itself: :func:`result_json` encodes a
+cell once and memoises the bytes on the result object, and
+:func:`ok_line` wraps such a fragment in the success envelope by byte
+joins.  Published snapshots memoise their cells and copy-on-write
+children share the cells outside a delta's cone by reference, so a warm
+fragment travels with its cell across every publish that leaves it
+alone; a re-swept cell is a fresh object that encodes on first use.
+The bytes equal ``encode_line(ok_response(id, result_to_dict(r)))``
+exactly.
 """
 
 from __future__ import annotations
@@ -24,12 +35,18 @@ __all__ = [
     "decode_line",
     "encode_line",
     "error_response",
+    "ok_line",
     "ok_response",
+    "result_json",
     "result_to_dict",
 ]
 
 #: Wire tag for the Ω abstraction (distinct from any plausible class name).
 OMEGA_TAG = "Ω!"
+
+#: ``json.dumps(..., ensure_ascii=False)`` without building an encoder
+#: per call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 def _encode_abstraction(value: Optional[Abstraction]) -> Optional[str]:
@@ -68,6 +85,35 @@ def result_to_dict(result: LookupResult) -> dict:
     return out
 
 
+def result_json(result: LookupResult) -> bytes:
+    """The UTF-8 JSON encoding of :func:`result_to_dict` ``(result)``,
+    computed once per result object and memoised on it.
+
+    The memo is an attribute outside the dataclass fields, so equality,
+    hashing, ``repr`` and pickling ignore it.  Racing readers can only
+    store equal bytes.  A result no layout memoises (a fresh
+    ``not_found_result``, say) simply encodes again on its next call."""
+    try:
+        return result._wire_json
+    except AttributeError:
+        pass
+    fragment = _ENCODER.encode(result_to_dict(result)).encode("utf-8")
+    # LookupResult is frozen: store around its __setattr__ guard.
+    object.__setattr__(result, "_wire_json", fragment)
+    return fragment
+
+
+def ok_line(request_id, fragment: bytes) -> bytes:
+    """The success line for an already-encoded ``result`` fragment:
+    byte-identical to ``encode_line(ok_response(request_id, value))``
+    when ``fragment`` is the JSON encoding of ``value``."""
+    if type(request_id) is int:  # the usual id; bool is not int here
+        encoded_id = b"%d" % request_id
+    else:
+        encoded_id = _ENCODER.encode(request_id).encode("utf-8")
+    return b'{"id": %s, "ok": true, "result": %s}\n' % (encoded_id, fragment)
+
+
 def ok_response(request_id, result) -> dict:
     """A success envelope echoing the request ``id``."""
     return {"id": request_id, "ok": True, "result": result}
@@ -84,7 +130,7 @@ def error_response(request_id, error: BaseException) -> dict:
 
 def encode_line(payload: dict) -> bytes:
     """One protocol message as a UTF-8 JSON line (trailing newline)."""
-    return json.dumps(payload, ensure_ascii=False).encode("utf-8") + b"\n"
+    return _ENCODER.encode(payload).encode("utf-8") + b"\n"
 
 
 def decode_line(line: bytes) -> dict:

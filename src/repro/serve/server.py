@@ -19,6 +19,22 @@ delta lands.
 
 Removing a tenant cancels its writer task after the queue drains;
 pending deltas enqueued before the removal still publish.
+
+Replies
+-------
+
+A ``lookup`` / ``lookup_many`` reply is assembled from bytes: each
+answer's wire form is tabulated on its result cell
+(:func:`~repro.serve.protocol.result_json`), so a repeated query costs
+a byte join around the request id, and a batch joins its fragments.
+The memo rides on the cells, which copy-on-write publishes share
+outside a delta's cone, so no publish invalidates anything.  Every
+other op encodes its reply dict with
+:func:`~repro.serve.protocol.encode_line`.
+
+Malformed requests (a missing field, a query or mutation of the wrong
+shape) are answered with a ``ValueError`` that names the op and the
+field; the connection keeps serving.
 """
 
 from __future__ import annotations
@@ -31,8 +47,9 @@ from repro.serve.protocol import (
     decode_line,
     encode_line,
     error_response,
+    ok_line,
     ok_response,
-    result_to_dict,
+    result_json,
 )
 from repro.serve.service import LookupService
 
@@ -190,11 +207,10 @@ class ServeFront:
                 try:
                     request = decode_line(line)
                     request_id = request.get("id")
-                    result = await self._dispatch(request)
-                    response = ok_response(request_id, result)
+                    reply = await self._reply(request_id, request)
                 except Exception as exc:
-                    response = error_response(request_id, exc)
-                writer.write(encode_line(response))
+                    reply = encode_line(error_response(request_id, exc))
+                writer.write(reply)
                 await writer.drain()
                 if self._shutdown.is_set():
                     break
@@ -207,29 +223,40 @@ class ServeFront:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    async def _dispatch(self, request: dict):
+    async def _reply(self, request_id, request: dict) -> bytes:
+        """The reply line for one decoded request."""
         op = request.get("op")
+        if op == "lookup":
+            result = self.service.lookup(
+                _field(request, op, "tenant"),
+                _field(request, op, "class"),
+                _field(request, op, "member"),
+            )
+            return ok_line(request_id, result_json(result))
+        if op == "lookup_many":
+            results = self.service.lookup_many(
+                _field(request, op, "tenant"),
+                _queries(_field(request, op, "queries")),
+            )
+            return ok_line(
+                request_id, b"[" + b", ".join(map(result_json, results)) + b"]"
+            )
+        result = await self._dispatch(op, request)
+        return encode_line(ok_response(request_id, result))
+
+    async def _dispatch(self, op, request: dict):
+        """The ``result`` payload of every op except the lookups."""
         service = self.service
         if op == "ping":
             return "pong"
-        if op == "lookup":
-            result = service.lookup(
-                request["tenant"], request["class"], request["member"]
-            )
-            return result_to_dict(result)
-        if op == "lookup_many":
-            queries = [
-                (q["class"], q["member"]) for q in request["queries"]
-            ]
-            results = service.lookup_many(request["tenant"], queries)
-            return [result_to_dict(r) for r in results]
         if op == "apply_delta":
             return await self._submit_delta(
-                request["tenant"], request["mutations"]
+                _field(request, op, "tenant"),
+                _field(request, op, "mutations"),
             )
         if op == "add_tenant":
             tenant = service.add_tenant(
-                request["tenant"],
+                _field(request, op, "tenant"),
                 request.get("hierarchy"),
                 semantics=request.get("semantics"),
             )
@@ -240,7 +267,7 @@ class ServeFront:
                 "semantics": tenant.table.semantics.name,
             }
         if op == "remove_tenant":
-            name = request["tenant"]
+            name = _field(request, op, "tenant")
             service.remove_tenant(name)
             self._drop_writer(name)
             return {"tenant": name, "removed": True}
@@ -250,3 +277,35 @@ class ServeFront:
             self.stop()
             return {"shutting_down": True}
         raise ValueError(f"unknown op {op!r}")
+
+
+def _field(request: dict, op: str, name: str):
+    """A required request field; a missing one is a ``ValueError``
+    naming the op and the field."""
+    try:
+        return request[name]
+    except KeyError:
+        raise ValueError(f"{op} request has no {name!r} field") from None
+
+
+def _queries(raw) -> list:
+    """A ``lookup_many`` request's ``queries`` as ``(class, member)``
+    pairs; anything but a list of ``{"class", "member"}`` objects is a
+    ``ValueError`` naming the first offending query."""
+    if type(raw) is not list:
+        raise ValueError(
+            "lookup_many field 'queries' must be a list of objects, "
+            f"not {type(raw).__name__}"
+        )
+    try:
+        return [(q["class"], q["member"]) for q in raw]
+    except (KeyError, TypeError):
+        index, query = next(
+            (i, q)
+            for i, q in enumerate(raw)
+            if type(q) is not dict or "class" not in q or "member" not in q
+        )
+    raise ValueError(
+        f"lookup_many field 'queries[{index}]' must be an object with "
+        f"'class' and 'member', not {query!r}"
+    )

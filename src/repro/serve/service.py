@@ -39,6 +39,37 @@ __all__ = [
 ]
 
 
+#: Required fields of each ``apply_delta`` mutation, by ``op``.
+_MUTATION_FIELDS = {
+    "add_class": ("name",),
+    "add_member": ("class", "member"),
+    "add_edge": ("base", "derived"),
+}
+
+
+def _check_mutations(mutations) -> None:
+    """Raise ``ValueError`` naming the first malformed part of an
+    ``apply_delta`` batch."""
+    if not isinstance(mutations, (list, tuple)):
+        raise ValueError(
+            "apply_delta field 'mutations' must be a list of objects, "
+            f"not {type(mutations).__name__}"
+        )
+    for index, mutation in enumerate(mutations):
+        where = f"apply_delta field 'mutations[{index}]'"
+        if not isinstance(mutation, dict):
+            raise ValueError(
+                f"{where} must be an object, not {type(mutation).__name__}"
+            )
+        op = mutation.get("op")
+        required = _MUTATION_FIELDS.get(op)
+        if required is None:
+            raise ValueError(f"{where}: unknown mutation op {op!r}")
+        for name in required:
+            if name not in mutation:
+                raise ValueError(f"{where} ({op}) has no {name!r}")
+
+
 class UnknownTenantError(ReproError):
     """A tenant name was referenced but never added (or was removed)."""
 
@@ -242,8 +273,14 @@ class LookupService:
         "derived": ..., "virtual": ...}``.  The whole batch lands in
         one publish (one cone re-sweep), and readers see either the old
         generation or the new one.  Returns a summary with the new
-        generation and the publish's delta statistics."""
+        generation and the publish's delta statistics.
+
+        The batch's shape (a list of objects, each a known ``op`` with
+        its required fields) is checked before the first mutation: a
+        batch of the wrong shape raises ``ValueError`` before it touches
+        the graph."""
         tenant = self.tenant(tenant_name)
+        _check_mutations(mutations)
         graph = tenant.graph
         for mutation in mutations:
             op = mutation.get("op")
@@ -253,14 +290,12 @@ class LookupService:
                 )
             elif op == "add_member":
                 graph.add_member(mutation["class"], mutation["member"])
-            elif op == "add_edge":
+            else:
                 graph.add_edge(
                     mutation["base"],
                     mutation["derived"],
                     virtual=bool(mutation.get("virtual", False)),
                 )
-            else:
-                raise ValueError(f"unknown mutation op {op!r}")
         stats = tenant.table.apply_delta()
         tenant.stats.deltas_applied += 1
         snapshot = tenant.table.snapshot
