@@ -13,6 +13,12 @@ parse-everything-then-build-once table it constructs itself.  Exit
 code 0 means the streaming path actually works from nothing but files
 on disk — no warm parser state, no shared interpreter.
 
+One header is written with CRLF line endings and a form-feed page
+break between two classes, the way GNU-style headers come, so the
+fresh process also proves those lex as blanks: the streamed report
+must carry no parse errors and the 50 answers must still match the
+reference built from the untouched texts.
+
 Usage:  PYTHONPATH=src python scripts/ingest_smoke.py
 """
 
@@ -50,6 +56,15 @@ def smoke_queries(graph):
     return [
         (rng.choice(names), rng.choice(members)) for _ in range(QUERIES)
     ]
+
+
+def awkward_line_endings(path: Path) -> None:
+    """Rewrite one header with CRLF line endings and a form-feed line
+    between its first two classes."""
+    text = path.read_text()
+    boundary = text.index("};\nclass ") + len("};\n")
+    text = text[:boundary] + "\f\n" + text[boundary:]
+    path.write_bytes(text.replace("\n", "\r\n").encode())
 
 
 def answer_row(result) -> list:
@@ -121,7 +136,7 @@ def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
     with tempfile.TemporaryDirectory() as tmp:
-        write_corpus(files, tmp)
+        awkward_line_endings(write_corpus(files, tmp)[FILES // 2])
         completed = subprocess.run(
             [sys.executable, str(Path(__file__).resolve()), "--child", tmp],
             cwd=ROOT,

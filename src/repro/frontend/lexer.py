@@ -8,13 +8,20 @@ plus the surface real headers need: namespaces, template keywords,
 string/character literals (tokenized, never interpreted), preprocessor
 lines (skipped whole), and the compound operators that appear inside
 skipped method bodies.
+
+:func:`tokenize` is one loop over one compiled master pattern: each
+match consumes the blanks before a lexeme plus the lexeme, and the
+loop dispatches on which alternative matched.  A token stores only its
+offset; ``token.location`` resolves line and column on demand by
+bisecting the buffer's newline offsets, which are found on first use.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, Optional
+import re
+from bisect import bisect_left
+from typing import Optional
 
 from repro.frontend.errors import ParseError
 from repro.frontend.source import SourceLocation
@@ -33,91 +40,84 @@ class TokenKind(enum.Enum):
 
 KEYWORDS = frozenset(
     {
-        "class",
-        "struct",
-        "virtual",
-        "public",
-        "protected",
-        "private",
-        "static",
-        "typedef",
-        "enum",
-        "const",
-        "void",
-        "int",
-        "bool",
-        "char",
-        "float",
-        "double",
-        "long",
-        "short",
-        "signed",
-        "unsigned",
-        "using",
-        "return",
-        "namespace",
-        "template",
-        "typename",
-        "inline",
+        "class", "struct", "virtual", "public", "protected", "private",
+        "static", "typedef", "enum", "const", "void", "int", "bool",
+        "char", "float", "double", "long", "short", "signed", "unsigned",
+        "using", "return", "namespace", "template", "typename", "inline",
     }
 )
 
 # Multi-character punctuators must be listed longest-first.
 PUNCTUATORS = (
-    "<<=",
-    ">>=",
-    "->",
-    "::",
-    "<<",
-    ">>",
-    "<=",
-    ">=",
-    "==",
-    "!=",
-    "&&",
-    "||",
-    "++",
-    "--",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "&=",
-    "|=",
-    "^=",
-    "{",
-    "}",
-    "(",
-    ")",
-    "[",
-    "]",
-    ";",
-    ":",
-    ",",
-    ".",
-    "=",
-    "*",
-    "&",
-    "<",
-    ">",
-    "+",
-    "-",
-    "/",
-    "%",
-    "|",
-    "^",
-    "?",
-    "~",
-    "!",
+    "<<=", ">>=", "->", "::", "<<", ">>", "<=", ">=", "==", "!=", "&&",
+    "||", "++", "--", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
+    "{", "}", "(", ")", "[", "]", ";", ":", ",", ".", "=", "*", "&",
+    "<", ">", "+", "-", "/", "%", "|", "^", "?", "~", "!",
 )
 
+_COMMENT = r"//[^\n]*|/\*.*?\*/"
 
-@dataclass(frozen=True)
+# One alternative per lexeme, after the blanks.  The groups' numbers
+# are the dispatch codes below.  ``\d`` is not ``str.isdigit`` and
+# ``[^\W\d]`` is not ``str.isalpha`` (``²``, ``½``, ``ⅿ``), so the
+# pattern classifies only ASCII-led words; any other word run is
+# classified by its first character's ``str`` methods.
+_MASTER = re.compile(
+    r"[ \t\r\n\f\v]*(?:"
+    rf"({_COMMENT})"  # 1 comment
+    r"|(/\*)"  # 2 unterminated block comment
+    r"|([A-Za-z_]\w*)"  # 3 ASCII-led identifier or keyword
+    "|(" + "|".join(map(re.escape, PUNCTUATORS)) + ")"  # 4 punctuator
+    r"|([0-9](?:[^\W_]|\.)*)"  # 5 ASCII-led number
+    r"""|("(?:[^"\\]|\\.)*"|'(?:[^'\\]|\\.)*')"""  # 6 string/char literal
+    r"|(\#(?:[^\n]*\\\n)*[^\n]*)"  # 7 preprocessor line + continuations
+    r"|(\w+)"  # 8 other word run: classified with the str methods
+    r"|(.|\Z)"  # 9 unexpected character, or end of input
+    ")",
+    re.S,
+)
+_COMMENTS = re.compile(_COMMENT, re.S)
+_NUMBER = re.compile(r"(?:[^\W_]|\.)+")
+_NEWLINE = re.compile("\n")
+
+
+class _Lines:
+    """One buffer's newline offsets, found on the first location asked."""
+
+    __slots__ = ("source", "filename", "newlines")
+
+    def __init__(self, source: str, filename: Optional[str]) -> None:
+        self.source = source
+        self.filename = filename
+        self.newlines: Optional[list] = None
+
+    def location(self, offset: int) -> SourceLocation:
+        newlines = self.newlines
+        if newlines is None:
+            newlines = self.newlines = [
+                m.start() for m in _NEWLINE.finditer(self.source)
+            ]
+        line = bisect_left(newlines, offset)
+        column = offset - newlines[line - 1] if line else offset + 1
+        return SourceLocation(line + 1, column, offset, self.filename)
+
+
 class Token:
-    kind: TokenKind
-    text: str
-    location: SourceLocation
+    """A lexeme with its kind; its location is resolved on demand."""
+
+    __slots__ = ("kind", "text", "_offset", "_lines")
+
+    def __init__(
+        self, kind: TokenKind, text: str, offset: int, lines: _Lines
+    ) -> None:
+        self.kind = kind
+        self.text = text
+        self._offset = offset
+        self._lines = lines
+
+    @property
+    def location(self) -> SourceLocation:
+        return self._lines.location(self._offset)
 
     def is_keyword(self, *names: str) -> bool:
         return self.kind is TokenKind.KEYWORD and self.text in names
@@ -130,118 +130,78 @@ class Token:
             return "<eof>"
         return self.text
 
+    def __repr__(self) -> str:
+        return (
+            f"Token(kind={self.kind!r}, text={self.text!r}, "
+            f"location={self.location!r})"
+        )
+
 
 def tokenize(source: str, filename: Optional[str] = None) -> list[Token]:
     """Tokenize a whole source buffer; raises :class:`ParseError` on an
     unrecognised character, an unterminated block comment, or an
     unterminated string/character literal.  ``filename`` (if given) is
     stamped into every token's location for multi-file diagnostics."""
-    return list(iter_tokens(source, filename))
-
-
-def iter_tokens(
-    source: str, filename: Optional[str] = None
-) -> Iterator[Token]:
-    offset = 0
-    line = 1
-    column = 1
-    length = len(source)
-
-    def location() -> SourceLocation:
-        return SourceLocation(
-            line=line, column=column, offset=offset, filename=filename
-        )
-
-    def advance(count: int) -> None:
-        nonlocal offset, line, column
-        for _ in range(count):
-            if offset < length and source[offset] == "\n":
-                line += 1
-                column = 1
+    lines = _Lines(source, filename)
+    tokens: list[Token] = []
+    append = tokens.append
+    match = _MASTER.match
+    ident, keyword = TokenKind.IDENT, TokenKind.KEYWORD
+    punct, number = TokenKind.PUNCT, TokenKind.NUMBER
+    pos = 0
+    # len(tokens) when the last preprocessor line was skipped: no token
+    # since then means the next '#' still starts its line.
+    skipped_at = 0
+    while True:
+        m = match(source, pos)
+        group = m.lastindex
+        start, pos = m.span(group)
+        if group == 3:
+            text = source[start:pos]
+            kind = keyword if text in KEYWORDS else ident
+            append(Token(kind, text, start, lines))
+        elif group == 4:
+            append(Token(punct, source[start:pos], start, lines))
+        elif group == 1:
+            continue
+        elif group == 5:
+            append(Token(number, source[start:pos], start, lines))
+        elif group == 6:
+            append(Token(TokenKind.STRING, source[start:pos], start, lines))
+        elif group == 7:
+            if skipped_at != len(tokens):
+                # Only at the start of a line: a newline outside
+                # comments since the last token.
+                last = tokens[-1]
+                end = last._offset + len(last.text)
+                if "\n" not in _COMMENTS.sub("", source[end:start]):
+                    raise ParseError(
+                        "unexpected character '#'", lines.location(start)
+                    )
+            skipped_at = len(tokens)
+        elif group == 8:
+            char = source[start]
+            if char.isalpha():
+                append(Token(ident, source[start:pos], start, lines))
+            elif char.isdigit():
+                pos = _NUMBER.match(source, start).end()
+                append(Token(number, source[start:pos], start, lines))
             else:
-                column += 1
-            offset += 1
-
-    at_line_start = True
-    while offset < length:
-        char = source[offset]
-        if char in " \t\r":
-            advance(1)
-            continue
-        if char == "\n":
-            advance(1)
-            at_line_start = True
-            continue
-        if char == "#" and at_line_start:
-            # Preprocessor line (#pragma once, include guards, ...):
-            # skipped whole, honouring backslash continuations.
-            end = offset
-            while True:
-                newline = source.find("\n", end)
-                if newline == -1:
-                    end = length
-                    break
-                if source[newline - 1] == "\\":
-                    end = newline + 1
-                    continue
-                end = newline
-                break
-            advance(end - offset)
-            continue
-        if source.startswith("//", offset):
-            end = source.find("\n", offset)
-            advance((end if end != -1 else length) - offset)
-            continue
-        if source.startswith("/*", offset):
-            end = source.find("*/", offset + 2)
-            if end == -1:
-                raise ParseError("unterminated block comment", location())
-            advance(end + 2 - offset)
-            continue
-        at_line_start = False
-        if char in "\"'":
-            quote = char
-            start = offset
-            start_loc = location()
-            advance(1)
-            while offset < length and source[offset] != quote:
-                if source[offset] == "\\" and offset + 1 < length:
-                    advance(2)
-                else:
-                    advance(1)
-            if offset >= length:
                 raise ParseError(
-                    f"unterminated {quote}...{quote} literal", start_loc
+                    f"unexpected character {char!r}", lines.location(start)
                 )
-            advance(1)  # the closing quote
-            yield Token(TokenKind.STRING, source[start:offset], start_loc)
-            continue
-        if char.isalpha() or char == "_":
-            start = offset
-            start_loc = location()
-            while offset < length and (
-                source[offset].isalnum() or source[offset] == "_"
-            ):
-                advance(1)
-            text = source[start:offset]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            yield Token(kind, text, start_loc)
-            continue
-        if char.isdigit():
-            start = offset
-            start_loc = location()
-            while offset < length and (
-                source[offset].isalnum() or source[offset] == "."
-            ):
-                advance(1)
-            yield Token(TokenKind.NUMBER, source[start:offset], start_loc)
-            continue
-        for punct in PUNCTUATORS:
-            if source.startswith(punct, offset):
-                start_loc = location()
-                advance(len(punct))
-                yield Token(TokenKind.PUNCT, punct, start_loc)
-                break
+        elif group == 2:
+            raise ParseError(
+                "unterminated block comment", lines.location(start)
+            )
+        elif start == pos:
+            append(Token(TokenKind.EOF, "", start, lines))
+            return tokens
         else:
-            raise ParseError(f"unexpected character {char!r}", location())
-    yield Token(TokenKind.EOF, "", location())
+            char = source[start]
+            message = (
+                f"unterminated {char}...{char} literal"
+                if char in "\"'"
+                else f"unexpected character {char!r}"
+            )
+            raise ParseError(message, lines.location(start))

@@ -113,7 +113,7 @@ class Parser:
     def _expect_punct(self, text: str) -> Token:
         if not self._current.is_punct(text):
             raise ParseError(
-                f"expected {text!r}, found {self._current!r:.40}",
+                f"expected {text!r}, found '{self._current}'",
                 self._current.location,
             )
         return self._advance()

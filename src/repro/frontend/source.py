@@ -31,10 +31,11 @@ START_OF_FILE = SourceLocation(line=1, column=1, offset=0)
 
 def caret_snippet(source: str, location: SourceLocation) -> str:
     """The source line at ``location`` with a caret underneath — the
-    classic compiler diagnostic rendering."""
-    lines = source.splitlines()
+    classic compiler diagnostic rendering.  Lines are counted at ``\n``
+    only, as the lexer counts them; one trailing ``\r`` is dropped."""
+    lines = source.split("\n")
     if not 1 <= location.line <= len(lines):
         return ""
-    line = lines[location.line - 1]
+    line = lines[location.line - 1].removesuffix("\r")
     caret = " " * (location.column - 1) + "^"
     return f"{line}\n{caret}"

@@ -83,6 +83,22 @@ class TestLocations:
         tokens = tokenize("// c\nx")
         assert tokens[0].location.line == 2
 
+    def test_form_feed_and_vertical_tab_are_blanks(self):
+        assert texts("class A {};\f\nclass B {};\v") == texts(
+            "class A {};\nclass B {};"
+        )
+
+    def test_locations_after_form_feed_and_vertical_tab(self):
+        plain = tokenize("a b\n c\n")
+        paged = tokenize("a\fb\n\vc\n")
+        assert [
+            (t.location.line, t.location.column, t.location.offset)
+            for t in paged
+        ] == [
+            (t.location.line, t.location.column, t.location.offset)
+            for t in plain
+        ]
+
     def test_unexpected_character_reports_location(self):
         with pytest.raises(ParseError) as exc_info:
             tokenize("a\n  @")

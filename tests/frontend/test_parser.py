@@ -63,6 +63,18 @@ class TestClassHeads:
         with pytest.raises(ParseError):
             parse("class A ;{};")
 
+    def test_expected_punct_names_the_identifier_found(self):
+        with pytest.raises(ParseError) as exc_info:
+            parse("class B {}; class A : public B x {};")
+        assert str(exc_info.value) == "1:32: error: expected '{', found 'x'"
+
+    def test_expected_punct_at_eof_names_eof(self):
+        with pytest.raises(ParseError) as exc_info:
+            parse("class A : public B")
+        assert str(exc_info.value) == (
+            "1:19: error: expected '{', found '<eof>'"
+        )
+
 
 class TestMembers:
     def test_data_member(self):

@@ -1,5 +1,7 @@
 """Unit tests for source locations and the diagnostic machinery."""
 
+import pytest
+
 from repro.frontend.errors import (
     Diagnostic,
     DiagnosticBag,
@@ -7,6 +9,7 @@ from repro.frontend.errors import (
     SemanticError,
     Severity,
 )
+from repro.frontend.lexer import tokenize
 from repro.frontend.source import (
     START_OF_FILE,
     SourceLocation,
@@ -40,6 +43,25 @@ class TestCaretSnippet:
     def test_first_column(self):
         snippet = caret_snippet(self.SOURCE, SourceLocation(1, 1))
         assert snippet.splitlines()[1] == "^"
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "// note\u2028 more\nclass A { int x; } @",
+            "// note\x1c more\nclass A { int x; } @",
+            "// note\f more\nclass A { int x; } @",
+            "// note\r\nclass A { int x; } @\r\n",
+        ],
+        ids=["line-separator", "file-separator", "form-feed", "crlf"],
+    )
+    def test_lines_counted_as_the_lexer_counts_them(self, source):
+        with pytest.raises(ParseError) as exc_info:
+            tokenize(source)
+        location = exc_info.value.diagnostic.location
+        assert (location.line, location.column) == (2, 20)
+        line, caret = caret_snippet(source, location).split("\n")
+        assert line == "class A { int x; } @"
+        assert caret == " " * 19 + "^"
 
 
 class TestDiagnostics:
