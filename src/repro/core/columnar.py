@@ -13,11 +13,12 @@ with one memoised result cell (:meth:`ColumnarTable._result_one`):
 * :class:`EntryPool` generalizes :class:`~repro.core.fastpath
   .FlatColumn`'s slot interning to blue entries: a red slot is the
   ``(ldc_id, least_virtual_id)`` int pair, a blue slot is the
-  :class:`~repro.core.kernel.KernelBlue` value itself (hashable, and
-  never equal to an int pair).  Chains and deep trees intern thousands
-  of classes onto a handful of distinct slots, and the pool memoises
-  each slot's public pieces (names, sorted candidate tuples) once,
-  shared by every class that resolves to it.
+  :class:`~repro.core.kernel.KernelBlue` value itself (two int masks,
+  interned under a key of its own kind — see :class:`EntryPool`).
+  Chains and deep trees intern thousands of classes onto a handful of
+  distinct slots, and the pool memoises each slot's public pieces
+  (names, sorted candidate tuples) once, shared by every class that
+  resolves to it.
 * :class:`ColumnarColumn` holds one member's dense ``array('q')`` of
   slot ids (``-1`` = not visible), the per-class witness cons cells,
   and a lazily materialised per-class :class:`~repro.core.results
@@ -56,6 +57,7 @@ from typing import Iterable, Optional, Sequence
 from repro.core.kernel import (
     abstraction_name,
     abstraction_names,
+    candidate_names,
     witness_path,
 )
 from repro.core.results import (
@@ -119,8 +121,11 @@ class EntryPool:
 
     ``slots[sid]`` is either a red ``(ldc_id, least_virtual_id)`` int
     pair or a blue :class:`~repro.core.kernel.KernelBlue` — told apart
-    by exact type (``type(slot) is tuple`` holds only for reds), and
-    never equal across kinds because int never equals frozenset.
+    by exact type (``type(slot) is tuple`` holds only for reds).  Both
+    kinds are pairs of ints, and a ``KernelBlue`` is a tuple, so
+    ``KernelBlue(6, 5) == (6, 5)`` and the two hash alike; the intern
+    dict therefore keys a red as itself and a blue as the 1-tuple
+    ``(blue,)``, which never equals a red's 2-tuple.
     ``public[sid]`` memoises the slot's public pieces — red:
     ``(declaring_class_name, least_virtual_name)``; blue:
     ``(abstraction_name_set, sorted_candidate_tuple)`` — computed once
@@ -137,12 +142,14 @@ class EntryPool:
     def __len__(self) -> int:
         return len(self.slots)
 
-    def intern(self, key) -> int:
-        """The slot id of ``key``, appending a new slot on first sight."""
+    def intern(self, slot) -> int:
+        """The slot id of ``slot`` (a red pair or a blue), appending a
+        new slot on first sight."""
+        key = slot if type(slot) is tuple else (slot,)
         sid = self._ids.get(key)
         if sid is None:
             sid = self._ids[key] = len(self.slots)
-            self.slots.append(key)
+            self.slots.append(slot)
             self.public.append(None)
         return sid
 
@@ -170,7 +177,7 @@ class EntryPool:
             else:
                 public = (
                     abstraction_names(ch, slot[0]),
-                    tuple(sorted([ch.class_names[ldc] for ldc in slot[1]])),
+                    candidate_names(ch, slot[1]),
                 )
             self.public[sid] = public
         return public
@@ -342,14 +349,14 @@ class ColumnarTable:
                         mid, n_classes, numpy_mode
                     )
                 if type(entry) is tuple:
-                    key = (entry[0], entry[1])
+                    key = slot = (entry[0], entry[1])
                     column.witnesses[cid] = entry[2]
                 else:
-                    key = entry
+                    key, slot = (entry,), entry
                 sid = ids.get(key)
                 if sid is None:
                     sid = ids[key] = len(slots)
-                    slots.append(key)
+                    slots.append(slot)
                     publics.append(None)
                 column.cells[cid] = sid
                 column.populated += 1

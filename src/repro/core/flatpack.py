@@ -48,7 +48,13 @@ not stored), returning a ready :class:`~repro.core.lookup
 
 Malformed input (wrong magic, unsupported version, foreign byte order,
 truncated sections, an unregistered semantics rule) raises
-:class:`TableSerializationError` at open time.
+:class:`TableSerializationError` at open time.  Entry-pool slots are
+range-checked when the pool first decodes (on the first lookup), and
+a member column's slot and witness ids when it loads: a class id
+outside the table, an abstraction id that is neither a class nor a
+sentinel, counts that overrun a slot's run, or a cell naming a slot
+or witness the pack does not hold raise
+:class:`TableSerializationError` instead of serving a wrong answer.
 """
 
 from __future__ import annotations
@@ -64,12 +70,13 @@ from repro.core.kernel import (
     KernelBlue,
     abstraction_ids,
     abstraction_mask,
+    mask_ids,
 )
 from repro.core.results import LookupResult
 from repro.core.semantics import Semantics, get_semantics
 from repro.core.snapshot import TableSnapshot
 from repro.errors import ReproError, UnknownClassError
-from repro.hierarchy.compiled import CompiledHierarchy
+from repro.hierarchy.compiled import NONE_ID, CompiledHierarchy
 from repro.hierarchy.graph import ClassHierarchyGraph
 
 from array import array
@@ -130,6 +137,11 @@ _SECTION = struct.Struct("=qq")
     _SEC_COLUMN_WITS,
 ) = range(22)
 _N_SECTIONS = 22
+
+
+def _ids_within(ids, low: int, high: int) -> bool:
+    """Whether every id of an int64 run lies in ``[low, high)``."""
+    return not ids or (low <= min(ids) and max(ids) < high)
 
 
 def _pad8(n: int) -> int:
@@ -251,7 +263,7 @@ def pack(table, path) -> int:
             slot_values.extend((0, slot[0], slot[1]))
         else:
             abstractions = abstraction_ids(slot[0])
-            candidates = sorted(slot[1])
+            candidates = mask_ids(slot[1])
             slot_values.append(1)
             slot_values.append(len(abstractions))
             slot_values.append(len(candidates))
@@ -678,30 +690,54 @@ class PackedTable:
 
     def _entry_pool(self) -> EntryPool:
         """The interned entry slots, rebuilt once in slot-id order so
-        every packed cell id stays valid."""
+        every packed cell id stays valid.
+
+        Every value is range-checked before it becomes a mask bit (a
+        negative id cannot be shifted, a huge one would allocate that
+        many bits): red ``ldc`` and blue candidates must be class ids
+        in ``[0, n_classes)``; ``least`` and abstraction ids may also
+        be the Ω / ``NONE_ID`` sentinels; a slot's counts must exactly
+        fill its run, and no slot may repeat an earlier one."""
         pool = self._pool_memo
         if pool is None:
             pool = EntryPool()
+            n = self._n_classes
             offsets = self._ints(_SEC_SLOT_OFFS)
             values = self._ints(_SEC_SLOT_VALS)
             for sid in range(self._n_slots):
-                at = offsets[sid]
+                at, stop = offsets[sid], offsets[sid + 1]
+                if not 0 <= at < stop <= self._n_slot_values:
+                    raise self._corrupt(f"slot {sid} run out of bounds")
                 kind = values[at]
                 if kind == 0:
-                    key = (values[at + 1], values[at + 2])
+                    if stop - at != 3:
+                        raise self._corrupt(f"slot {sid} has a bad length")
+                    slot = (values[at + 1], values[at + 2])
+                    if not (0 <= slot[0] < n and NONE_ID <= slot[1] < n):
+                        raise self._corrupt(f"slot {sid} id out of range")
                 elif kind == 1:
+                    if stop - at < 3:
+                        raise self._corrupt(f"slot {sid} has a bad length")
                     n_abs = values[at + 1]
                     n_cand = values[at + 2]
                     split = at + 3 + n_abs
-                    key = KernelBlue(
-                        abstractions=abstraction_mask(values[at + 3 : split]),
-                        candidate_ldcs=frozenset(
-                            values[split : split + n_cand]
-                        ),
-                    )
+                    if n_abs < 0 or n_cand < 0 or split + n_cand != stop:
+                        raise self._corrupt(f"slot {sid} counts overrun")
+                    abstractions = values[at + 3 : split]
+                    candidates = values[split:stop]
+                    if not (
+                        _ids_within(abstractions, NONE_ID, n)
+                        and _ids_within(candidates, 0, n)
+                    ):
+                        raise self._corrupt(f"slot {sid} id out of range")
+                    ldcs = 0
+                    for cid in candidates:
+                        ldcs |= 1 << cid
+                    slot = KernelBlue(abstraction_mask(abstractions), ldcs)
                 else:
                     raise self._corrupt(f"unknown slot kind {kind}")
-                pool.intern(key)
+                if pool.intern(slot) != sid:
+                    raise self._corrupt(f"slot {sid} repeats an earlier one")
             self._pool_memo = pool
         return pool
 
@@ -722,7 +758,7 @@ class PackedTable:
             append = memo.append
             for at in range(self._n_wit):
                 prev = wit_prev[at]
-                if prev >= at:
+                if not -1 <= prev < at:
                     raise self._corrupt("witness pool is not topological")
                 append(
                     (
@@ -757,6 +793,8 @@ class PackedTable:
         index = directory[mid]
         if index < 0:
             return None
+        if index >= self._n_columns:
+            raise self._corrupt(f"column {mid} out of range")
         n = self._n_classes
         offset, _length = self._sections[_SEC_COLUMN_CELLS]
         cells = self._buf[
@@ -766,6 +804,11 @@ class PackedTable:
         wits = self._buf[
             woffset + 8 * index * n : woffset + 8 * (index + 1) * n
         ].cast("q")
+        if not (
+            _ids_within(cells, -1, self._n_slots)
+            and _ids_within(wits, -1, self._n_wit)
+        ):
+            raise self._corrupt(f"column {mid} names a missing slot or witness")
 
         column = ColumnarColumn.__new__(ColumnarColumn)
         column.mid = mid
@@ -1014,12 +1057,18 @@ class PackedTable:
             index = directory[mid]
             if index < 0:
                 continue
+            if index >= self._n_columns:
+                raise self._corrupt(f"column {mid} out of range")
             sid = cells[index * n + cid]
+            wat = wits[index * n + cid]
+            if not (-1 <= sid < len(slots) and -1 <= wat < self._n_wit):
+                raise self._corrupt(
+                    f"column {mid} names a missing slot or witness"
+                )
             if sid < 0:
                 continue
             slot = slots[sid]
             if type(slot) is tuple:
-                wat = wits[index * n + cid]
                 cell = self._wit_cell(wat) if wat >= 0 else None
                 row[mid] = (slot[0], slot[1], cell)
             else:

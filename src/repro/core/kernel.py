@@ -23,16 +23,16 @@ The kernel operates on the interned integer ids of a
   NamedTuple ``__new__`` call, and the batched sweep lives or dies on
   that constant.
 * A **blue** kernel entry ``KernelBlue(abstractions, candidate_ldcs)``
-  means the lookup is ambiguous; ``abstractions`` is the propagated set
-  of ``leastVirtual`` ids that must still be dominated by any would-be
-  winner further down (Section 4: a blue definition can *disqualify* a
-  red one even though it can never win itself).  The set is an int
-  bitmask: bit ``a + 2`` stands for abstraction id ``a``, so
-  :data:`~repro.hierarchy.compiled.NONE_ID` is bit 0,
+  means the lookup is ambiguous.  It is two int bitmasks.
+  ``abstractions`` is the propagated set of ``leastVirtual`` ids that
+  must still be dominated by any would-be winner further down
+  (Section 4: a blue definition can *disqualify* a red one even though
+  it can never win itself).  Bit ``a + 2`` stands for abstraction id
+  ``a``, so :data:`~repro.hierarchy.compiled.NONE_ID` is bit 0,
   :data:`~repro.hierarchy.compiled.OMEGA_ID` (Ω) is bit 1 and class
   ``c`` is bit ``c + 2`` (:func:`abstraction_mask`).
-  ``candidate_ldcs`` is a frozenset of declaring-class ids, carried
-  only for diagnostics.
+  ``candidate_ldcs`` is the set of declaring-class ids, carried only
+  for diagnostics: bit ``c`` stands for class ``c``.
 
 Reds and blues are told apart by exact type: ``type(entry) is tuple``
 holds only for reds, because :class:`KernelBlue` is a tuple *subclass*.
@@ -43,8 +43,8 @@ operations on the precomputed virtual-base masks::
     (L1, V1) dominates (L2, V2)  iff  bit V2 of vb-mask[L1] is set
                                       or V1 == V2 != Ω
 
-Because the blue set is a mask too, both places the algorithm touches
-a whole blue set are a handful of big-int operations:
+Because both blue sets are masks, every place the algorithm touches
+a whole blue is a handful of big-int operations:
 
 * the ⋄ operator (Definition 15) rewrites only Ω, and only across a
   virtual edge, so a blue crossing an edge is the *same* entry object
@@ -53,12 +53,14 @@ a whole blue set are a handful of big-int operations:
 * the blue-kill of lines [34]-[44] applies Lemma 4 to every element at
   once: the abstractions a red candidate ``(L1, V1)`` leaves undominated
   are ``blue & ~((vb-mask[L1] << 2) | bit(V1))`` (``bit(V1)`` only when
-  ``V1`` is a class).
+  ``V1`` is a class);
+* the meet collects the candidates by OR-ing the declaring classes'
+  bits — no set is built per meet.
 
 The boundary conversions (:func:`to_table_entry`,
 :func:`to_lookup_result`, the columnar and flatpack layouts) decode the
-mask back to the frozenset of ids or names; nothing outside the kernel
-sees a mask.
+masks back to ids or names (:func:`mask_ids`); nothing outside the
+kernel and the layouts' interned slots sees a mask.
 
 Witnesses are carried as O(1) cons cells ``(class_id, virtual, prev)``
 and only materialised into :class:`~repro.core.paths.Path` objects at
@@ -163,11 +165,17 @@ KernelRed = tuple
 
 
 class KernelBlue(NamedTuple):
-    """Interned blue entry: the abstraction bitmask (bit ``a + 2`` per
-    abstraction id ``a``) + diagnostic ldc ids."""
+    """Interned blue entry: two int bitmasks — the abstractions (bit
+    ``a + 2`` per abstraction id ``a``) and the diagnostic declaring
+    classes (bit ``c`` per class id ``c``).
+
+    Being a tuple of two ints, a blue compares and hashes equal to a
+    red ``(ldc, least)`` pair with the same values, so anything that
+    keys reds and blues in one dict must key the kinds apart (see
+    :class:`~repro.core.columnar.EntryPool`)."""
 
     abstractions: int
-    candidate_ldcs: frozenset[int]
+    candidate_ldcs: int
 
 
 KernelEntry = Union[KernelRed, KernelBlue]
@@ -197,7 +205,19 @@ def dominates(
 #: The Ω bit of a blue abstraction mask.
 OMEGA_BIT = 1 << (OMEGA_ID + 2)
 
-_EMPTY: frozenset = frozenset()
+
+def mask_ids(mask: int) -> list[int]:
+    """The set bits of a non-negative mask, ascending — the one bit
+    walk behind every mask decode (blue candidates and abstractions,
+    cones).  Walks from the top: ``bit_length`` is O(1) and each step
+    shrinks the mask, so a step is one shift and one xor."""
+    ids: list[int] = []
+    while mask:
+        bit = mask.bit_length() - 1
+        mask ^= 1 << bit
+        ids.append(bit)
+    ids.reverse()
+    return ids
 
 
 def abstraction_mask(ids) -> int:
@@ -209,16 +229,8 @@ def abstraction_mask(ids) -> int:
 
 
 def abstraction_ids(mask: int) -> list[int]:
-    """The abstraction ids of a blue mask, ascending.  Walks set bits
-    from the top: ``bit_length`` is O(1), so each step is one shift and
-    one xor."""
-    ids: list[int] = []
-    while mask:
-        bit = mask.bit_length() - 1
-        mask ^= 1 << bit
-        ids.append(bit - 2)
-    ids.reverse()
-    return ids
+    """The abstraction ids of a blue mask, ascending."""
+    return [bit - 2 for bit in mask_ids(mask)]
 
 
 def generated_entry(cid: int, track_witnesses: bool) -> KernelRed:
@@ -266,9 +278,7 @@ def meet_entries(
     accumulation, and the final blue-kill resolution."""
     candidate: Optional[KernelRed] = None
     to_be_dominated = 0
-    # The declaring classes met so far, as a list of id collections
-    # unioned once at the end.
-    blue_ldcs: list = []
+    ldcs = 0
     for entry in entries:
         if type(entry) is tuple:
             if candidate is None:
@@ -284,16 +294,16 @@ def meet_entries(
                 to_be_dominated |= (
                     1 << (candidate[1] + 2) | 1 << (entry[1] + 2)
                 )
-                blue_ldcs.append((candidate[0], entry[0]))
+                ldcs |= 1 << candidate[0] | 1 << entry[0]
                 candidate = None
         else:
             to_be_dominated |= entry[0]
-            blue_ldcs.append(entry[1])
+            ldcs |= entry[1]
 
     # Lines [34]-[44]: resolve the candidate against the blue set —
     # Lemma 4 over every abstraction at once.
     if candidate is None:
-        return KernelBlue(to_be_dominated, _EMPTY.union(*blue_ldcs))
+        return KernelBlue(to_be_dominated, ldcs)
     ldc, least = candidate[0], candidate[1]
     if stats is not None:
         stats.dominance_checks += to_be_dominated.bit_count()
@@ -303,10 +313,7 @@ def meet_entries(
     surviving = to_be_dominated & ~dominated
     if not surviving:
         return candidate
-    blue_ldcs.append((ldc,))
-    return KernelBlue(
-        surviving | 1 << (least + 2), _EMPTY.union(*blue_ldcs)
-    )
+    return KernelBlue(surviving | 1 << (least + 2), ldcs | 1 << ldc)
 
 
 def fold_entry(
@@ -599,12 +606,7 @@ def cone_sweep(
     boundary = 0
     amb_mask = 0
     blue_cells = 0
-    cone_ids = []
-    remaining = cone_mask
-    while remaining:
-        low = remaining & -remaining
-        remaining ^= low
-        cone_ids.append(low.bit_length() - 1)
+    cone_ids = mask_ids(cone_mask)
     cone_ids.sort(key=ch.topo_positions.__getitem__)
     for cid in cone_ids:
         cone_classes += 1
@@ -732,6 +734,13 @@ def abstraction_names(ch: CompiledHierarchy, mask: int) -> frozenset:
     return frozenset(public)
 
 
+def candidate_names(ch: CompiledHierarchy, mask: int) -> tuple[str, ...]:
+    """A blue's candidate mask back to its declaring-class names,
+    sorted by name."""
+    names = ch.class_names
+    return tuple(sorted([names[cid] for cid in mask_ids(mask)]))
+
+
 def witness_path(ch: CompiledHierarchy, cell: WitnessCell) -> Path:
     """Materialise a witness cons chain into a concrete :class:`Path`."""
     nodes: list[str] = []
@@ -761,10 +770,9 @@ def to_table_entry(
                 witness_path(ch, entry[2]) if entry[2] is not None else None
             ),
         )
-    names = ch.class_names
     return BlueEntry(
         abstraction_names(ch, entry[0]),
-        frozenset([names[ldc] for ldc in entry[1]]),
+        frozenset(candidate_names(ch, entry[1])),
     )
 
 
@@ -815,5 +823,5 @@ def to_lookup_result(
         class_name,
         member,
         blue_abstractions=abstraction_names(ch, entry[0]),
-        candidates=tuple(sorted([ch.class_names[ldc] for ldc in entry[1]])),
+        candidates=candidate_names(ch, entry[1]),
     )

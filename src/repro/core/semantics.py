@@ -31,7 +31,8 @@ results through :func:`repro.core.kernel.to_lookup_result`):
   an unlinearisable class rejects the whole build
   (:class:`SemanticsRejection`).
 * ``self`` — red when exactly one declarer is visible, otherwise
-  ``KernelBlue(∅, declarers)``.
+  ``KernelBlue(0, declarers)`` (an empty abstraction mask, the
+  declarers' class-id mask).
 * ``eiffel`` — the rename-free restriction of the Eiffel model: a name
   reaching a class from two distinct origin features is a *static
   error* (:class:`SemanticsRejection`), mirroring
@@ -68,6 +69,7 @@ from repro.core.kernel import (
     LookupStats,
     batched_sweep,
     cone_sweep,
+    mask_ids,
 )
 from repro.errors import ReproError
 from repro.hierarchy.compiled import NONE_ID, OMEGA_ID, CompiledHierarchy
@@ -265,7 +267,7 @@ class _LocalFoldSemantics(Semantics):
         boundary = 0
         amb_mask = 0
         blue_cells = 0
-        cone_ids = _mask_ids(cone_mask)
+        cone_ids = mask_ids(cone_mask)
         cone_ids.sort(key=ch.topo_positions.__getitem__)
         for cid in cone_ids:
             cone_classes += 1
@@ -335,18 +337,13 @@ class SelfSemantics(_LocalFoldSemantics):
         return (cid, NONE_ID, None)
 
     def _meet(self, ch, cid, mid, bucket, declares):
-        first = bucket[0]
-        declarers = (
-            {first[0]} if type(first) is tuple else set(first.candidate_ldcs)
-        )
-        for entry in bucket[1:]:
-            if type(entry) is tuple:
-                declarers.add(entry[0])
-            else:
-                declarers |= entry.candidate_ldcs
-        if len(declarers) == 1:
-            return (next(iter(declarers)), NONE_ID, None)
-        return KernelBlue(0, frozenset(declarers))
+        declarers = 0
+        for entry in bucket:
+            declarers |= 1 << entry[0] if type(entry) is tuple else entry[1]
+        if declarers & (declarers - 1) == 0:
+            # One set bit: exactly one declarer is visible.
+            return (declarers.bit_length() - 1, NONE_ID, None)
+        return KernelBlue(0, declarers)
 
 
 class EiffelSemantics(_LocalFoldSemantics):
@@ -554,7 +551,7 @@ class C3Semantics(Semantics):
         recomputed = 0
         boundary = 0
         memo: dict = {}
-        cone_ids = _mask_ids(cone_mask)
+        cone_ids = mask_ids(cone_mask)
         cone_ids.sort(key=ch.topo_positions.__getitem__)
         for cid in cone_ids:
             cone_classes += 1
@@ -722,8 +719,7 @@ class GxxBfsSemantics(Semantics):
                     # The unsound early exit: ambiguity at the first
                     # incomparable pair, later dominators unseen.
                     entry = KernelBlue(
-                        0,
-                        frozenset({ldcs[best], ldcs[index]}),
+                        0, 1 << ldcs[best] | 1 << ldcs[index]
                     )
                     break
             if entry is None:
@@ -769,7 +765,7 @@ class GxxBfsSemantics(Semantics):
         recomputed = 0
         boundary = 0
         counters = [0, 0]
-        cone_ids = _mask_ids(cone_mask)
+        cone_ids = mask_ids(cone_mask)
         cone_ids.sort(key=ch.topo_positions.__getitem__)
         for cid in cone_ids:
             cone_classes += 1
@@ -799,15 +795,6 @@ class GxxBfsSemantics(Semantics):
             entries_recomputed=recomputed,
             boundary_rows=boundary,
         )
-
-
-def _mask_ids(mask: int) -> list:
-    ids = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        ids.append(low.bit_length() - 1)
-    return ids
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,10 @@ import pytest
 
 import repro.core.columnar as columnar_mod
 from repro.core.columnar import ColumnarTable, EntryPool
-from repro.core.flatpack import pack
+from repro.core.flatpack import mmap_table, pack
 from repro.core.kernel import KernelBlue, batched_sweep
 from repro.core.lookup import build_lookup_table
+from repro.core.paths import OMEGA
 from repro.core.snapshot import TableSnapshot
 from repro.errors import UnknownClassError
 from repro.serve.service import LookupService
@@ -87,21 +88,112 @@ def test_pool_interns_red_and_blue_without_collision():
     pool = EntryPool()
     red = pool.intern((3, 7))
     blue = pool.intern(
-        KernelBlue(
-            abstractions=frozenset({1, 2}), candidate_ldcs=frozenset({3})
-        )
+        KernelBlue(abstractions=0b1100, candidate_ldcs=1 << 3)
     )
     assert red != blue
     assert pool.intern((3, 7)) == red
     assert (
-        pool.intern(
-            KernelBlue(
-                abstractions=frozenset({1, 2}), candidate_ldcs=frozenset({3})
-            )
-        )
+        pool.intern(KernelBlue(abstractions=0b1100, candidate_ldcs=1 << 3))
         == blue
     )
     assert len(pool) == 2
+
+
+# A blue is two int masks, so ``KernelBlue(6, 5) == (6, 5)`` and the
+# two hash alike: red ``(ldc=6, least=5)`` against the blue with
+# abstractions {Ω, class 0} (bits 1, 2) and candidates {0, 2} (bits 0,
+# 2).  Every interning path must still give them different slots.
+COLLIDING_RED = (6, 5)
+COLLIDING_BLUE = KernelBlue(6, 5)
+RED_CLASS, BLUE_CLASS = 1, 3
+
+
+def test_colliding_red_and_blue_intern_apart():
+    assert COLLIDING_BLUE == COLLIDING_RED
+    assert hash(COLLIDING_BLUE) == hash(COLLIDING_RED)
+    pool = EntryPool()
+    red = pool.intern(COLLIDING_RED)
+    blue = pool.intern(COLLIDING_BLUE)
+    assert red != blue
+    assert type(pool.slots[red]) is tuple
+    assert type(pool.slots[blue]) is KernelBlue
+    assert pool.intern(COLLIDING_RED) == red
+    assert pool.intern(COLLIDING_BLUE) == blue
+    assert pool.copy().intern(COLLIDING_BLUE) == blue
+
+
+def colliding_fixture():
+    """An 8-class hierarchy whose one member column holds the colliding
+    red in class 1 and the colliding blue in class 3 (hand-made rows:
+    no sweep needs to produce them for the pool to keep them apart)."""
+    ch = chain(8, member_every=8).compile()
+    rows = [{} for _ in range(ch.n_classes)]
+    rows[RED_CLASS][0] = COLLIDING_RED + (None,)
+    rows[BLUE_CLASS][0] = COLLIDING_BLUE
+    return ch, rows
+
+
+def assert_colliding_answers(ch, results):
+    names = ch.class_names
+    red, blue = results
+    assert red.is_unique
+    assert red.declaring_class == names[6]
+    assert red.least_virtual == names[5]
+    assert blue.is_ambiguous
+    assert blue.candidates == tuple(sorted([names[0], names[2]]))
+    assert blue.blue_abstractions == frozenset({OMEGA, names[0]})
+
+
+def colliding_queries(ch):
+    member = ch.member_names[0]
+    return [
+        (ch.class_names[RED_CLASS], member),
+        (ch.class_names[BLUE_CLASS], member),
+    ]
+
+
+def test_colliding_red_and_blue_from_rows(use_numpy):
+    ch, rows = colliding_fixture()
+    table = ColumnarTable.from_rows(ch, rows, use_numpy=use_numpy)
+    cells = table.columns[0].cells
+    assert cells[RED_CLASS] != cells[BLUE_CLASS]
+    assert len(table.pool) == 2
+    assert_colliding_answers(ch, table.lookup_many(ch, colliding_queries(ch)))
+
+
+def test_colliding_red_and_blue_apply_delta(use_numpy):
+    ch, rows = colliding_fixture()
+    parent_rows = [dict(row) for row in rows]
+    del parent_rows[BLUE_CLASS][0]
+    table = ColumnarTable.from_rows(ch, parent_rows, use_numpy=use_numpy)
+    child = table.apply_delta(
+        ch, [BLUE_CLASS], [0], lambda cid, mid: rows[cid].get(mid)
+    )
+    cells = child.columns[0].cells
+    assert cells[RED_CLASS] != cells[BLUE_CLASS]
+    assert len(table.pool) == 1 and len(child.pool) == 2
+    assert_colliding_answers(ch, child.lookup_many(ch, colliding_queries(ch)))
+
+
+def test_colliding_red_and_blue_pack_round_trip(tmp_path):
+    ch, rows = colliding_fixture()
+    snapshot = TableSnapshot(
+        ch=ch,
+        rows=rows,
+        flat=None,
+        certificate=None,
+        entry_total=2,
+        track_witnesses=False,
+    )
+    path = tmp_path / "collide.pack"
+    pack(snapshot, path)
+    with mmap_table(path) as packed:
+        queries = colliding_queries(ch)
+        assert_colliding_answers(
+            ch, [packed.lookup(c, m) for c, m in queries]
+        )
+        assert_colliding_answers(ch, packed.lookup_many(queries))
+        assert len(packed._entry_pool()) == 2
 
 
 def test_pool_copy_is_private():

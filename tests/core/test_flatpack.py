@@ -9,12 +9,19 @@ pack is a first-class snapshot-chain parent (``to_table`` +
 ``apply_delta`` converge on the same answers as a fresh build).
 """
 
+import hashlib
 import struct
 
 import pytest
 
 import repro.core.columnar as columnar_mod
 from repro.core.flatpack import (
+    _SEC_COLUMN_CELLS,
+    _SEC_COLUMN_DIR,
+    _SEC_COLUMN_WITS,
+    _SEC_SLOT_OFFS,
+    _SEC_SLOT_VALS,
+    _SEC_WIT_PREV,
     FLATPACK_MAGIC,
     FLATPACK_VERSION,
     TableSerializationError,
@@ -23,7 +30,9 @@ from repro.core.flatpack import (
 )
 from repro.core.lookup import MemberLookupTable, build_lookup_table
 from repro.errors import UnknownClassError
+from repro.ingest import StreamingIngest
 from repro.serve.service import LookupService
+from repro.workloads.corpus import gui_corpus
 from repro.workloads.generators import (
     ambiguous_fan,
     binary_tree,
@@ -35,6 +44,7 @@ from repro.workloads.generators import (
     virtual_diamond_ladder,
     wide_unambiguous,
 )
+from repro.workloads.paper_figures import figure3, iostream_like
 
 FAMILIES = [
     ("ambiguous_fan", lambda: ambiguous_fan(8)),
@@ -125,6 +135,44 @@ def test_pack_is_deterministic(tmp_path):
     ).read_bytes()
 
 
+def _streamed_gui_table():
+    """A small GUI corpus streamed batch by batch, so the packed blues
+    went through many cone sweeps rather than one build."""
+    pipeline = StreamingIngest(batch_size=16)
+    for file in gui_corpus(layers=8, width=8, files=4, seed=3):
+        pipeline.ingest_source(file.text, filename=file.name)
+    pipeline.flush()
+    return pipeline.table
+
+
+#: sha256 of ``pack()`` output — the format's pin.  A change to the
+#: kernel's entry representation must leave every packed byte as is.
+PINNED_PACKS = {
+    "figure3": (
+        lambda: build_lookup_table(figure3(), mode="batched", fastpath=True),
+        "bb7f0d8dd77869848d60a7499ec6da3ceaed5aefc2e6c328fd85cc0220bd746a",
+    ),
+    "iostream_like": (
+        lambda: build_lookup_table(
+            iostream_like(), mode="batched", fastpath=True
+        ),
+        "b01394653a9de9d32cca41d084f4cbcc8d511887dacd86f81863645eb02d8958",
+    ),
+    "streamed_gui": (
+        _streamed_gui_table,
+        "3531355a8f6ef67363be0ff640fbb667c8b75db2d78792b66c6b8ed276224081",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PACKS))
+def test_pack_bytes_are_pinned(name, tmp_path):
+    build, digest = PINNED_PACKS[name]
+    path = tmp_path / f"{name}.pack"
+    pack(build(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_pack_rejects_in_place_tables(tmp_path):
     table = build_lookup_table(binary_tree(3), mode="per-member")
     with pytest.raises(ValueError):
@@ -207,6 +255,116 @@ def test_rejects_unknown_semantics_rule(tmp_path):
     garbage = (b"z" * sem_len)[:sem_len]
     raw[name_at : name_at + sem_len] = garbage
     _expect_reject(tmp_path, bytes(raw))
+
+
+def _figure3_slot(tmp_path, kind):
+    """The bytes of a ``figure3()`` pack plus the byte offset of the
+    first slot value of ``kind``: ``"ldc"`` of the red ``H::foo``, or
+    ``"abstraction"`` / ``"candidate"`` of the blue ``H::bar``."""
+    table = build_lookup_table(figure3(), mode="batched", fastpath=True)
+    columnar = table.snapshot.columnar_table()
+    ch = table.compiled
+    member = "foo" if kind == "ldc" else "bar"
+    column = columnar.columns[ch.member_ids[member]]
+    sid = column.cells[ch.class_ids["H"]]
+    path = tmp_path / "good.pack"
+    pack(table, path)
+    packed = mmap_table(path)
+    offs_at, _ = packed._sections[_SEC_SLOT_OFFS]
+    vals_at, _ = packed._sections[_SEC_SLOT_VALS]
+    packed.close()
+    raw = bytearray(path.read_bytes())
+    (at,) = struct.unpack_from("=q", raw, offs_at + 8 * sid)
+    kind_at, n_abs = struct.unpack_from("=qq", raw, vals_at + 8 * at)
+    assert kind_at == (0 if kind == "ldc" else 1)
+    value_at = at + {"ldc": 1, "abstraction": 3, "candidate": 3 + n_abs}[kind]
+    return raw, vals_at + 8 * value_at
+
+
+def _serve_corrupt(tmp_path, raw):
+    path = tmp_path / "bad.pack"
+    path.write_bytes(bytes(raw))
+    with mmap_table(path) as packed:
+        return packed.lookup("H", "bar"), packed.lookup("H", "foo")
+
+
+@pytest.mark.parametrize("kind", ["ldc", "abstraction", "candidate"])
+@pytest.mark.parametrize("value", ["n_classes", -3, -7])
+def test_rejects_out_of_range_slot_ids(kind, value, tmp_path):
+    """A slot value outside the class-id range (or, for abstractions,
+    the two sentinels) raises instead of serving a wrong answer."""
+    raw, at = _figure3_slot(tmp_path, kind)
+    struct.pack_into(
+        "=q", raw, at, figure3().compile().n_classes
+        if value == "n_classes" else value
+    )
+    with pytest.raises(TableSerializationError):
+        _serve_corrupt(tmp_path, raw)
+
+
+def test_rejects_slot_counts_overrunning_the_run(tmp_path):
+    raw, at = _figure3_slot(tmp_path, "abstraction")
+    # n_cand sits one int64 before the first abstraction id.
+    struct.pack_into("=q", raw, at - 8, 5)
+    with pytest.raises(TableSerializationError):
+        _serve_corrupt(tmp_path, raw)
+
+
+def test_sentinel_abstractions_still_read(tmp_path):
+    """Ω and NONE_ID are valid abstraction ids: rewriting one of
+    ``H::bar``'s to Ω still serves a blue."""
+    raw, at = _figure3_slot(tmp_path, "abstraction")
+    struct.pack_into("=q", raw, at, -1)
+    bar, foo = _serve_corrupt(tmp_path, raw)
+    assert bar.is_ambiguous and foo.is_unique
+
+
+@pytest.mark.parametrize(
+    "section,value",
+    [
+        (_SEC_COLUMN_CELLS, "_n_slots"),
+        (_SEC_COLUMN_CELLS, -3),
+        (_SEC_COLUMN_WITS, "_n_wit"),
+        (_SEC_COLUMN_WITS, -3),
+        (_SEC_COLUMN_DIR, "_n_columns"),
+        (_SEC_WIT_PREV, -3),
+    ],
+    ids=[
+        "cell=n_slots",
+        "cell=-3",
+        "witness=n_wit",
+        "witness=-3",
+        "column=n_columns",
+        "witness_prev=-3",
+    ],
+)
+def test_rejects_out_of_range_column_ids(section, value, tmp_path):
+    """A column cell, witness index or directory entry naming something
+    the pack does not hold raises on both read paths (the columnar
+    serve and the per-class rows of a thawed snapshot)."""
+    table = build_lookup_table(figure3(), mode="batched", fastpath=True)
+    path = tmp_path / "good.pack"
+    pack(table, path)
+    with mmap_table(path) as packed:
+        offset, length = packed._sections[section]
+        if isinstance(value, str):
+            value = getattr(packed, value)
+    raw = bytearray(path.read_bytes())
+    at = next(
+        at
+        for at in range(offset, offset + length, 8)
+        if struct.unpack_from("=q", raw, at)[0] >= 0
+    )
+    struct.pack_into("=q", raw, at, value)
+    bad = tmp_path / "bad.pack"
+    bad.write_bytes(bytes(raw))
+    queries = all_queries(table)
+    with mmap_table(bad) as packed:
+        with pytest.raises(TableSerializationError):
+            [packed.lookup(c, m) for c, m in queries]
+    with mmap_table(bad) as packed:
+        with pytest.raises(TableSerializationError):
+            [packed._row_entries(cid) for cid in range(packed.n_classes)]
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""The blue ⋄ and the meet on abstraction bitmasks.
+"""The blue ⋄ and the meet on bitmasks.
 
-A blue entry's abstraction set is an int bitmask (bit ``a + 2`` for
-abstraction id ``a``).  The ⋄ operator only ever rewrites Ω across a
+A blue entry is two int bitmasks: the abstractions (bit ``a + 2`` for
+abstraction id ``a``) and the candidate declaring classes (bit ``c``
+for class id ``c``).  The ⋄ operator only ever rewrites Ω across a
 virtual edge, so everywhere else a blue crosses an edge as the *same*
 object; the meet applies Lemma 4 to a whole blue set with one mask
 operation.  The property tests hold the mask meet to a set-based
@@ -21,6 +22,7 @@ from repro.core.kernel import (
     batched_sweep,
     dominates,
     extend_entry,
+    mask_ids,
     meet_entries,
 )
 from repro.core.paths import OMEGA
@@ -42,6 +44,16 @@ def test_bit_layout():
     assert abstraction_ids(0) == []
 
 
+def test_mask_ids_ascending():
+    assert mask_ids(0) == []
+    assert mask_ids(0b1011) == [0, 1, 3]
+    ids = [0, 5, 63, 64, 200]
+    mask = 0
+    for cid in ids:
+        mask |= 1 << cid
+    assert mask_ids(mask) == ids
+
+
 def test_abstraction_names_decode():
     ch = figure3().compile()
     d = ch.class_ids["D"]
@@ -56,7 +68,7 @@ class TestBlueDiamond:
     ch = figure3().compile()
     base = ch.class_ids["D"]
     derived = ch.class_ids["F"]
-    ldcs = frozenset({0, 1})
+    ldcs = 0b11  # candidates: classes 0 and 1
 
     def extend(self, abstractions, virtual):
         entry = KernelBlue(abstractions, self.ldcs)
@@ -106,7 +118,7 @@ def reference_meet(ch, entries, stats):
                 candidate = None
         else:
             to_be_dominated |= set(abstraction_ids(entry.abstractions))
-            ldcs |= entry.candidate_ldcs
+            ldcs |= set(mask_ids(entry.candidate_ldcs))
     if candidate is None:
         return ("blue", frozenset(to_be_dominated), frozenset(ldcs))
     surviving = {
@@ -129,7 +141,7 @@ def as_reference(entry):
     return (
         "blue",
         frozenset(abstraction_ids(entry.abstractions)),
-        entry.candidate_ldcs,
+        frozenset(mask_ids(entry.candidate_ldcs)),
     )
 
 
@@ -193,9 +205,9 @@ def test_meet_on_arbitrary_entries_matches_set_reference(graph, data):
     abstractions = st.sampled_from(pool)
     red = st.tuples(classes, abstractions, st.none())
     blue = st.builds(
-        lambda ids, ldcs: KernelBlue(abstraction_mask(ids), frozenset(ldcs)),
+        lambda ids, ldcs: KernelBlue(abstraction_mask(ids), ldcs),
         st.sets(abstractions, min_size=1),
-        st.sets(classes, min_size=1, max_size=4),
+        st.integers(1, (1 << ch.n_classes) - 1),
     )
     entries = data.draw(st.lists(st.one_of(red, blue), min_size=1, max_size=6))
     assert_meets_agree(ch, entries)
