@@ -2,18 +2,16 @@
 
 A published snapshot answers both point and batch reads from one
 columnar layout (:mod:`repro.core.columnar`): a point read is one
-memoised result cell, a batch is one vectorized gather per distinct
-member over dense interned entry arrays.  This file measures what the
+memoised result cell, a batch is one gather per distinct member over
+dense interned entry arrays.  This file measures what the
 batch entry point saves over issuing the same queries one at a time.
 
 It times 8192-query batches (mixed members, deterministic
 pseudo-random order, all keys distinct) on three 1024-class families —
 an 8-member chain, a depth-10 binary tree and an all-virtual layered
 DAG — through :meth:`~repro.serve.service.LookupService.lookup_many`
-in both gather implementations (numpy fancy indexing and the no-numpy
-``array``/``map`` fallback), against a per-query
-:meth:`~repro.serve.service.LookupService.lookup` loop over the same
-queries as baseline.  The baseline tag makes
+against a per-query :meth:`~repro.serve.service.LookupService.lookup`
+loop over the same queries as baseline.  The baseline tag makes
 ``scripts/collect_bench_numbers.py`` report the gather-to-loop ratio;
 no ratio is asserted.  A non-benchmark guard pins the gather's answers
 to the independent per-member table.  Recorded medians land in
@@ -24,7 +22,6 @@ import random
 
 import pytest
 
-import repro.core.columnar as columnar_mod
 from repro.core.lookup import build_lookup_table
 from repro.hierarchy.graph import ClassHierarchyGraph
 from repro.serve.service import LookupService
@@ -146,24 +143,7 @@ def test_batch_columnar_gather(benchmark, workload):
     benchmark(service.lookup_many, "t", queries)
     _annotate(benchmark, name, graph, queries)
     table = service.tenant("t").table.columnar_table
-    benchmark.extra_info["numpy"] = table.use_numpy
     benchmark.extra_info["pool_slots"] = len(table.pool)
-
-
-def test_batch_columnar_gather_fallback(benchmark, workload, monkeypatch):
-    """The gather again with numpy disabled — the ``array``/``map``
-    tight-loop path CI's no-numpy leg serves with."""
-    if not columnar_mod.HAVE_NUMPY:
-        pytest.skip("no numpy: the main gather benchmark is the fallback")
-    monkeypatch.setattr(columnar_mod, "HAVE_NUMPY", False)
-    name, graph, queries = workload
-    service = make_service(graph)
-    service.lookup_many("t", queries)
-    table = service.tenant("t").table.columnar_table
-    assert not table.use_numpy
-    benchmark(service.lookup_many, "t", queries)
-    _annotate(benchmark, name, graph, queries)
-    benchmark.extra_info["numpy"] = False
 
 
 def test_columnar_batches_match_rows():

@@ -452,7 +452,6 @@ def _render_columnar_stats(table) -> Optional[str]:
         f"[columnar] columns={columnar.column_count} "
         f"pool_slots={len(columnar.pool)} "
         f"populated_cells={columnar.populated_cells} "
-        f"numpy={'on' if columnar.use_numpy else 'off'} "
         f"batches={stats.batches} queries={stats.queries} "
         f"gathers={stats.gathers} scalar_serves={stats.scalar_serves} "
         f"columns_materialized={stats.columns_materialized}"

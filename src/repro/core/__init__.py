@@ -2,7 +2,6 @@
 
 from repro.core.certify import Certificate, certify, certify_table
 from repro.core.columnar import (
-    HAVE_NUMPY,
     ColumnarColumn,
     ColumnarStats,
     ColumnarTable,
@@ -75,7 +74,6 @@ __all__ = [
     "FastPathStats",
     "FlatColumn",
     "FlatTable",
-    "HAVE_NUMPY",
     "OMEGA",
     "Abstraction",
     "BlueEntry",

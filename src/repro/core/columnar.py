@@ -1,4 +1,4 @@
-"""Columnar serving layout — dense entry arrays, vectorized gather.
+"""Columnar serving layout — dense entry arrays, one gather per member.
 
 The Red/Blue table is conceptually a dense ``classes × members``
 matrix; the sweeps produce it as per-class Python dicts.  This module
@@ -7,7 +7,7 @@ the certified-red-only :mod:`repro.core.fastpath` — as dense
 per-member arrays of interned entry ids over one shared
 :class:`EntryPool`.  It is the one layout a published
 :class:`~repro.core.snapshot.TableSnapshot` reads from: batches are
-answered with one vectorized gather per distinct member, point queries
+answered with one gather per distinct member, point queries
 with one memoised result cell (:meth:`ColumnarTable._result_one`):
 
 * :class:`EntryPool` generalizes :class:`~repro.core.fastpath
@@ -22,21 +22,14 @@ with one memoised result cell (:meth:`ColumnarTable._result_one`):
 * :class:`ColumnarColumn` holds one member's dense ``array('q')`` of
   slot ids (``-1`` = not visible), the per-class witness cons cells,
   and a lazily materialised per-class :class:`~repro.core.results
-  .LookupResult` memo — an object ndarray under numpy so a group of
-  query ids gathers with one fancy-indexing call, a plain list
-  otherwise so a group gathers with one C-level ``map``.
+  .LookupResult` memo list, so a group of query ids gathers with one
+  C-level ``map``.
 * :class:`ColumnarTable` is built straight off the row list a
   :func:`~repro.core.kernel.batched_sweep` / ``cone_sweep`` produced
   (:meth:`ColumnarTable.from_rows` — no dict-row detour per query at
   serve time) and maintained copy-on-write in O(delta) by :meth:`ColumnarTable.apply_delta` — unaffected columns
   and their warm result memos are shared with the parent by reference,
   exactly like the snapshot tier's row sharing.
-
-numpy is an *optional* accelerator (the ``columnar`` extra): when
-importable, group gathers use fancy indexing over object ndarrays;
-when absent, every path falls back to ``array``/``memoryview`` tight
-loops and C-level ``map`` chains with identical results.  The fallback
-is what CI's no-numpy leg runs.
 
 Batch semantics match a per-query loop exactly: class names are
 interned once per batch (the first unknown class raises
@@ -69,23 +62,12 @@ from repro.core.results import (
 from repro.errors import UnknownClassError
 from repro.hierarchy.compiled import CompiledHierarchy
 
-try:  # pragma: no cover - exercised by whichever leg the env provides
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = [
-    "HAVE_NUMPY",
     "ColumnarColumn",
     "ColumnarStats",
     "ColumnarTable",
     "EntryPool",
 ]
-
-#: Whether the optional numpy accelerator imported.  Tables built with
-#: ``use_numpy=None`` (the default) consult this at construction time;
-#: tests monkeypatch it to force the fallback gather on numpy machines.
-HAVE_NUMPY = _np is not None
 
 #: Below this group size a cold column is served by the guarded
 #: per-query path (memoising only the touched cells) instead of
@@ -102,7 +84,7 @@ class ColumnarStats:
     """Serving and maintenance counters of one :class:`ColumnarTable`
     (continued across copy-on-write children, like the fast path's).
 
-    ``gathers`` counts vectorized group serves from a ready column;
+    ``gathers`` counts group serves from a ready column;
     ``scalar_serves`` counts queries that took the guarded per-query
     path instead (unknown members, short shared columns after a delta,
     small groups over cold columns)."""
@@ -190,25 +172,20 @@ class ColumnarColumn:
     ``cells[cid]`` indexes the owning table's :class:`EntryPool`
     (``-1`` = member not visible in that class); ``witnesses[cid]`` is
     the kernel's witness cons cell (red cells only); ``results[cid]``
-    memoises the public :class:`~repro.core.results.LookupResult` — an
-    object ndarray in numpy mode so group gathers fancy-index it, a
-    plain list otherwise.  ``ready`` is set once *every* cell (not-found
-    included) is materialised, which is what licenses the memo-only
-    vectorized gather; any cell write clears it.  ``populated`` counts
-    visible cells incrementally, so ``len()`` is O(1).
+    memoises the public :class:`~repro.core.results.LookupResult`.
+    ``ready`` is set once *every* cell (not-found included) is
+    materialised, which is what licenses the memo-only group gather;
+    any cell write clears it.  ``populated`` counts visible cells
+    incrementally, so ``len()`` is O(1).
     """
 
     __slots__ = ("mid", "cells", "witnesses", "results", "ready", "populated")
 
-    def __init__(self, mid: int, n_classes: int, use_numpy: bool) -> None:
+    def __init__(self, mid: int, n_classes: int) -> None:
         self.mid = mid
         self.cells = array("q", [-1]) * n_classes
         self.witnesses: list = [None] * n_classes
-        self.results = (
-            _np.empty(n_classes, dtype=object)
-            if use_numpy
-            else [None] * n_classes
-        )
+        self.results: list = [None] * n_classes
         self.ready = False
         self.populated = 0
 
@@ -216,7 +193,7 @@ class ColumnarColumn:
         """Number of populated (visible) cells — O(1)."""
         return self.populated
 
-    def copy(self, use_numpy: bool) -> "ColumnarColumn":
+    def copy(self) -> "ColumnarColumn":
         """A private duplicate — the copy-on-write unit of delta
         derivation.  Containers are fresh; the witness cons cells and
         memoised results they hold are immutable values and stay shared
@@ -225,26 +202,19 @@ class ColumnarColumn:
         dup.mid = self.mid
         dup.cells = array("q", self.cells)
         dup.witnesses = list(self.witnesses)
-        dup.results = (
-            self.results.copy() if use_numpy else list(self.results)
-        )
+        dup.results = list(self.results)
         dup.ready = self.ready
         dup.populated = self.populated
         return dup
 
-    def ensure_size(self, n_classes: int, use_numpy: bool) -> None:
+    def ensure_size(self, n_classes: int) -> None:
         """Grow the arrays for class ids appended since the build; new
         classes start invisible and unmemoised (so ``ready`` drops)."""
         grow = n_classes - len(self.cells)
         if grow > 0:
             self.cells.extend(array("q", [-1]) * grow)
             self.witnesses.extend([None] * grow)
-            if use_numpy:
-                self.results = _np.concatenate(
-                    [self.results, _np.empty(grow, dtype=object)]
-                )
-            else:
-                self.results.extend([None] * grow)
+            self.results.extend([None] * grow)
             self.ready = False
 
     def set_cell(self, cid: int, entry, pool: EntryPool) -> None:
@@ -272,8 +242,7 @@ class ColumnarColumn:
 
 class ColumnarTable:
     """The whole table as dense per-member columns over one shared
-    entry pool, with the vectorized batch entry point
-    :meth:`lookup_many`.
+    entry pool, with the batch entry point :meth:`lookup_many`.
 
     Build one with :meth:`from_rows` (straight off a sweep's row
     list).  Derive the next
@@ -289,7 +258,6 @@ class ColumnarTable:
 
     __slots__ = (
         "n_classes",
-        "use_numpy",
         "pool",
         "columns",
         "absent",
@@ -300,20 +268,16 @@ class ColumnarTable:
         self,
         n_classes: int,
         *,
-        use_numpy: Optional[bool] = None,
         pool: Optional[EntryPool] = None,
         stats: Optional[ColumnarStats] = None,
     ) -> None:
         self.n_classes = n_classes
-        self.use_numpy = (
-            HAVE_NUMPY if use_numpy is None else bool(use_numpy) and HAVE_NUMPY
-        )
         self.pool = EntryPool() if pool is None else pool
         self.columns: dict[int, ColumnarColumn] = {}
         # member name -> all-NOT_FOUND gather source, memoised for
         # names queried in bulk that no class declares (see
         # :meth:`_absent_results`).
-        self.absent: dict[str, object] = {}
+        self.absent: dict[str, list] = {}
         self.stats = ColumnarStats() if stats is None else stats
 
     # ------------------------------------------------------------------
@@ -321,23 +285,16 @@ class ColumnarTable:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_rows(
-        cls,
-        ch: CompiledHierarchy,
-        rows: list,
-        *,
-        use_numpy: Optional[bool] = None,
-    ) -> "ColumnarTable":
+    def from_rows(cls, ch: CompiledHierarchy, rows: list) -> "ColumnarTable":
         """Re-lay a sweep's row list (``rows[cid]: mid -> kernel
         entry``) as dense columns in one pass — every entry interned
         into the shared pool, blue columns included."""
-        table = cls(ch.n_classes, use_numpy=use_numpy)
+        table = cls(ch.n_classes)
         columns = table.columns
         pool = table.pool
         ids = pool._ids
         slots = pool.slots
         publics = pool.public
-        numpy_mode = table.use_numpy
         n_classes = table.n_classes
         for cid, row in enumerate(rows):
             if not row:
@@ -345,9 +302,7 @@ class ColumnarTable:
             for mid, entry in row.items():
                 column = columns.get(mid)
                 if column is None:
-                    column = columns[mid] = ColumnarColumn(
-                        mid, n_classes, numpy_mode
-                    )
+                    column = columns[mid] = ColumnarColumn(mid, n_classes)
                 if type(entry) is tuple:
                     key = slot = (entry[0], entry[1])
                     column.witnesses[cid] = entry[2]
@@ -367,7 +322,7 @@ class ColumnarTable:
     ) -> ColumnarColumn:
         """Materialise one member's column from an ``entry_at(cid,
         mid)`` reader, visiting only classes the member is visible in."""
-        column = ColumnarColumn(mid, self.n_classes, self.use_numpy)
+        column = ColumnarColumn(mid, self.n_classes)
         pool = self.pool
         remaining = ch.classes_with_member(mid)
         while remaining:
@@ -399,7 +354,6 @@ class ColumnarTable:
         table's."""
         child = ColumnarTable(
             ch.n_classes,
-            use_numpy=self.use_numpy,
             pool=self.pool.copy() if member_ids else self.pool,
             stats=ColumnarStats(**vars(self.stats)),
         )
@@ -423,9 +377,9 @@ class ColumnarTable:
                 child.columns[mid] = child._flatten_member(ch, mid, entry_at)
                 stats.new_columns += 1
                 continue
-            column = column.copy(self.use_numpy)
+            column = column.copy()
             child.columns[mid] = column
-            column.ensure_size(ch.n_classes, self.use_numpy)
+            column.ensure_size(ch.n_classes)
             for cid in cone_ids:
                 column.set_cell(cid, entry_at(cid, mid), pool)
             stats.cone_updates += 1
@@ -453,15 +407,14 @@ class ColumnarTable:
         self, ch: CompiledHierarchy, queries: Iterable[Sequence[str]]
     ) -> list[LookupResult]:
         """Answer a batch of ``(class, member)`` queries with one
-        vectorized gather per distinct member.
+        gather per distinct member.
 
         Names are interned once per batch through C-level ``map``
         chains (the first unknown class raises
         :class:`~repro.errors.UnknownClassError`, exactly where the
         per-query loop would have); query positions are grouped by
-        member; each group gathers its memoised results by fancy
-        indexing (numpy mode) or a ``map`` over the memo list
-        (fallback).  Cold columns are materialised whole on first batch
+        member; each group gathers its memoised results from the memo
+        list.  Cold columns are materialised whole on first batch
         touch; tiny groups, unknown members and short shared columns
         take the guarded per-query path instead.  Results are
         value-identical to the per-query row path's."""
@@ -481,44 +434,12 @@ class ColumnarTable:
         first = members[0]
         if members.count(first) == n:
             return self._serve_group(ch, first, cids, n)
-        if self.use_numpy:
-            return self._serve_grouped_numpy(ch, members, cids, n)
         return self._serve_grouped(ch, members, cids, n)
 
-    def _serve_grouped_numpy(self, ch, members, cids, n):
-        """Multi-member batch, numpy mode: integer member codes, one
-        ``flatnonzero`` selector + fancy-indexed gather + scatter per
-        distinct member — no per-query Python loop anywhere."""
-        # dict.fromkeys dedups at C level in first-seen order — no
-        # per-query Python loop just to number the distinct members.
-        code_of = {
-            member: code for code, member in enumerate(dict.fromkeys(members))
-        }
-        codes = _np.fromiter(
-            map(code_of.__getitem__, members), dtype=_np.intp, count=n
-        )
-        cid_arr = _np.fromiter(cids, dtype=_np.intp, count=n)
-        out = _np.empty(n, dtype=object)
-        for member, code in code_of.items():
-            sel = _np.flatnonzero(codes == code)
-            group_cids = cid_arr[sel]
-            results = self._gather_source(ch, member, len(sel))
-            if results is not None:
-                self.stats.gathers += 1
-                out[sel] = results[group_cids]
-            else:
-                self.stats.scalar_serves += len(sel)
-                names = ch.class_names
-                out[sel] = [
-                    self._result_one(ch, int(cid), names[cid], member)
-                    for cid in group_cids
-                ]
-        return out.tolist()
-
     def _serve_grouped(self, ch, members, cids, n):
-        """Multi-member batch, fallback mode: group query positions by
-        member with one pass, then serve each group with a tight
-        gather/scatter loop over the memo list."""
+        """Multi-member batch: group query positions by member with one
+        pass, then serve each group with a tight gather/scatter loop
+        over the memo list."""
         groups: dict[str, list[int]] = {}
         for qi, member in enumerate(members):
             bucket = groups.get(member)
@@ -552,9 +473,6 @@ class ColumnarTable:
                 self._result_one(ch, cid, names[cid], member) for cid in cids
             ]
         self.stats.gathers += 1
-        if self.use_numpy:
-            idx = _np.fromiter(cids, dtype=_np.intp, count=size)
-            return results[idx].tolist()
         return list(map(results.__getitem__, cids))
 
     def _gather_source(self, ch, member: str, group_size: int):
@@ -585,13 +503,9 @@ class ColumnarTable:
         :meth:`apply_delta` when a delta declares the name."""
         results = self.absent.get(member)
         if results is None or len(results) < self.n_classes:
-            rows = [
+            results = self.absent[member] = [
                 not_found_result(name, member) for name in ch.class_names
             ]
-            results = (
-                _np.array(rows, dtype=object) if self.use_numpy else rows
-            )
-            self.absent[member] = results
         return results
 
     def _materialize_column(

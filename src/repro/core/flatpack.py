@@ -25,9 +25,8 @@ header validation — no per-entry work at all:
 :func:`pack` writes a snapshot-backed table out; :func:`mmap_table`
 maps one back in as a :class:`PackedTable` that serves ``lookup`` /
 ``lookup_many`` straight off the buffer: column cells are zero-copy
-``memoryview.cast('q')`` views of the mapped pages (numpy ``frombuffer``
-accelerates the bookkeeping when available), columns load lazily on
-first touch, and :class:`~repro.core.results.LookupResult` objects and
+``memoryview.cast('q')`` views of the mapped pages, columns load lazily
+on first touch, and :class:`~repro.core.results.LookupResult` objects and
 witness paths materialise lazily through the *same*
 :class:`~repro.core.columnar.ColumnarTable` serving code the live table
 uses — so answers are value-identical by construction, first-query
@@ -63,7 +62,6 @@ import mmap
 import struct
 from typing import Optional, Union
 
-import repro.core.columnar as columnar_mod
 from repro.core.columnar import ColumnarColumn, ColumnarTable, EntryPool
 from repro.core.kernel import (
     AmbiguityCertificate,
@@ -379,15 +377,13 @@ class _PackColumnarTable(ColumnarTable):
 
     __slots__ = ("_pack",)
 
-    def __init__(self, pack: "PackedTable", use_numpy=None) -> None:
-        super().__init__(
-            pack.n_classes, use_numpy=use_numpy, pool=pack._entry_pool()
-        )
+    def __init__(self, pack: "PackedTable") -> None:
+        super().__init__(pack.n_classes, pool=pack._entry_pool())
         self._pack = pack
 
     def _ensure(self, mid: int) -> None:
         if mid not in self.columns:
-            column = self._pack._load_column(mid, self.use_numpy)
+            column = self._pack._load_column(mid)
             if column is not None:
                 self.columns[mid] = column
 
@@ -780,9 +776,7 @@ class PackedTable:
             mid for mid in range(self._n_members) if directory[mid] >= 0
         ]
 
-    def _load_column(
-        self, mid: int, use_numpy: bool
-    ) -> Optional[ColumnarColumn]:
+    def _load_column(self, mid: int) -> Optional[ColumnarColumn]:
         """One member's :class:`~repro.core.columnar.ColumnarColumn`
         over zero-copy cells: the ``array('q')`` slot ids are served as
         a ``memoryview.cast('q')`` of the mapped pages (every reader —
@@ -814,13 +808,9 @@ class PackedTable:
         column.mid = mid
         column.cells = cells
         column.ready = False
-        if columnar_mod.HAVE_NUMPY and use_numpy:
-            arr = columnar_mod._np.frombuffer(cells, dtype=columnar_mod._np.int64)
-            column.populated = int((arr >= 0).sum())
-            column.results = columnar_mod._np.empty(n, dtype=object)
-        else:
-            column.populated = sum(1 for sid in cells if sid >= 0)
-            column.results = [None] * n
+        # Ids were range-checked above, so every cell is -1 or a slot.
+        column.populated = n - cells.tolist().count(-1)
+        column.results = [None] * n
         if self.track_witnesses and self._n_wit:
             pool = self._wit_pool()
             column.witnesses = [

@@ -2,9 +2,8 @@
 
 These tests pin the whole contract of the dense layout: entry interning
 over the shared pool (blue entries included — the generalization past
-:mod:`repro.core.fastpath`), strict result equality of the vectorized
-gather against the per-member reference table on every workload
-family, the numpy and no-numpy gathers producing identical answers,
+:mod:`repro.core.fastpath`), strict result equality of the gather
+against the per-member reference table on every workload family,
 copy-on-write delta derivation (parent untouched, unaffected columns
 shared by reference, short shared columns bounds-guarded), and the
 batch's error semantics (first unknown class raises, unknown members
@@ -13,7 +12,6 @@ answer NOT_FOUND).
 
 import pytest
 
-import repro.core.columnar as columnar_mod
 from repro.core.columnar import ColumnarTable, EntryPool
 from repro.core.flatpack import mmap_table, pack
 from repro.core.kernel import KernelBlue, batched_sweep
@@ -34,20 +32,6 @@ from repro.workloads.generators import (
     wide_unambiguous,
 )
 
-MODES = (
-    [True, False] if columnar_mod.HAVE_NUMPY else [False]
-)
-
-
-@pytest.fixture(params=MODES, ids=lambda v: "numpy" if v else "fallback")
-def use_numpy(request, monkeypatch):
-    """Run the test under both gather implementations; on machines
-    without numpy only the fallback leg exists (CI's no-numpy job)."""
-    if not request.param:
-        monkeypatch.setattr(columnar_mod, "HAVE_NUMPY", False)
-    return request.param
-
-
 def all_queries(graph, extra=("does_not_exist",)):
     members = set(extra)
     for name in graph.classes:
@@ -59,16 +43,16 @@ def all_queries(graph, extra=("does_not_exist",)):
     ]
 
 
-def build_columnar(graph, *, use_numpy=None):
+def build_columnar(graph):
     ch = graph.compile()
     rows = batched_sweep(ch)
-    return ch, ColumnarTable.from_rows(ch, rows, use_numpy=use_numpy)
+    return ch, ColumnarTable.from_rows(ch, rows)
 
 
-def assert_batch_matches_rows(graph, *, use_numpy=None):
+def assert_batch_matches_rows(graph):
     """Strict equality (witnesses included) of one big gather against
     the independent per-member reference table."""
-    ch, table = build_columnar(graph, use_numpy=use_numpy)
+    ch, table = build_columnar(graph)
     rows = build_lookup_table(graph)
     queries = all_queries(graph)
     batched = table.lookup_many(ch, queries)
@@ -152,20 +136,20 @@ def colliding_queries(ch):
     ]
 
 
-def test_colliding_red_and_blue_from_rows(use_numpy):
+def test_colliding_red_and_blue_from_rows():
     ch, rows = colliding_fixture()
-    table = ColumnarTable.from_rows(ch, rows, use_numpy=use_numpy)
+    table = ColumnarTable.from_rows(ch, rows)
     cells = table.columns[0].cells
     assert cells[RED_CLASS] != cells[BLUE_CLASS]
     assert len(table.pool) == 2
     assert_colliding_answers(ch, table.lookup_many(ch, colliding_queries(ch)))
 
 
-def test_colliding_red_and_blue_apply_delta(use_numpy):
+def test_colliding_red_and_blue_apply_delta():
     ch, rows = colliding_fixture()
     parent_rows = [dict(row) for row in rows]
     del parent_rows[BLUE_CLASS][0]
-    table = ColumnarTable.from_rows(ch, parent_rows, use_numpy=use_numpy)
+    table = ColumnarTable.from_rows(ch, parent_rows)
     child = table.apply_delta(
         ch, [BLUE_CLASS], [0], lambda cid, mid: rows[cid].get(mid)
     )
@@ -204,22 +188,20 @@ def test_pool_copy_is_private():
     assert len(pool) == 1 and len(dup) == 2
 
 
-def test_chain_interns_one_red_slot(use_numpy):
+def test_chain_interns_one_red_slot():
     """A 64-class chain with one declaration has 64 populated cells but
     a single distinct entry — the columnar win the pool encodes."""
-    ch, table = build_columnar(
-        chain(64, member_every=64), use_numpy=use_numpy
-    )
+    ch, table = build_columnar(chain(64, member_every=64))
     assert len(table.pool) == 1
     assert table.populated_cells == 64
     assert table.column_count == 1
 
 
-def test_blue_columns_are_laid_out(use_numpy):
+def test_blue_columns_are_laid_out():
     """Ambiguous columns live in the same dense layout — the point of
     generalizing past the certified-red fast path."""
     graph = ambiguous_fan(5)
-    ch, table = build_columnar(graph, use_numpy=use_numpy)
+    ch, table = build_columnar(graph)
     (column,) = table.columns.values()
     slots = table.pool.slots
     assert any(type(slots[sid]) is not tuple for sid in column.cells if sid >= 0)
@@ -230,7 +212,7 @@ def test_blue_columns_are_laid_out(use_numpy):
 
 
 # ----------------------------------------------------------------------
-# Gather vs row path, every workload family, both gather modes
+# Gather vs row path, every workload family
 # ----------------------------------------------------------------------
 
 
@@ -259,23 +241,12 @@ def test_blue_columns_are_laid_out(use_numpy):
         "random",
     ],
 )
-def test_gather_matches_row_path(graph_factory, use_numpy):
-    assert_batch_matches_rows(graph_factory(), use_numpy=use_numpy)
+def test_gather_matches_row_path(graph_factory):
+    assert_batch_matches_rows(graph_factory())
 
 
-def test_numpy_and_fallback_agree():
-    if not columnar_mod.HAVE_NUMPY:
-        pytest.skip("numpy not installed; single-mode environment")
-    graph = random_hierarchy(12, seed=3, member_probability=0.7)
-    ch, fast = build_columnar(graph, use_numpy=True)
-    _, slow = build_columnar(graph, use_numpy=False)
-    assert fast.use_numpy and not slow.use_numpy
-    queries = all_queries(graph)
-    assert fast.lookup_many(ch, queries) == slow.lookup_many(ch, queries)
-
-
-def test_large_single_member_batch_uses_one_gather(use_numpy):
-    ch, table = build_columnar(chain(64), use_numpy=use_numpy)
+def test_large_single_member_batch_uses_one_gather():
+    ch, table = build_columnar(chain(64))
     queries = [(name, "m") for name in ch.class_names]
     out = table.lookup_many(ch, queries)
     assert all(result.is_unique for result in out)
@@ -286,31 +257,31 @@ def test_large_single_member_batch_uses_one_gather(use_numpy):
     assert table.stats.columns_materialized == 1
 
 
-def test_small_batch_stays_scalar(use_numpy):
+def test_small_batch_stays_scalar():
     """A tiny batch over a huge cold column must not pay O(|N|)
     materialisation — the guarded per-query path serves it."""
-    ch, table = build_columnar(chain(200), use_numpy=use_numpy)
+    ch, table = build_columnar(chain(200))
     out = table.lookup_many(ch, [("C199", "m"), ("C0", "m")])
     assert [r.is_unique for r in out] == [True, True]
     assert table.stats.columns_materialized == 0
     assert table.stats.scalar_serves == 2
 
 
-def test_unknown_member_is_not_found_per_query(use_numpy):
-    ch, table = build_columnar(binary_tree(3), use_numpy=use_numpy)
+def test_unknown_member_is_not_found_per_query():
+    ch, table = build_columnar(binary_tree(3))
     out = table.lookup_many(ch, [("N1", "ghost"), ("N2", "m")])
     assert out[0].is_not_found and out[1].is_unique
 
 
-def test_unknown_class_raises(use_numpy):
-    ch, table = build_columnar(binary_tree(3), use_numpy=use_numpy)
+def test_unknown_class_raises():
+    ch, table = build_columnar(binary_tree(3))
     with pytest.raises(UnknownClassError) as exc:
         table.lookup_many(ch, [("N1", "m"), ("Ghost", "m")])
     assert exc.value.name == "Ghost"
 
 
-def test_empty_batch(use_numpy):
-    ch, table = build_columnar(binary_tree(3), use_numpy=use_numpy)
+def test_empty_batch():
+    ch, table = build_columnar(binary_tree(3))
     assert table.lookup_many(ch, []) == []
     assert table.lookup_many(ch, iter(())) == []
 
@@ -320,21 +291,21 @@ def test_empty_batch(use_numpy):
 # ----------------------------------------------------------------------
 
 
-def delta_fixture(use_numpy):
+def delta_fixture():
     """A two-member graph, its columnar table, and a mutation that
     touches only one member — so sharing is observable per column."""
     graph = chain(20, member_every=4)
     for i in range(0, 20, 5):
         graph.add_member(f"C{i}", "other")
-    ch, table = build_columnar(graph, use_numpy=use_numpy)
+    ch, table = build_columnar(graph)
     # Warm both columns' memos so sharing of warm results is visible.
     table.lookup_many(ch, [(n, "m") for n in ch.class_names] * 2)
     table.lookup_many(ch, [(n, "other") for n in ch.class_names])
     return graph, ch, table
 
 
-def test_apply_delta_shares_unaffected_columns(use_numpy):
-    graph, ch, table = delta_fixture(use_numpy)
+def test_apply_delta_shares_unaffected_columns():
+    graph, ch, table = delta_fixture()
     # A new root: its only visible member is "m", so the delta's member
     # mask is exactly {m} and the "other" column stays shared (short).
     graph.add_class("Zed", ["m"])
@@ -389,8 +360,8 @@ def chainless_copy(graph, dropped):
     return prefix
 
 
-def test_apply_delta_new_member_column(use_numpy):
-    graph, ch, table = delta_fixture(use_numpy)
+def test_apply_delta_new_member_column():
+    graph, ch, table = delta_fixture()
     # A new root declaring a new member: the delta mask is exactly the
     # brand-new member, so the column is flattened from scratch.
     graph.add_class("Fresh", ["brand_new"])
@@ -409,8 +380,8 @@ def test_apply_delta_new_member_column(use_numpy):
     assert child.lookup_many(new_ch, [("C0", "brand_new")])[0].is_not_found
 
 
-def test_apply_delta_without_members_shares_pool(use_numpy):
-    _, ch, table = delta_fixture(use_numpy)
+def test_apply_delta_without_members_shares_pool():
+    _, ch, table = delta_fixture()
     child = table.apply_delta(ch, [], [], lambda cid, mid: None)
     assert child.pool is table.pool
 
@@ -420,7 +391,7 @@ def test_apply_delta_without_members_shares_pool(use_numpy):
 # ----------------------------------------------------------------------
 
 
-def test_snapshot_lazy_columnar_is_memoised(use_numpy):
+def test_snapshot_lazy_columnar_is_memoised():
     snapshot = TableSnapshot.build(binary_tree(4))
     table = snapshot.columnar_table()
     assert table is not None

@@ -14,7 +14,6 @@ import struct
 
 import pytest
 
-import repro.core.columnar as columnar_mod
 from repro.core.flatpack import (
     _SEC_COLUMN_CELLS,
     _SEC_COLUMN_DIR,
@@ -435,19 +434,10 @@ def test_to_graph_recompiles_identically(tmp_path):
     assert tuple(rebuilt.topo_order) == tuple(ch.topo_order)
 
 
-# ----------------------------------------------------------------------
-# The no-numpy leg (the main CI job has no numpy; this pins the
-# fallback explicitly even where numpy is installed)
-# ----------------------------------------------------------------------
-
-
-def test_round_trip_without_numpy(monkeypatch, tmp_path):
-    monkeypatch.setattr(columnar_mod, "HAVE_NUMPY", False)
+def test_round_trip_point_and_batch_reads(tmp_path):
     table, packed = packed_pair(
         random_hierarchy(25, seed=5, member_probability=0.6), tmp_path
     )
-    columnar = packed._columnar()
-    assert not columnar.use_numpy
     queries = all_queries(table)
     assert packed.lookup_many(queries) == table.lookup_many(queries)
     assert [packed.lookup(c, m) for c, m in queries] == [

@@ -16,7 +16,6 @@ import tempfile
 
 import pytest
 
-import repro.core.columnar as columnar_mod
 from repro.core.flatpack import mmap_table, pack
 from repro.core.lookup import MemberLookupTable, build_lookup_table
 from repro.core.snapshot import TableSnapshot
@@ -116,12 +115,10 @@ def test_batch_equals_one_shot_after_apply_delta():
     assert batch == [fresh.lookup(c, m) for c, m in queries]
 
 
-def test_batch_equals_one_shot_without_numpy(monkeypatch):
-    monkeypatch.setattr(columnar_mod, "HAVE_NUMPY", False)
+def test_batch_equals_one_shot_over_blue_columns():
     graph = ambiguous_fan(6)
     table = build_lookup_table(graph, mode="batched")
-    columnar = table.columnar_table
-    assert columnar is not None and not columnar.use_numpy
+    assert table.columnar_table is not None
     reference = build_lookup_table(graph)
     queries = all_queries(graph)
     assert table.lookup_many(queries) == [

@@ -4,16 +4,12 @@ A ``lookup`` reply is ``ok_line(id, result_json(r))`` and a
 ``lookup_many`` reply joins the cells' fragments; both must equal the
 dict path ``encode_line(ok_response(id, result_to_dict(...)))`` byte for
 byte, for every cell of the paper figures and of a seeded random
-family under every dispatch rule, whichever gather implementation
-serves the batch."""
+family under every dispatch rule."""
 
 import asyncio
 import copy
 import pickle
 
-import pytest
-
-import repro.core.columnar as columnar_mod
 from repro.core.semantics import SEMANTICS_NAMES, SemanticsRejection
 from repro.hierarchy.graph import ClassHierarchyGraph
 from repro.serve.protocol import (
@@ -54,18 +50,6 @@ GRAPHS = {
     "non_ascii": non_ascii,
 }
 
-GATHERS = [True, False] if columnar_mod.HAVE_NUMPY else [False]
-
-
-@pytest.fixture(params=GATHERS, ids=lambda v: "numpy" if v else "fallback")
-def gather(request, monkeypatch):
-    """Serve batches with both gather implementations where numpy is
-    installed; only the fallback exists without it."""
-    if not request.param:
-        monkeypatch.setattr(columnar_mod, "HAVE_NUMPY", False)
-    return request.param
-
-
 #: Rules with catalogued static rejections (an unlinearisable class,
 #: an Eiffel name clash); every other rule hosts every graph.
 REJECTING = ("c3", "eiffel")
@@ -102,7 +86,7 @@ def test_every_rule_hosts_cells():
         assert len(hosted_here) >= expected, rule
 
 
-def test_point_reply_bytes_equal_the_dict_path(gather):
+def test_point_reply_bytes_equal_the_dict_path():
     service, keys = hosted()
     for tenant, queries in keys.items():
         for class_name, member in queries:
@@ -120,7 +104,7 @@ def test_point_reply_bytes_equal_the_dict_path(gather):
                 assert result_json(again) is cold
 
 
-def test_batch_reply_bytes_equal_the_dict_path(gather):
+def test_batch_reply_bytes_equal_the_dict_path():
     service, keys = hosted()
 
     async def scenario():

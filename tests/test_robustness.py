@@ -6,9 +6,14 @@ semantics) is inherently exponential and recursion-bounded; the
 *production* pipeline — validation, topological order, virtual-base
 closure, the eager and lazy lookup engines, a lazy engine over a graph
 grown in place — must handle arbitrarily deep and wide hierarchies iteratively.
+The serving entry points must also import without optional third-party
+packages: the library's runtime is the standard library alone.
 """
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 from repro.core.lazy import LazyMemberLookup
 from repro.core.lookup import build_lookup_table
@@ -20,6 +25,7 @@ from repro.hierarchy.virtual_bases import virtual_bases
 from repro.workloads.generators import chain, wide_unambiguous
 
 DEEP = 3 * sys.getrecursionlimit()
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestDeepChains:
@@ -97,3 +103,24 @@ class TestHostileNames:
         builder.cls("Abgeleitet", bases=["Basis"])
         table = build_lookup_table(builder.build())
         assert table.lookup("Abgeleitet", "größe").is_unique
+
+
+def test_entry_points_do_not_import_numpy():
+    """The CLI, the serving front and the ingest pipeline load no
+    numpy: the columnar gather is plain ``list``/``map`` code, so the
+    import would only add start-up time and resident memory."""
+    probe = (
+        "import sys\n"
+        "import repro.cli, repro.serve.server, repro.ingest.pipeline\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
