@@ -14,6 +14,7 @@ Usage:  python scripts/collect_bench_numbers.py [pytest-args...]
         python scripts/collect_bench_numbers.py -k bench_columnar --json-out BENCH_columnar.json
         python scripts/collect_bench_numbers.py -k bench_semantics --json-out BENCH_semantics.json
         python scripts/collect_bench_numbers.py -k bench_coldstart --json-out BENCH_coldstart.json
+        python scripts/collect_bench_numbers.py -k bench_ingest --json-out BENCH_ingest.json
         python scripts/collect_bench_numbers.py --quick
 
 ``--json-out PATH`` additionally writes a compact, machine-readable

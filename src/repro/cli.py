@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,7 +44,7 @@ from repro.analysis.cha import analyze_call_targets
 from repro.analysis.lint import LintSeverity, lint_hierarchy, render_findings
 from repro.errors import ReproError
 from repro.frontend.errors import ParseError
-from repro.frontend.sema import analyze
+from repro.frontend.sema import Program, analyze
 from repro.fuzz import ENGINES
 from repro.hierarchy.graph import ClassHierarchyGraph
 from repro.analysis.metrics import compute_metrics
@@ -60,9 +61,18 @@ def _load_hierarchy(path: str) -> tuple[ClassHierarchyGraph, list[str]]:
     text = Path(path).read_text()
     if path.endswith(".json") or text.lstrip().startswith("{"):
         return hierarchy_loads(text), []
-    program = analyze(text)
+    program = _analyze_file(path, text)
     rendered = [d.render(text) for d in program.diagnostics]
     return program.hierarchy, rendered
+
+
+def _analyze_file(path: str, text: str) -> Program:
+    """``analyze(text)``, with a syntax error located in ``path``."""
+    try:
+        return analyze(text)
+    except ParseError as exc:
+        location = replace(exc.diagnostic.location, filename=path)
+        raise ParseError(exc.diagnostic.message, location) from None
 
 
 def _parse_query(query: str) -> tuple[str, str]:
@@ -708,7 +718,7 @@ def _run_ingest(args: argparse.Namespace) -> int:
     )
     report = pipeline.ingest(args.files)
     for message in report.parse_errors:
-        print(f"error: {message}", file=sys.stderr)
+        print(message, file=sys.stderr)
     for diagnostic in pipeline.diagnostics:
         print(diagnostic, file=sys.stderr)
     table = pipeline.table
@@ -778,7 +788,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ReproError, ParseError, OSError, ValueError) as exc:
+    except ParseError as exc:
+        print(exc, file=sys.stderr)  # already 'file:line:col: error: ...'
+        return 2
+    except (ReproError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -790,7 +803,11 @@ def _dispatch(args: argparse.Namespace) -> int:
             hierarchy_loads(text)
             print("hierarchy dump OK")
             return 0
-        program = analyze(text)
+        try:
+            program = _analyze_file(args.file, text)
+        except ParseError as exc:
+            print(exc.diagnostic.render(text), file=sys.stderr)
+            return 2
         for diagnostic in program.diagnostics:
             print(diagnostic.render(text))
         errors = len(program.errors())

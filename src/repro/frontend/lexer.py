@@ -9,11 +9,18 @@ string/character literals (tokenized, never interpreted), preprocessor
 lines (skipped whole), and the compound operators that appear inside
 skipped method bodies.
 
-:func:`tokenize` is one loop over one compiled master pattern: each
-match consumes the blanks before a lexeme plus the lexeme, and the
-loop dispatches on which alternative matched.  A token stores only its
-offset; ``token.location`` resolves line and column on demand by
-bisecting the buffer's newline offsets, which are found on first use.
+:func:`scan` is one loop over one compiled master pattern: each match
+consumes the blanks before a lexeme plus the lexeme, and the loop
+dispatches on which alternative matched.  It fills three parallel
+lists — texts, kinds and offsets — which the parser walks by index;
+:func:`tokenize` wraps the same scan in :class:`Token` objects.  A
+location is resolved from an offset on demand by bisecting the
+buffer's newline offsets, which are found on first use.
+
+A token's text alone identifies a punctuator or a keyword: every
+keyword spelling lexes as ``KEYWORD``, no identifier, number or string
+can spell a punctuator, and only EOF has the empty text.  The parser
+compares texts and relies on this.
 """
 
 from __future__ import annotations
@@ -119,12 +126,6 @@ class Token:
     def location(self) -> SourceLocation:
         return self._lines.location(self._offset)
 
-    def is_keyword(self, *names: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.text in names
-
-    def is_punct(self, *texts: str) -> bool:
-        return self.kind is TokenKind.PUNCT and self.text in texts
-
     def __str__(self) -> str:
         if self.kind is TokenKind.EOF:
             return "<eof>"
@@ -137,19 +138,25 @@ class Token:
         )
 
 
-def tokenize(source: str, filename: Optional[str] = None) -> list[Token]:
-    """Tokenize a whole source buffer; raises :class:`ParseError` on an
-    unrecognised character, an unterminated block comment, or an
-    unterminated string/character literal.  ``filename`` (if given) is
-    stamped into every token's location for multi-file diagnostics."""
+def scan(
+    source: str, filename: Optional[str] = None
+) -> tuple[list[str], list[TokenKind], list[int], _Lines]:
+    """Scan a whole source buffer into parallel lists of token texts,
+    kinds and offsets, ending with EOF (text ``""``), plus the line map
+    that resolves an offset to a :class:`SourceLocation` stamped with
+    ``filename``.  Raises :class:`ParseError` on an unrecognised
+    character, an unterminated block comment, or an unterminated
+    string/character literal."""
     lines = _Lines(source, filename)
-    tokens: list[Token] = []
-    append = tokens.append
+    texts: list[str] = []
+    kinds: list[TokenKind] = []
+    offsets: list[int] = []
+    add_text, add_kind, add_offset = texts.append, kinds.append, offsets.append
     match = _MASTER.match
     ident, keyword = TokenKind.IDENT, TokenKind.KEYWORD
     punct, number = TokenKind.PUNCT, TokenKind.NUMBER
     pos = 0
-    # len(tokens) when the last preprocessor line was skipped: no token
+    # len(texts) when the last preprocessor line was skipped: no token
     # since then means the next '#' still starts its line.
     skipped_at = 0
     while True:
@@ -159,44 +166,46 @@ def tokenize(source: str, filename: Optional[str] = None) -> list[Token]:
         if group == 3:
             text = source[start:pos]
             kind = keyword if text in KEYWORDS else ident
-            append(Token(kind, text, start, lines))
         elif group == 4:
-            append(Token(punct, source[start:pos], start, lines))
+            text, kind = source[start:pos], punct
         elif group == 1:
             continue
         elif group == 5:
-            append(Token(number, source[start:pos], start, lines))
+            text, kind = source[start:pos], number
         elif group == 6:
-            append(Token(TokenKind.STRING, source[start:pos], start, lines))
+            text, kind = source[start:pos], TokenKind.STRING
         elif group == 7:
-            if skipped_at != len(tokens):
+            if skipped_at != len(texts):
                 # Only at the start of a line: a newline outside
                 # comments since the last token.
-                last = tokens[-1]
-                end = last._offset + len(last.text)
+                end = offsets[-1] + len(texts[-1])
                 if "\n" not in _COMMENTS.sub("", source[end:start]):
                     raise ParseError(
                         "unexpected character '#'", lines.location(start)
                     )
-            skipped_at = len(tokens)
+            skipped_at = len(texts)
+            continue
         elif group == 8:
             char = source[start]
             if char.isalpha():
-                append(Token(ident, source[start:pos], start, lines))
+                kind = ident
             elif char.isdigit():
                 pos = _NUMBER.match(source, start).end()
-                append(Token(number, source[start:pos], start, lines))
+                kind = number
             else:
                 raise ParseError(
                     f"unexpected character {char!r}", lines.location(start)
                 )
+            text = source[start:pos]
         elif group == 2:
             raise ParseError(
                 "unterminated block comment", lines.location(start)
             )
         elif start == pos:
-            append(Token(TokenKind.EOF, "", start, lines))
-            return tokens
+            add_text("")
+            add_kind(TokenKind.EOF)
+            add_offset(start)
+            return texts, kinds, offsets, lines
         else:
             char = source[start]
             message = (
@@ -205,3 +214,18 @@ def tokenize(source: str, filename: Optional[str] = None) -> list[Token]:
                 else f"unexpected character {char!r}"
             )
             raise ParseError(message, lines.location(start))
+        add_text(text)
+        add_kind(kind)
+        add_offset(start)
+
+
+def tokenize(source: str, filename: Optional[str] = None) -> list[Token]:
+    """Tokenize a whole source buffer: :func:`scan`, with each token
+    wrapped in a :class:`Token`.  Raises as :func:`scan` does;
+    ``filename`` (if given) is stamped into every token's location for
+    multi-file diagnostics."""
+    texts, kinds, offsets, lines = scan(source, filename)
+    return [
+        Token(kind, text, offset, lines)
+        for text, kind, offset in zip(texts, kinds, offsets)
+    ]

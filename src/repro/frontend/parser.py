@@ -44,8 +44,11 @@ from repro.frontend.cpp_ast import (
     VarDecl,
 )
 from repro.frontend.errors import ParseError
-from repro.frontend.lexer import Token, TokenKind, tokenize
+from repro.frontend.lexer import TokenKind, scan
+from repro.frontend.source import SourceLocation
 from repro.hierarchy.members import Access, MemberKind
+
+_IDENT = TokenKind.IDENT
 
 _TYPE_KEYWORDS = frozenset(
     {
@@ -69,6 +72,12 @@ _ACCESS_KEYWORDS = {
     "private": Access.PRIVATE,
 }
 
+_ACCESS_OPS = {
+    ".": AccessOp.DOT,
+    "->": AccessOp.ARROW,
+    "::": AccessOp.SCOPE,
+}
+
 
 class Parser:
     """Single-use recursive-descent parser over a token buffer.
@@ -78,6 +87,14 @@ class Parser:
     resolution; the parser adds every class it defines, so sharing one
     set across the parsers of a multi-file unit gives cross-file base
     resolution.
+
+    The buffer is the lexer's parallel token lists, walked by index.
+    Punctuators and keywords are tested by text alone, which the lexer
+    guarantees identifies them (see :mod:`repro.frontend.lexer`).  EOF
+    is the last index and is never consumed: the index steps only past
+    a token just tested to be a particular text or kind, or after an
+    EOF guard.  A :class:`SourceLocation` is built only for an AST node
+    or a :class:`ParseError`.
     """
 
     def __init__(
@@ -87,8 +104,11 @@ class Parser:
         filename: Optional[str] = None,
         known_classes: Optional[set] = None,
     ) -> None:
-        self._tokens = tokenize(source, filename)
+        self._texts, self._kinds, self._offsets, self._lines = scan(
+            source, filename
+        )
         self._index = 0
+        self._eof = len(self._texts) - 1
         self._namespaces: list[str] = []
         self._known = known_classes if known_classes is not None else set()
 
@@ -96,89 +116,93 @@ class Parser:
     # Token plumbing
     # ------------------------------------------------------------------
 
-    @property
-    def _current(self) -> Token:
-        return self._tokens[self._index]
+    def _location(self, index: int) -> SourceLocation:
+        return self._lines.location(self._offsets[index])
 
-    def _peek(self, ahead: int = 1) -> Token:
-        index = min(self._index + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _found(self) -> str:
+        """The current token as diagnostics quote it."""
+        return self._texts[self._index] or "<eof>"
 
-    def _advance(self) -> Token:
-        token = self._current
-        if token.kind is not TokenKind.EOF:
-            self._index += 1
-        return token
-
-    def _expect_punct(self, text: str) -> Token:
-        if not self._current.is_punct(text):
+    def _expect_punct(self, text: str) -> None:
+        index = self._index
+        if self._texts[index] != text:
             raise ParseError(
-                f"expected {text!r}, found '{self._current}'",
-                self._current.location,
+                f"expected {text!r}, found '{self._found()}'",
+                self._location(index),
             )
-        return self._advance()
+        self._index = index + 1
 
-    def _expect_ident(self, what: str) -> Token:
-        if self._current.kind is not TokenKind.IDENT:
+    def _expect_ident(self, what: str) -> str:
+        """Consume an identifier and return its text."""
+        index = self._index
+        if self._kinds[index] is not _IDENT:
             raise ParseError(
-                f"expected {what}, found '{self._current}'",
-                self._current.location,
+                f"expected {what}, found '{self._found()}'",
+                self._location(index),
             )
-        return self._advance()
+        self._index = index + 1
+        return self._texts[index]
 
     def _check_eof(self, what: str) -> None:
         """Uniform EOF guard for every skip loop: truncated input must
-        raise, never livelock (``_advance`` refuses to move past EOF)."""
-        token = self._current
-        if token.kind is TokenKind.EOF:
+        raise, never livelock or step past EOF."""
+        if self._index == self._eof:
             raise ParseError(
-                f"unexpected end of file {what}", token.location
+                f"unexpected end of file {what}", self._location(self._eof)
             )
 
     def _skip_balanced(self, open_text: str, close_text: str) -> None:
         """Skip past a balanced pair whose opener is the current token."""
         self._expect_punct(open_text)
+        texts, eof = self._texts, self._eof
+        index = self._index
         depth = 1
         while depth > 0:
-            token = self._advance()
-            if token.kind is TokenKind.EOF:
+            if index == eof:
                 raise ParseError(
-                    f"unbalanced {open_text!r}", token.location
+                    f"unbalanced {open_text!r}", self._location(index)
                 )
-            if token.is_punct(open_text):
+            text = texts[index]
+            index += 1
+            if text == open_text:
                 depth += 1
-            elif token.is_punct(close_text):
+            elif text == close_text:
                 depth -= 1
+        self._index = index
 
     def _skip_angles(self) -> None:
         """Skip a balanced ``<...>`` template argument/parameter list
         whose ``<`` is the current token (``>>`` closes two levels, as
         in ``Vec<Vec<int>>``)."""
-        opener = self._expect_punct("<")
+        opener = self._index
+        self._expect_punct("<")
+        texts = self._texts
         depth = 1
         while depth > 0:
-            token = self._current
-            if token.kind is TokenKind.EOF:
-                raise ParseError("unbalanced '<'", opener.location)
-            if token.is_punct("("):
+            index = self._index
+            if index == self._eof:
+                raise ParseError("unbalanced '<'", self._location(opener))
+            text = texts[index]
+            if text == "(":
                 self._skip_balanced("(", ")")
                 continue
-            self._advance()
-            if token.is_punct("<"):
+            self._index = index + 1
+            if text == "<":
                 depth += 1
-            elif token.is_punct(">"):
+            elif text == ">":
                 depth -= 1
-            elif token.is_punct(">>"):
+            elif text == ">>":
                 depth -= 2
 
     def _skip_to_semicolon(self) -> None:
-        while not self._current.is_punct(";"):
+        texts = self._texts
+        while texts[self._index] != ";":
             self._check_eof("in declaration (expected ';')")
-            if self._current.is_punct("{"):
+            if texts[self._index] == "{":
                 self._skip_balanced("{", "}")
                 continue
-            self._advance()
-        self._advance()
+            self._index += 1
+        self._index += 1
 
     # ------------------------------------------------------------------
     # Translation unit
@@ -197,44 +221,44 @@ class Parser:
         closes — this is what lets the ingestion pipeline bring a live
         table current *while* a large file is still being parsed.
         """
+        texts = self._texts
         while True:
-            token = self._current
-            if token.kind is TokenKind.EOF:
+            index = self._index
+            if index == self._eof:
                 if self._namespaces:
                     raise ParseError(
                         "unterminated namespace "
                         f"{'::'.join(self._namespaces)!r}",
-                        token.location,
+                        self._location(index),
                     )
                 return
-            if token.is_keyword("namespace"):
+            text = texts[index]
+            if text == "namespace":
                 self._parse_namespace_head()
                 continue
-            if token.is_punct("}") and self._namespaces:
-                self._advance()
+            if text == "}" and self._namespaces:
+                self._index = index + 1
                 self._namespaces.pop()
-                if self._current.is_punct(";"):
-                    self._advance()  # tolerate 'namespace N { ... };'
+                if texts[self._index] == ";":
+                    self._index += 1  # tolerate 'namespace N { ... };'
                 continue
             declaration = self._parse_top_level()
             if declaration is not None:
                 yield declaration
 
     def _parse_namespace_head(self) -> None:
-        self._advance()  # 'namespace'
-        token = self._current
-        if token.is_punct("{"):
+        self._index += 1  # 'namespace'
+        if self._texts[self._index] == "{":
             raise ParseError(
                 "anonymous namespaces are outside the subset "
                 "(name the namespace)",
-                token.location,
+                self._location(self._index),
             )
-        name = self._expect_ident("namespace name")
-        parts = [name.text]
-        while self._current.is_punct("::"):
+        parts = [self._expect_ident("namespace name")]
+        while self._texts[self._index] == "::":
             # C++17 nested namespace definition: namespace a::b { ... }
-            self._advance()
-            parts.append(self._expect_ident("namespace name").text)
+            self._index += 1
+            parts.append(self._expect_ident("namespace name"))
         self._expect_punct("{")
         self._namespaces.extend(parts)
         # One popper per opened scope: a::b pushes two, but only one '}'
@@ -265,15 +289,22 @@ class Parser:
         for nested in decl.nested:
             self._register_class(nested, qualified + "::")
 
+    def _is_forward_declaration(self) -> bool:
+        """Whether the current ``class``/``struct`` starts ``class A;``."""
+        return self._texts[min(self._index + 2, self._eof)] == ";"
+
+    def _skip_forward_declaration(self) -> None:
+        # No definition; the later definition (if any) declares it.
+        self._index += 1  # 'class' / 'struct'
+        self._expect_ident("class name")
+        self._expect_punct(";")
+
     def _parse_top_level(self) -> Optional[TopLevel]:
-        token = self._current
-        if token.is_keyword("class", "struct"):
-            if self._peek(2).is_punct(";"):
-                # Forward declaration: class A; / struct A; — no
-                # definition; the later definition (if any) declares it.
-                self._advance()
-                self._expect_ident("class name")
-                self._expect_punct(";")
+        index = self._index
+        text = self._texts[index]
+        if text in ("class", "struct"):
+            if self._is_forward_declaration():
+                self._skip_forward_declaration()
                 return None
             decl = self._parse_class()
             prefix = self._prefix
@@ -281,37 +312,31 @@ class Parser:
             if prefix:
                 decl.name = prefix + decl.name
             return decl
-        if token.is_keyword("template"):
+        if text == "template":
             self._skip_template()
             return None
-        if token.is_keyword("typedef"):
-            self._skip_to_semicolon()
-            return None
-        if token.is_keyword("using"):
+        if text in ("typedef", "using", "enum"):
             # using namespace N; / using alias = T; — no effect on the
-            # hierarchy subset, skipped whole.
+            # hierarchy subset, skipped whole, as are typedefs and enums.
             self._skip_to_semicolon()
             return None
-        if token.is_keyword("enum"):
-            self._skip_to_semicolon()
-            return None
-        if token.is_keyword("inline"):
-            self._advance()
+        if text == "inline":
+            self._index = index + 1
             return self._parse_top_level()
-        if token.is_punct(";"):
-            self._advance()
+        if text == ";":
+            self._index = index + 1
             return None
-        if token.is_keyword(
+        if text in (
             "virtual", "public", "protected", "private", "typename"
-        ) or token.kind in (TokenKind.NUMBER, TokenKind.STRING):
+        ) or self._kinds[index] in (TokenKind.NUMBER, TokenKind.STRING):
             raise ParseError(
-                f"unsupported top-level construct starting at '{token}'",
-                token.location,
+                f"unsupported top-level construct starting at '{text}'",
+                self._location(index),
             )
-        if token.is_punct("}"):
+        if text == "}":
             raise ParseError(
                 "stray '}' at top level (unbalanced braces?)",
-                token.location,
+                self._location(index),
             )
         return self._parse_function_or_variable()
 
@@ -320,54 +345,58 @@ class Parser:
         the templated entity — without desyncing.  Class templates end
         at the ``;`` after the body; function templates end at the
         body's closing ``}``."""
-        keyword = self._advance()  # 'template'
-        if self._current.is_punct("<"):
+        keyword = self._index
+        self._index += 1  # 'template'
+        texts = self._texts
+        if texts[self._index] == "<":
             self._skip_angles()
         while True:
-            token = self._current
-            if token.kind is TokenKind.EOF:
+            index = self._index
+            if index == self._eof:
                 raise ParseError(
                     "unexpected end of file in template declaration "
-                    f"(started at {keyword.location})",
-                    token.location,
+                    f"(started at {self._location(keyword)})",
+                    self._location(index),
                 )
-            if token.is_punct(";"):
-                self._advance()
+            text = texts[index]
+            if text == ";":
+                self._index = index + 1
                 return
-            if token.is_punct("{"):
+            if text == "{":
                 self._skip_balanced("{", "}")
-                if self._current.is_punct(";"):
-                    self._advance()
+                if texts[self._index] == ";":
+                    self._index += 1
                 return
-            if token.is_punct("("):
+            if text == "(":
                 self._skip_balanced("(", ")")
                 continue
-            if token.is_punct("<"):
+            if text == "<":
                 self._skip_angles()
                 continue
-            self._advance()
+            self._index = index + 1
 
     # ------------------------------------------------------------------
     # Classes
     # ------------------------------------------------------------------
 
     def _parse_class(self) -> ClassDecl:
-        keyword = self._advance()
-        is_struct = keyword.text == "struct"
-        name = self._expect_ident("class name")
+        keyword = self._index
+        self._index += 1
+        is_struct = self._texts[keyword] == "struct"
         decl = ClassDecl(
-            name=name.text,
+            name=self._expect_ident("class name"),
             is_struct=is_struct,
             bases=[],
             members=[],
             nested=[],
-            location=keyword.location,
+            location=self._location(keyword),
         )
-        if self._current.is_punct(":"):
-            self._advance()
+        texts = self._texts
+        if texts[self._index] == ":":
+            self._index += 1
             decl.bases.append(self._parse_base_specifier(is_struct))
-            while self._current.is_punct(","):
-                self._advance()
+            while texts[self._index] == ",":
+                self._index += 1
                 decl.bases.append(self._parse_base_specifier(is_struct))
         self._expect_punct("{")
         self._parse_member_sequence(decl)
@@ -376,20 +405,22 @@ class Parser:
         return decl
 
     def _parse_base_specifier(self, is_struct: bool) -> BaseSpecifier:
-        location = self._current.location
+        location = self._location(self._index)
         virtual = False
         access = Access.PUBLIC if is_struct else Access.PRIVATE
+        texts = self._texts
         # 'virtual' and the access specifier may come in either order.
         while True:
-            if self._current.is_keyword("virtual"):
+            text = texts[self._index]
+            if text == "virtual":
                 virtual = True
-                self._advance()
-            elif self._current.is_keyword(*_ACCESS_KEYWORDS):
-                access = _ACCESS_KEYWORDS[self._advance().text]
+            elif text in _ACCESS_KEYWORDS:
+                access = _ACCESS_KEYWORDS[text]
             else:
                 break
+            self._index += 1
         name = self._parse_qualified_name("base class name")
-        if self._current.is_punct("<"):
+        if texts[self._index] == "<":
             self._skip_angles()  # Base<T> — opaque, like templates
         return BaseSpecifier(
             name=self._resolve_class_name(name),
@@ -399,46 +430,47 @@ class Parser:
         )
 
     def _parse_qualified_name(self, what: str) -> str:
-        parts = [self._expect_ident(what).text]
-        while self._current.is_punct("::") and (
-            self._peek().kind is TokenKind.IDENT
-        ):
-            self._advance()
-            parts.append(self._advance().text)
+        parts = [self._expect_ident(what)]
+        texts, kinds = self._texts, self._kinds
+        index = self._index
+        while texts[index] == "::" and kinds[index + 1] is _IDENT:
+            parts.append(texts[index + 1])
+            index += 2
+        self._index = index
         return "::".join(parts)
 
     def _parse_member_sequence(self, decl: ClassDecl) -> None:
         access = decl.default_access
-        while not self._current.is_punct("}"):
-            token = self._current
-            if token.kind is TokenKind.EOF:
+        texts = self._texts
+        while True:
+            index = self._index
+            text = texts[index]
+            if text == "}":
+                return
+            if index == self._eof:
                 raise ParseError(
-                    f"unterminated body of {decl.name!r}", token.location
+                    f"unterminated body of {decl.name!r}",
+                    self._location(index),
                 )
-            if token.is_keyword(*_ACCESS_KEYWORDS) and self._peek().is_punct(
-                ":"
-            ):
-                access = _ACCESS_KEYWORDS[self._advance().text]
-                self._advance()  # ':'
+            if text in _ACCESS_KEYWORDS and texts[index + 1] == ":":
+                access = _ACCESS_KEYWORDS[text]
+                self._index = index + 2  # the keyword and its ':'
                 continue
-            if token.is_keyword("typedef"):
+            if text == "typedef":
                 decl.members.append(self._parse_typedef(access))
                 continue
-            if token.is_keyword("using"):
+            if text == "using":
                 decl.members.append(self._parse_using(access))
                 continue
-            if token.is_keyword("enum"):
+            if text == "enum":
                 decl.members.extend(self._parse_enum(access))
                 continue
-            if token.is_keyword("template"):
+            if text == "template":
                 self._skip_template()  # opaque member template
                 continue
-            if token.is_keyword("class", "struct"):
-                if self._peek(2).is_punct(";"):
-                    # Nested forward declaration: class Inner;
-                    self._advance()
-                    self._expect_ident("class name")
-                    self._expect_punct(";")
+            if text in ("class", "struct"):
+                if self._is_forward_declaration():
+                    self._skip_forward_declaration()  # class Inner;
                     continue
                 nested = self._parse_class()
                 decl.nested.append(nested)
@@ -453,37 +485,39 @@ class Parser:
                     )
                 )
                 continue
-            if token.is_punct("~") or (
-                token.kind is TokenKind.IDENT
-                and token.text == decl.name
-                and self._peek().is_punct("(")
+            if text == "~" or (
+                text == decl.name
+                and self._kinds[index] is _IDENT
+                and texts[index + 1] == "("
             ):
                 self._skip_special_member()
                 continue
             decl.members.extend(self._parse_member_declaration(access))
 
     def _parse_typedef(self, access: Access) -> MemberDecl:
-        keyword = self._advance()
+        keyword = self._index
+        self._index += 1
         type_text = self._parse_type_text()
         name = self._expect_ident("typedef name")
         self._skip_to_semicolon()
         return MemberDecl(
-            name=name.text,
+            name=name,
             kind=MemberKind.TYPE,
             is_static=False,
             access=access,
             type_text=type_text,
-            location=keyword.location,
+            location=self._location(keyword),
         )
 
     def _parse_using(self, access: Access) -> MemberDecl:
-        keyword = self._advance()
+        location = self._location(self._index)
+        self._index += 1
         qualified = self._parse_qualified_name("base class name")
         if "::" not in qualified:
             raise ParseError(
                 "expected a qualified member name "
                 f"(Base::member) after 'using', found {qualified!r}",
-                keyword.location,
+                location,
             )
         base, _, name = qualified.rpartition("::")
         self._skip_to_semicolon()
@@ -493,50 +527,53 @@ class Parser:
             is_static=False,
             access=access,
             type_text="",
-            location=keyword.location,
+            location=location,
             using_from=self._resolve_class_name(base),
         )
 
     def _parse_enum(self, access: Access) -> list[MemberDecl]:
-        keyword = self._advance()
-        del keyword
+        self._index += 1  # 'enum'
+        texts = self._texts
         members: list[MemberDecl] = []
         enum_name = None
-        if self._current.kind is TokenKind.IDENT:
-            enum_name = self._advance()
+        if self._kinds[self._index] is _IDENT:
+            location = self._location(self._index)
+            enum_name = texts[self._index]
+            self._index += 1
             members.append(
                 MemberDecl(
-                    name=enum_name.text,
+                    name=enum_name,
                     kind=MemberKind.TYPE,
                     is_static=False,
                     access=access,
                     type_text="enum",
-                    location=enum_name.location,
+                    location=location,
                 )
             )
         self._expect_punct("{")
-        while not self._current.is_punct("}"):
+        while texts[self._index] != "}":
+            location = self._location(self._index)
             enumerator = self._expect_ident("enumerator name")
             members.append(
                 MemberDecl(
-                    name=enumerator.text,
+                    name=enumerator,
                     kind=MemberKind.ENUMERATOR,
                     is_static=False,
                     access=access,
-                    type_text=enum_name.text if enum_name else "enum",
-                    location=enumerator.location,
+                    type_text=enum_name or "enum",
+                    location=location,
                 )
             )
-            if self._current.is_punct("="):
-                self._advance()
-                while not self._current.is_punct(",", "}"):
+            if texts[self._index] == "=":
+                self._index += 1
+                while texts[self._index] not in (",", "}"):
                     self._check_eof("in enumerator initializer")
-                    if self._current.is_punct("("):
+                    if texts[self._index] == "(":
                         self._skip_balanced("(", ")")
                         continue
-                    self._advance()
-            if self._current.is_punct(","):
-                self._advance()
+                    self._index += 1
+            if texts[self._index] == ",":
+                self._index += 1
         self._expect_punct("}")
         self._expect_punct(";")
         return members
@@ -551,97 +588,100 @@ class Parser:
         ``_skip_to_semicolon`` here, which swallowed the body *and kept
         consuming until the next ';'*, silently deleting the member
         declaration that followed the constructor."""
-        if self._current.is_punct("~"):
-            self._advance()
+        texts = self._texts
+        if texts[self._index] == "~":
+            self._index += 1
             self._expect_ident("destructor name")
         else:
-            self._advance()  # the class-name token
+            self._index += 1  # the class-name token
         self._skip_balanced("(", ")")
-        if self._current.is_punct(":"):
-            self._advance()
-            while not self._current.is_punct("{"):
+        if texts[self._index] == ":":
+            self._index += 1
+            while texts[self._index] != "{":
                 self._check_eof("in constructor initializer list")
-                if self._current.is_punct("("):
+                text = texts[self._index]
+                if text == "(":
                     self._skip_balanced("(", ")")
                     continue
-                if self._current.is_punct(";", "}"):
+                if text in (";", "}"):
                     raise ParseError(
                         "constructor initializer list without a body",
-                        self._current.location,
+                        self._location(self._index),
                     )
-                self._advance()
-        if self._current.is_punct("{"):
+                self._index += 1
+        if texts[self._index] == "{":
             self._skip_balanced("{", "}")
-            if self._current.is_punct(";"):
-                self._advance()
+            if texts[self._index] == ";":
+                self._index += 1
         else:
             self._skip_to_semicolon()
 
     def _parse_member_declaration(self, access: Access) -> list[MemberDecl]:
-        location = self._current.location
+        texts = self._texts
+        location = self._location(self._index)
         is_static = False
         # 'virtual' on a member function is irrelevant to lookup (paper,
         # Section 2); 'inline' likewise.  Both are consumed and dropped.
-        while self._current.is_keyword("static", "virtual", "inline"):
-            if self._current.text == "static":
+        while texts[self._index] in ("static", "virtual", "inline"):
+            if texts[self._index] == "static":
                 is_static = True
-            self._advance()
+            self._index += 1
         type_text = self._parse_type_text()
         members: list[MemberDecl] = []
         while True:
-            while self._current.is_punct("*", "&"):
-                self._advance()
+            while texts[self._index] in ("*", "&"):
+                self._index += 1
             name = self._expect_ident("member name")
-            if self._current.is_punct("("):
+            if texts[self._index] == "(":
                 self._skip_balanced("(", ")")
-                if self._current.is_keyword("const"):
-                    self._advance()
+                if texts[self._index] == "const":
+                    self._index += 1
                 kind = MemberKind.FUNCTION
-                if self._current.is_punct("{"):
+                if texts[self._index] == "{":
                     # Inline method body: balanced skip ends the member.
                     self._skip_balanced("{", "}")
                     members.append(
                         MemberDecl(
-                            name.text, kind, is_static, access, type_text,
+                            name, kind, is_static, access, type_text,
                             location,
                         )
                     )
-                    if self._current.is_punct(";"):
-                        self._advance()
+                    if texts[self._index] == ";":
+                        self._index += 1
                     return members
             else:
                 kind = MemberKind.DATA
-                while self._current.is_punct("["):
+                while texts[self._index] == "[":
                     self._skip_balanced("[", "]")
             members.append(
-                MemberDecl(
-                    name.text, kind, is_static, access, type_text, location
-                )
+                MemberDecl(name, kind, is_static, access, type_text, location)
             )
-            if self._current.is_punct(","):
-                self._advance()
+            if texts[self._index] == ",":
+                self._index += 1
                 continue
             self._skip_to_semicolon()
             return members
 
     def _parse_type_text(self) -> str:
+        texts = self._texts
+        index = self._index
         parts = []
-        while self._current.is_keyword(*_TYPE_KEYWORDS):
-            parts.append(self._advance().text)
+        while texts[index] in _TYPE_KEYWORDS:
+            parts.append(texts[index])
+            index += 1
+        self._index = index
         if not parts:
-            if self._current.kind is not TokenKind.IDENT:
+            if self._kinds[index] is not _IDENT:
                 raise ParseError(
-                    f"expected a type, found '{self._current}'",
-                    self._current.location,
+                    f"expected a type, found '{self._found()}'",
+                    self._location(index),
                 )
             parts.append(self._parse_qualified_name("type name"))
-            if self._current.is_punct("<"):
+            if texts[self._index] == "<":
                 self._skip_angles()  # template arguments are opaque
-        elif (
-            parts == ["const"] and self._current.kind is TokenKind.IDENT
-        ):
+        elif parts == ["const"] and self._kinds[index] is _IDENT:
             parts.append(self._parse_qualified_name("type name"))
-            if self._current.is_punct("<"):
+            if texts[self._index] == "<":
                 self._skip_angles()
         return " ".join(parts)
 
@@ -650,25 +690,24 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _parse_function_or_variable(self):
-        location = self._current.location
+        texts = self._texts
+        index = self._index
+        location = self._location(index)
         # Optional return/variable type; 'main() {...}' has none.
         type_text = None
-        if self._current.is_keyword(*_TYPE_KEYWORDS):
-            type_text = self._parse_type_text()
-        elif (
-            self._current.kind is TokenKind.IDENT
-            and not self._peek().is_punct("(")
+        if texts[index] in _TYPE_KEYWORDS or (
+            self._kinds[index] is _IDENT and texts[index + 1] != "("
         ):
             type_text = self._parse_type_text()
         is_pointer = False
-        while self._current.is_punct("*", "&"):
+        while texts[self._index] in ("*", "&"):
             is_pointer = True
-            self._advance()
+            self._index += 1
         name = self._expect_ident("declarator name")
-        if self._current.is_punct("("):
+        if texts[self._index] == "(":
             self._skip_balanced("(", ")")
-            function = FunctionDef(name=name.text, location=location)
-            if self._current.is_punct("{"):
+            function = FunctionDef(name=name, location=location)
+            if texts[self._index] == "{":
                 self._parse_function_body(function)
             else:
                 self._skip_to_semicolon()
@@ -679,7 +718,7 @@ class Parser:
             )
         self._skip_to_semicolon()
         return VarDecl(
-            name=name.text,
+            name=name,
             type_name=self._resolve_class_name(type_text),
             is_pointer=is_pointer,
             location=location,
@@ -687,69 +726,68 @@ class Parser:
 
     def _parse_function_body(self, function: FunctionDef) -> None:
         self._expect_punct("{")
+        texts, kinds = self._texts, self._kinds
         depth = 1
         while depth > 0:
-            token = self._current
-            if token.kind is TokenKind.EOF:
-                raise ParseError("unterminated function body", token.location)
-            if token.is_punct("{"):
+            index = self._index
+            if index == self._eof:
+                raise ParseError(
+                    "unterminated function body", self._location(index)
+                )
+            text = texts[index]
+            if text == "{":
                 depth += 1
-                self._advance()
-                continue
-            if token.is_punct("}"):
+            elif text == "}":
                 depth -= 1
-                self._advance()
-                continue
-            if token.kind is TokenKind.IDENT:
+            elif kinds[index] is _IDENT:
                 self._parse_body_statement(function)
                 continue
-            self._advance()
+            self._index = index + 1
 
     def _parse_body_statement(self, function: FunctionDef) -> None:
-        first = self._advance()
-        nxt = self._current
-        if nxt.is_punct(":"):  # '::' lexes as its own token, so this is a label
-            self._advance()  # a statement label such as 's1:'
+        texts = self._texts
+        first = self._index
+        self._index = first + 1  # the identifier
+        text = texts[self._index]
+        if text == ":":  # '::' lexes as its own token, so this is a label
+            self._index += 1  # a statement label such as 's1:'
             return
-        if nxt.is_punct(".", "->", "::"):
-            op = {
-                ".": AccessOp.DOT,
-                "->": AccessOp.ARROW,
-                "::": AccessOp.SCOPE,
-            }[self._advance().text]
+        if text in _ACCESS_OPS:
+            op = _ACCESS_OPS[text]
+            self._index += 1
             member = self._expect_ident("member name")
             qualifier = None
-            if op is not AccessOp.SCOPE and self._current.is_punct("::"):
+            if op is not AccessOp.SCOPE and texts[self._index] == "::":
                 # Qualified access: x.Base::m / p->Base::m.
-                self._advance()
-                qualifier = member.text
+                self._index += 1
+                qualifier = member
                 member = self._expect_ident("member name")
-            object_name = first.text
+            object_name = texts[first]
             if op is AccessOp.SCOPE:
                 object_name = self._resolve_class_name(object_name)
             function.accesses.append(
                 MemberAccess(
                     object_name=object_name,
-                    member=member.text,
+                    member=member,
                     op=op,
-                    location=first.location,
+                    location=self._location(first),
                     qualifier=qualifier,
                 )
             )
             self._skip_statement_rest()
             return
-        if nxt.kind is TokenKind.IDENT or nxt.is_punct("*", "&"):
+        if self._kinds[self._index] is _IDENT or text in ("*", "&"):
             is_pointer = False
-            while self._current.is_punct("*", "&"):
+            while texts[self._index] in ("*", "&"):
                 is_pointer = True
-                self._advance()
+                self._index += 1
             name = self._expect_ident("variable name")
             function.variables.append(
                 VarDecl(
-                    name=name.text,
-                    type_name=self._resolve_class_name(first.text),
+                    name=name,
+                    type_name=self._resolve_class_name(texts[first]),
                     is_pointer=is_pointer,
-                    location=first.location,
+                    location=self._location(first),
                 )
             )
             self._skip_statement_rest()
@@ -757,17 +795,18 @@ class Parser:
         self._skip_statement_rest()
 
     def _skip_statement_rest(self) -> None:
-        while not self._current.is_punct(";", "}"):
-            if self._current.kind is TokenKind.EOF:
+        texts = self._texts
+        while texts[self._index] not in (";", "}"):
+            if self._index == self._eof:
                 # The enclosing _parse_function_body loop raises the
                 # better "unterminated function body" diagnostic.
                 return
-            if self._current.is_punct("{"):
+            if texts[self._index] == "{":
                 self._skip_balanced("{", "}")
                 continue
-            self._advance()
-        if self._current.is_punct(";"):
-            self._advance()
+            self._index += 1
+        if texts[self._index] == ";":
+            self._index += 1
 
 
 def parse(

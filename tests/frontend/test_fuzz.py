@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FrontendError, ReproError
-from repro.frontend.lexer import tokenize
+from repro.frontend.lexer import KEYWORDS, PUNCTUATORS, TokenKind, tokenize
 from repro.frontend.parser import parse
 from repro.frontend.sema import analyze
 from repro.workloads.emit_cpp import emit_cpp
@@ -25,12 +25,22 @@ ALPHABET = "abcXYZ_09 \n\t{}();:,<>*&~.=-/" + '"'
 class TestLexerNeverCrashes:
     @given(st.text(alphabet=ALPHABET, max_size=200))
     @settings(max_examples=200)
+    @example("class A : virtual public B { int x, *p; A() {} };")
+    @example("struct classy int_ : : <<= >>= -> ->* ... 0x1f 'a' \"::\"")
     def test_property_arbitrary_text(self, text):
         try:
             tokens = tokenize(text)
         except FrontendError:
             return
         assert tokens[-1].kind.name == "EOF"
+        # The parser tests punctuators and keywords by text alone.
+        for token in tokens:
+            assert (token.text in PUNCTUATORS) == (
+                token.kind is TokenKind.PUNCT
+            )
+            assert (token.text in KEYWORDS) == (
+                token.kind is TokenKind.KEYWORD
+            )
 
     @given(st.text(max_size=100))
     @settings(max_examples=100)

@@ -107,16 +107,6 @@ class TestLocations:
 
 
 class TestTokenHelpers:
-    def test_is_keyword(self):
-        token = tokenize("class")[0]
-        assert token.is_keyword("class", "struct")
-        assert not token.is_keyword("virtual")
-
-    def test_is_punct(self):
-        token = tokenize("::")[0]
-        assert token.is_punct("::")
-        assert not token.is_punct(":")
-
     def test_str(self):
         assert str(tokenize("foo")[0]) == "foo"
         assert str(tokenize("")[0]) == "<eof>"

@@ -272,3 +272,42 @@ class TestErrorPaths:
         # Figure 9's m is data, so no function slots; render is empty
         # but the command succeeds.
         assert out == "\n" or "vtable" in out
+
+
+class TestSyntaxErrors:
+    """A syntax error prints once, compiler-style, with its file name."""
+
+    @pytest.fixture
+    def bad_h(self, tmp_path):
+        path = tmp_path / "bad.h"
+        path.write_text("class A { int x; };\nclass {};\n")
+        return str(path)
+
+    def test_ingest_stops_at_the_error(self, bad_h, capsys):
+        assert main(["ingest", bad_h]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"{bad_h}:2:7: error: expected class name, found '{{'\n"
+        )
+
+    def test_ingest_keep_going_reports_the_error(self, bad_h, capsys):
+        assert main(["ingest", "--keep-going", bad_h]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"{bad_h}:2:7: error: expected class name, found '{{'\n"
+        )
+        assert "ingested 1 classes" in captured.out
+
+    def test_check_renders_a_caret_snippet(self, bad_h, capsys):
+        assert main(["check", bad_h]) == 2
+        assert capsys.readouterr().err == (
+            f"{bad_h}:2:7: error: expected class name, found '{{'\n"
+            "class {};\n"
+            "      ^\n"
+        )
+
+    def test_lookup_names_the_file(self, bad_h, capsys):
+        assert main(["lookup", bad_h, "A::x"]) == 2
+        assert capsys.readouterr().err == (
+            f"{bad_h}:2:7: error: expected class name, found '{{'\n"
+        )
