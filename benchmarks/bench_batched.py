@@ -2,11 +2,12 @@
 
 The per-member eager driver runs the Figure-8 fold once per visible
 ``(class, member)`` pair — ``|M|`` topological sweeps re-reading the
-same CSR rows.  The batched driver
-(:func:`repro.core.kernel.batched_sweep`) makes one sweep carrying whole
-per-class rows.  This file measures both on the scaling families at
-three sizes each, and pins the headline floor: the batched build is
-≥ 2× the per-member build on ``chain_1024`` and ``tree_depth10``.
+same CSR rows.  The batched driver is the cone sweep
+(:func:`repro.core.kernel.cone_sweep`) with every class in the cone:
+one sweep filling whole per-class rows.  This file measures both on
+the scaling families at three sizes each, and pins the headline floor:
+the batched build is ≥ 2× the per-member build on ``chain_1024`` and
+``tree_depth10``.
 
 A non-benchmark guard asserts both modes return identical tables on
 every workload, witnesses included.

@@ -11,8 +11,8 @@ status, declaring class, sorted candidates and blue abstractions.  The
 parent asserts the generation advanced on every batch, the batch class
 counts sum to the corpus size, and every answer is identical to a
 parse-everything-then-build-once table it constructs itself.  The
-streamed table reaches its blues through many ``cone_sweep`` batches,
-the reference through one ``batched_sweep``, so the full comparison
+streamed table reaches its blues through many small cone sweeps, the
+reference through one sweep whose cone is every class, so the full comparison
 checks the delta path's blue candidate and abstraction sets cell by
 cell.  Exit code 0 means the streaming path actually works from
 nothing but files on disk — no warm parser state, no shared

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -44,7 +43,8 @@ from repro.analysis.cha import analyze_call_targets
 from repro.analysis.lint import LintSeverity, lint_hierarchy, render_findings
 from repro.errors import ReproError
 from repro.frontend.errors import ParseError
-from repro.frontend.sema import Program, analyze
+from repro.frontend.parser import parse
+from repro.frontend.sema import Program, analyze_unit
 from repro.fuzz import ENGINES
 from repro.hierarchy.graph import ClassHierarchyGraph
 from repro.analysis.metrics import compute_metrics
@@ -67,12 +67,8 @@ def _load_hierarchy(path: str) -> tuple[ClassHierarchyGraph, list[str]]:
 
 
 def _analyze_file(path: str, text: str) -> Program:
-    """``analyze(text)``, with a syntax error located in ``path``."""
-    try:
-        return analyze(text)
-    except ParseError as exc:
-        location = replace(exc.diagnostic.location, filename=path)
-        raise ParseError(exc.diagnostic.message, location) from None
+    """Parse and analyse ``text``, every diagnostic located in ``path``."""
+    return analyze_unit(parse(text, filename=path), text)
 
 
 def _parse_query(query: str) -> tuple[str, str]:

@@ -25,11 +25,12 @@ with one memoised result cell (:meth:`ColumnarTable._result_one`):
   .LookupResult` memo list, so a group of query ids gathers with one
   C-level ``map``.
 * :class:`ColumnarTable` is built straight off the row list a
-  :func:`~repro.core.kernel.batched_sweep` / ``cone_sweep`` produced
+  build's or a delta's cone sweep produced
   (:meth:`ColumnarTable.from_rows` — no dict-row detour per query at
-  serve time) and maintained copy-on-write in O(delta) by :meth:`ColumnarTable.apply_delta` — unaffected columns
-  and their warm result memos are shared with the parent by reference,
-  exactly like the snapshot tier's row sharing.
+  serve time) and maintained copy-on-write in O(delta) by
+  :meth:`ColumnarTable.apply_delta` — unaffected columns and their warm
+  result memos are shared with the parent by reference, exactly like
+  the snapshot tier's row sharing.
 
 Batch semantics match a per-query loop exactly: class names are
 interned once per batch (the first unknown class raises

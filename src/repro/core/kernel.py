@@ -20,7 +20,7 @@ The kernel operates on the interned integer ids of a
   :data:`~repro.hierarchy.compiled.OMEGA_ID` (the paper's Ω).  A plain
   tuple, deliberately: the drivers construct one entry per propagated
   ``(class, member)`` pair, tuple display is ~45× cheaper than a
-  NamedTuple ``__new__`` call, and the batched sweep lives or dies on
+  NamedTuple ``__new__`` call, and the cone sweep lives or dies on
   that constant.
 * A **blue** kernel entry ``KernelBlue(abstractions, candidate_ldcs)``
   means the lookup is ambiguous.  It is two int bitmasks.
@@ -356,8 +356,8 @@ class AmbiguityCertificate:
     aggregated per member column and over the whole table.
 
     A cell is *ambiguous* exactly when its kernel entry is blue; the
-    sweeps record every blue they store, so after a
-    :func:`batched_sweep` the certificate is the whole-table truth:
+    sweeps record every blue they store, so after a full build (the
+    cone sweep of every class) the certificate is the whole-table truth:
     bit ``mid`` of :attr:`ambiguous_columns` is set iff **some** visible
     ``(class, mid)`` lookup is ambiguous.  Columns whose bit is clear
     satisfy the paper's Section-5 premise ("no lookup is ambiguous"), so
@@ -365,11 +365,11 @@ class AmbiguityCertificate:
     :mod:`repro.core.fastpath` — the certification is the proof
     obligation, discharged for free while the table is built anyway.
 
-    After a :func:`cone_sweep` the certificate covers only the entries
-    the cone re-folded: a set bit *demotes* a column (a blue appeared in
-    the cone), a clear bit says nothing about cells outside the cone —
-    which is exactly the monotone demote-only contract delta maintenance
-    needs (out-of-cone cells kept whatever colour they had).
+    After a delta's :func:`cone_sweep` the certificate covers only the
+    entries the cone re-folded: a set bit *demotes* a column (a blue
+    appeared in the cone), a clear bit says nothing about cells outside
+    the cone — which is exactly the monotone demote-only contract delta
+    maintenance needs (out-of-cone cells kept whatever colour they had).
 
     Tracking is O(1) per blue stored and touches none of the red hot
     paths, so certifying a fully-unambiguous table costs nothing.
@@ -398,136 +398,7 @@ class AmbiguityCertificate:
 
 
 # ----------------------------------------------------------------------
-# The batched single-sweep driver (whole rows per class)
-# ----------------------------------------------------------------------
-
-
-def batched_sweep(
-    ch: CompiledHierarchy,
-    *,
-    stats: Optional[LookupStats] = None,
-    track_witnesses: bool = True,
-    certificate: Optional[AmbiguityCertificate] = None,
-) -> list:
-    """One topological sweep computing *whole rows* at a time.
-
-    The per-member drivers run the Figure-8 fold once per ``(C, m)``
-    pair, re-reading ``C``'s adjacency, declared-member bitset and
-    virtual-base mask for every member — ``|M|`` passes over the same
-    CSR arrays.  This driver makes a single pass over
-    ``CompiledHierarchy.topo_order`` carrying, per class, a dense row
-    ``member id -> kernel entry`` and extending/meeting entire rows
-    across each inheritance edge, so every adjacency list and bitset is
-    read once *total*.
-
-    Semantically it is the same fold: the single-base fast path inlines
-    :func:`extend_entry` (a meet over one entry is that entry), and the
-    multi-base path gathers the extended entries per member in direct-
-    base order — exactly the list :func:`fold_entry` hands to
-    :func:`meet_entries` — before meeting them.  Sparsity comes for
-    free: entries are only ever *seeded* by declarations, so a member
-    not visible in a subgraph never occupies a column there.
-
-    ``stats`` receives ``classes_visited`` / ``entries_computed`` and
-    the propagation counters of the multi-base meet path; the inlined
-    single-base fast path deliberately does *not* count its (trivially
-    ``entries_computed``-shaped) propagations — keeping counter probes
-    out of that loop is most of what this driver buys.
-
-    ``certificate`` (when given) receives the per-column ambiguity
-    certification: every blue entry the sweep stores sets that member's
-    bit — O(1) per blue, zero cost on the red paths — so a clear bit
-    afterwards *proves* the column unambiguous (see
-    :class:`AmbiguityCertificate`).
-
-    Returns a list indexed by class id: ``rows[cid]`` is the dict
-    ``member id -> kernel entry`` of every member visible in ``cid``.
-    """
-    rows: list = [None] * ch.n_classes
-    base_pairs = ch.base_pairs
-    declared_masks = ch.declared_masks
-    declared_mids = ch.declared_mids
-    count = stats is not None
-    blue = KernelBlue
-    entries = 0
-    amb_mask = 0
-    blue_cells = 0
-    for cid in ch.topo_order:
-        bases = base_pairs[cid]
-        decl = declared_masks[cid]
-        row: dict = {}
-        if len(bases) == 1:
-            # Single direct base (the overwhelmingly common case): the
-            # meet over one extended entry is that entry, so extension
-            # is fully inlined — no call, plain-tuple construction only.
-            # Classes declaring nothing (most of them) also skip the
-            # per-entry declared-bit probe entirely.
-            base, virtual = bases[0]
-            virtual_flag = virtual != 0
-            base_bit = 1 << (base + 2)
-            for mid, entry in rows[base].items():
-                if decl and (decl >> mid) & 1:
-                    continue
-                if type(entry) is tuple:
-                    least = entry[1]
-                    if least == OMEGA_ID and virtual_flag:
-                        least = base
-                    witness = entry[2]
-                    row[mid] = (
-                        entry[0],
-                        least,
-                        (cid, virtual_flag, witness)
-                        if witness is not None
-                        else None,
-                    )
-                else:
-                    if virtual_flag and entry[0] & OMEGA_BIT:
-                        entry = blue(entry[0] ^ OMEGA_BIT | base_bit, entry[1])
-                    row[mid] = entry
-                    amb_mask |= 1 << mid
-                    blue_cells += 1
-        elif bases:
-            # Multiple bases: gather the extended entries per member in
-            # direct-base order (the list fold_entry builds), meet them.
-            incoming: dict[int, list] = {}
-            for base, virtual in bases:
-                for mid, entry in rows[base].items():
-                    if (decl >> mid) & 1:
-                        continue
-                    extended = extend_entry(
-                        ch, entry, base, virtual, cid, stats
-                    )
-                    bucket = incoming.get(mid)
-                    if bucket is None:
-                        incoming[mid] = [extended]
-                    else:
-                        bucket.append(extended)
-            for mid, bucket in incoming.items():
-                met = (
-                    bucket[0]
-                    if len(bucket) == 1
-                    else meet_entries(ch, bucket, stats)
-                )
-                row[mid] = met
-                if type(met) is not tuple:
-                    amb_mask |= 1 << mid
-                    blue_cells += 1
-        if declared_mids[cid]:
-            cell = (cid, False, None) if track_witnesses else None
-            for mid in declared_mids[cid]:
-                row[mid] = (cid, OMEGA_ID, cell)
-        entries += len(row)
-        rows[cid] = row
-    if count:
-        stats.classes_visited += len(ch.topo_order)
-        stats.entries_computed += entries
-    if certificate is not None:
-        certificate.record(amb_mask, blue_cells)
-    return rows
-
-
-# ----------------------------------------------------------------------
-# The cone-restricted delta sweep (re-fold only what a mutation touched)
+# The cone sweep (a build is the cone of every class)
 # ----------------------------------------------------------------------
 
 
@@ -540,6 +411,29 @@ class ConeSweepStats(NamedTuple):
     boundary_rows: int
 
 
+def ordered_cone(ch: CompiledHierarchy, cone_mask: int) -> tuple:
+    """``(cone_ids, boundary_rows)``: the cone's class ids in
+    topological order, and how many out-of-cone direct bases the cone
+    reads as seeds (one per cone edge crossing the boundary).
+
+    A cone of every class is ``ch.topo_order`` itself, whose boundary
+    is empty.  Any other cone sorts its set bits by topological
+    position (``ch.topo_positions``) — O(|cone| log |cone|), so a small
+    cone in a huge hierarchy never pays an O(|N|) scan per delta.
+    """
+    if cone_mask == (1 << ch.n_classes) - 1:
+        return ch.topo_order, 0
+    cone_ids = mask_ids(cone_mask)
+    cone_ids.sort(key=ch.topo_positions.__getitem__)
+    base_pairs = ch.base_pairs
+    boundary = 0
+    for cid in cone_ids:
+        for base, _virtual in base_pairs[cid]:
+            if not (cone_mask >> base) & 1:
+                boundary += 1
+    return cone_ids, boundary
+
+
 def cone_sweep(
     ch: CompiledHierarchy,
     rows: list,
@@ -550,11 +444,11 @@ def cone_sweep(
     track_witnesses: bool = True,
     certificate: Optional[AmbiguityCertificate] = None,
 ) -> ConeSweepStats:
-    """Re-run the batched fold over *cone classes only*, for *affected
+    """Re-run the Figure-8 fold over *cone classes only*, for *affected
     members only*, seeding from the surviving rows of ``rows``.
 
-    ``rows`` is the row list of a previous :func:`batched_sweep` over an
-    older generation of the same id space (``rows[cid]`` is the dict
+    ``rows`` is the row list of an earlier sweep over an older
+    generation of the same id space (``rows[cid]`` is the dict
     ``member id -> kernel entry``, or ``None`` for a class id that did
     not exist yet).  The sweep is copy-on-write: every cone slot of
     ``rows`` is replaced with a *fresh* dict (seeded from a shallow copy
@@ -570,29 +464,26 @@ def cone_sweep(
     byte-for-byte what the old sweep computed.  Those rows are read
     verbatim as the dataflow boundary wherever a cone class derives
     from an out-of-cone base; only ``cone × affected-members`` entries
-    are ever re-folded.
+    are ever re-folded.  A full build is the same sweep with every
+    class in the cone and every member affected, from ``[None] *
+    n_classes`` (:func:`batched_sweep`): no boundary row is read.
 
-    Cone classes are visited in topological order by extracting the set
-    cone bits and sorting them by precomputed topological position
-    (``ch.topo_positions``) — O(|cone| log |cone|), so a small cone in
-    a huge hierarchy never pays an O(|N|) scan per delta.
-
+    Cone classes are visited in topological order (:func:`ordered_cone`).
     The fold itself is member-major :func:`fold_entry` semantics:
     gather each affected member's extended entries in direct-base
     order, meet when more than one base contributes, seed declarations
-    last.  Stale masked entries with no surviving contributor are
-    dropped (cannot happen under append-only growth, but keeps the
-    sweep total).
+    last.  ``stats`` counts every propagation and dominance check, so a
+    full build's counters equal the per-member driver's.  Stale masked
+    entries with no surviving contributor are dropped (cannot happen
+    under append-only growth, but keeps the sweep total).
 
-    ``certificate`` records every blue the re-sweep stores, exactly as
-    in :func:`batched_sweep` — but scoped to the re-folded cone: a set
-    bit afterwards means the delta *ambiguated* that column inside the
-    cone (the fast path demotes it), a clear bit says nothing about
-    out-of-cone cells.
+    ``certificate`` records every blue the sweep stores: O(1) per blue,
+    nothing on the red paths.  After a full build a clear bit *proves*
+    the column unambiguous; after a delta a set bit means the delta
+    *ambiguated* that column inside the cone (the fast path demotes
+    it), and a clear bit says nothing about out-of-cone cells.
 
-    Returns a :class:`ConeSweepStats`; ``boundary_rows`` counts the
-    out-of-cone direct bases read as seeds (one per cone edge crossing
-    the boundary).
+    Returns a :class:`ConeSweepStats`.
     """
     base_pairs = ch.base_pairs
     declared_masks = ch.declared_masks
@@ -601,23 +492,17 @@ def cone_sweep(
     blue = KernelBlue
     red_propagations = 0
     blue_propagations = 0
-    cone_classes = 0
     recomputed = 0
-    boundary = 0
     amb_mask = 0
     blue_cells = 0
-    cone_ids = mask_ids(cone_mask)
-    cone_ids.sort(key=ch.topo_positions.__getitem__)
+    cone_ids, boundary = ordered_cone(ch, cone_mask)
     for cid in cone_ids:
-        cone_classes += 1
         row = rows[cid]
         row = rows[cid] = dict(row) if row else {}
         # The incoming edges with their (final, earlier-in-topo-order)
         # base rows, hoisted out of the member loop.
         edges = []
         for base, virtual in base_pairs[cid]:
-            if not (cone_mask >> base) & 1:
-                boundary += 1
             base_row = rows[base]
             if base_row:
                 edges.append((base_row, base, virtual != 0))
@@ -680,17 +565,34 @@ def cone_sweep(
                 row[low.bit_length() - 1] = (cid, OMEGA_ID, cell)
                 recomputed += 1
     if count:
-        stats.classes_visited += cone_classes
+        stats.classes_visited += len(cone_ids)
         stats.entries_computed += recomputed
         stats.red_propagations += red_propagations
         stats.blue_propagations += blue_propagations
     if certificate is not None:
         certificate.record(amb_mask, blue_cells)
     return ConeSweepStats(
-        cone_classes=cone_classes,
+        cone_classes=len(cone_ids),
         entries_recomputed=recomputed,
         boundary_rows=boundary,
     )
+
+
+def batched_sweep(
+    ch: CompiledHierarchy,
+    *,
+    stats: Optional[LookupStats] = None,
+    track_witnesses: bool = True,
+    certificate: Optional[AmbiguityCertificate] = None,
+) -> list:
+    """A full build: :func:`cone_sweep` over every class and member.
+    Returns ``rows[cid]``, the dict ``member id -> kernel entry`` of
+    every member visible in ``cid``."""
+    rows: list = [None] * ch.n_classes
+    cone_sweep(ch, rows, cone_mask=(1 << ch.n_classes) - 1,
+               member_mask=(1 << ch.n_members) - 1, stats=stats,
+               track_witnesses=track_witnesses, certificate=certificate)
+    return rows
 
 
 # ----------------------------------------------------------------------

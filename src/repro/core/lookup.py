@@ -21,17 +21,19 @@ place — :mod:`repro.core.kernel` — operating on the interned ids of a
 :class:`~repro.hierarchy.compiled.CompiledHierarchy`.  This module is
 the *eager* driver, in two build modes over that one kernel:
 
-* ``"per-member"`` — the historical driver: the Figure-8 fold run once
-  per visible ``(class, member)`` pair, re-reading the class's adjacency
-  per member.  Keeps full per-edge ``LookupStats`` counters (the
-  complexity benchmarks rely on them) and is therefore the default.
-* ``"batched"`` — :func:`repro.core.kernel.batched_sweep`: one pass over
-  ``topo_order`` carrying whole per-class rows, every CSR row and bitset
-  read once *total* instead of once per member (~2-3× faster full-table
-  construction; see ``benchmarks/bench_batched.py``).
+* ``"per-member"`` — the historical driver and the default: the
+  Figure-8 fold run once per visible ``(class, member)`` pair,
+  re-reading the class's adjacency per member.
+* ``"batched"`` — the dispatch rule's cone sweep
+  (:func:`repro.core.kernel.cone_sweep` for the paper's rule) with every
+  class in the cone: one pass over ``topo_order`` filling whole
+  per-class rows, the same sweep that maintains the table under a delta
+  (see ``benchmarks/bench_batched.py``).
 
-Both modes produce identical tables (differentially tested in
-``tests/core/test_engine_equivalence.py``).  The batched mode always
+Both modes produce identical tables and count identical
+:class:`~repro.core.kernel.LookupStats` (differentially tested in
+``tests/core/test_engine_equivalence.py``; the counts are pinned in
+``tests/core/test_kernel_golden.py``).  The batched mode always
 publishes immutable :class:`~repro.core.snapshot.TableSnapshot`
 generations, whose columnar layout answers both point and batch reads;
 the per-member driver is the one in-place table, kept as the
@@ -100,8 +102,7 @@ class MemberLookupTable:
 
     ``mode`` selects the build strategy (see the module docstring):
     ``"per-member"`` (default) or ``"batched"``.  Both yield identical
-    query results; the per-member mode is the only one maintaining the
-    full per-edge propagation counters in :attr:`stats`.
+    query results and identical propagation counters in :attr:`stats`.
 
     ``fastpath`` controls the unambiguous serving overlay
     (:mod:`repro.core.fastpath`): the batched sweep certifies per

@@ -13,11 +13,13 @@ This module ports every one of them onto the interned
 :class:`~repro.hierarchy.compiled.CompiledHierarchy` (dense ids, CSR
 adjacency, topological order, virtual-base bitmasks) behind a single
 :class:`Semantics` interface with the *same contract as the kernel
-sweeps*: ``sweep`` produces the ``rows[cid] = {mid: kernel entry}``
-list :func:`repro.core.kernel.batched_sweep` produces, and
-``cone_sweep`` maintains it under a delta exactly like
+sweep*: each rule's one sweep body, ``cone_sweep``, maintains the
+``rows[cid] = {mid: kernel entry}`` list under a delta exactly like
 :func:`repro.core.kernel.cone_sweep` (same COW discipline, same
-:class:`~repro.core.kernel.ConeSweepStats`).  Because the row shape is
+:class:`~repro.core.kernel.ConeSweepStats`), and a full build
+(:meth:`Semantics.sweep`) is that cone sweep with every class in the
+cone (Definition 7: no class lies outside it, so no boundary row is
+read).  Because the row shape is
 shared, everything downstream — :class:`~repro.core.snapshot.TableSnapshot`,
 the flat fast path, the columnar batch gather and the
 serving tier — works for any registered semantics without knowing which
@@ -67,9 +69,8 @@ from repro.core.kernel import (
     ConeSweepStats,
     KernelBlue,
     LookupStats,
-    batched_sweep,
     cone_sweep,
-    mask_ids,
+    ordered_cone,
 )
 from repro.errors import ReproError
 from repro.hierarchy.compiled import NONE_ID, OMEGA_ID, CompiledHierarchy
@@ -109,13 +110,14 @@ class SemanticsRejection(ReproError):
 
 
 class Semantics:
-    """One dispatch rule, with the kernel sweeps' build/maintain contract.
+    """One dispatch rule, with the kernel sweep's build/maintain contract.
 
-    ``sweep`` computes the full table rows for one compiled generation;
-    ``cone_sweep`` re-folds ``cone × affected-members`` into fresh cone
-    row dicts, the same copy-on-write discipline as the kernel's, so
-    snapshot publishing works unchanged.  Both may raise
-    :class:`SemanticsRejection` (checked rules only).
+    A rule defines one sweep body, ``cone_sweep``: it re-folds ``cone ×
+    affected-members`` into fresh cone row dicts, the same copy-on-write
+    discipline as the kernel's, so snapshot publishing works unchanged.
+    ``sweep`` (a full build) is that cone sweep over every class and
+    member.  Both may raise :class:`SemanticsRejection` (checked rules
+    only).
     """
 
     #: Registry key; subclasses override.
@@ -129,7 +131,20 @@ class Semantics:
         track_witnesses: bool = True,
         certificate: Optional[AmbiguityCertificate] = None,
     ) -> list:
-        raise NotImplementedError
+        """The full table rows of one compiled generation: ``rows[cid]``
+        is the dict ``member id -> kernel entry`` of every member visible
+        in ``cid``."""
+        rows: list = [None] * ch.n_classes
+        self.cone_sweep(
+            ch,
+            rows,
+            cone_mask=(1 << ch.n_classes) - 1,
+            member_mask=(1 << ch.n_members) - 1,
+            stats=stats,
+            track_witnesses=track_witnesses,
+            certificate=certificate,
+        )
+        return rows
 
     def cone_sweep(
         self,
@@ -152,15 +167,6 @@ class CppDominanceSemantics(Semantics):
     """The paper's algorithm — a direct delegation to the kernel."""
 
     name = "cpp-dominance"
-
-    def sweep(self, ch, *, stats=None, track_witnesses=True,
-              certificate=None):
-        return batched_sweep(
-            ch,
-            stats=stats,
-            track_witnesses=track_witnesses,
-            certificate=certificate,
-        )
 
     def cone_sweep(self, ch, rows, *, cone_mask, member_mask, stats=None,
                    track_witnesses=True, certificate=None):
@@ -208,75 +214,20 @@ class _LocalFoldSemantics(Semantics):
         a kernel entry, or ``None`` to let the declaration seed win."""
         raise NotImplementedError
 
-    def sweep(self, ch, *, stats=None, track_witnesses=True,
-              certificate=None):
-        rows: list = [None] * ch.n_classes
-        base_pairs = ch.base_pairs
-        declared_masks = ch.declared_masks
-        gather_declared = self.gather_declared
-        entries = 0
-        amb_mask = 0
-        blue_cells = 0
-        for cid in ch.topo_order:
-            decl = declared_masks[cid]
-            row: dict = {}
-            incoming: dict[int, list] = {}
-            for base, _virtual in base_pairs[cid]:
-                for mid, entry in rows[base].items():
-                    if not gather_declared and decl and (decl >> mid) & 1:
-                        continue
-                    bucket = incoming.get(mid)
-                    if bucket is None:
-                        incoming[mid] = [entry]
-                    else:
-                        bucket.append(entry)
-            for mid, bucket in incoming.items():
-                met = self._meet(
-                    ch, cid, mid, bucket, (decl >> mid) & 1 == 1
-                )
-                if met is None:
-                    continue
-                row[mid] = met
-                if type(met) is not tuple:
-                    amb_mask |= 1 << mid
-                    blue_cells += 1
-            if decl:
-                cell = self._declare_entry(cid)
-                seed = decl
-                while seed:
-                    low = seed & -seed
-                    seed ^= low
-                    row[low.bit_length() - 1] = cell
-            entries += len(row)
-            rows[cid] = row
-        if stats is not None:
-            stats.classes_visited += len(ch.topo_order)
-            stats.entries_computed += entries
-        if certificate is not None:
-            certificate.record(amb_mask, blue_cells)
-        return rows
-
     def cone_sweep(self, ch, rows, *, cone_mask, member_mask, stats=None,
                    track_witnesses=True, certificate=None):
         base_pairs = ch.base_pairs
         declared_masks = ch.declared_masks
         visible_masks = ch.visible_masks
         gather_declared = self.gather_declared
-        cone_classes = 0
         recomputed = 0
-        boundary = 0
         amb_mask = 0
         blue_cells = 0
-        cone_ids = mask_ids(cone_mask)
-        cone_ids.sort(key=ch.topo_positions.__getitem__)
+        cone_ids, boundary = ordered_cone(ch, cone_mask)
         for cid in cone_ids:
-            cone_classes += 1
             row = rows[cid]
             row = rows[cid] = dict(row) if row else {}
             bases = base_pairs[cid]
-            for base, _virtual in bases:
-                if not (cone_mask >> base) & 1:
-                    boundary += 1
             decl = declared_masks[cid]
             affected = visible_masks[cid] & member_mask
             pending = affected if gather_declared else affected & ~decl
@@ -313,12 +264,12 @@ class _LocalFoldSemantics(Semantics):
                     row[low.bit_length() - 1] = cell
                     recomputed += 1
         if stats is not None:
-            stats.classes_visited += cone_classes
+            stats.classes_visited += len(cone_ids)
             stats.entries_computed += recomputed
         if certificate is not None:
             certificate.record(amb_mask, blue_cells)
         return ConeSweepStats(
-            cone_classes=cone_classes,
+            cone_classes=len(cone_ids),
             entries_recomputed=recomputed,
             boundary_rows=boundary,
         )
@@ -355,7 +306,12 @@ class EiffelSemantics(_LocalFoldSemantics):
     name locally, exactly like
     :meth:`repro.baselines.eiffel.EiffelHierarchy.add_class` flattens
     parents before applying local declarations.  Repeated inheritance
-    of one origin shares (the rule C++ needs virtual bases for)."""
+    of one origin shares (the rule C++ needs virtual bases for).
+
+    A hierarchy with several clashes is rejected at the first clashing
+    class in topological order, naming the clashing member of lowest
+    member id there — the order the sweep folds in, so the choice does
+    not depend on the order of any row's entries."""
 
     name = "eiffel"
     gather_declared = True
@@ -524,42 +480,15 @@ class C3Semantics(Semantics):
                 break
         return row
 
-    def sweep(self, ch, *, stats=None, track_witnesses=True,
-              certificate=None):
-        rows: list = [None] * ch.n_classes
-        visible_masks = ch.visible_masks
-        memo: dict = {}
-        entries = 0
-        for cid in ch.topo_order:
-            needed = visible_masks[cid]
-            if not needed:
-                rows[cid] = {}
-                continue
-            mro = c3_linearization_ids(ch, cid, memo)
-            row = self._fill_row(ch, cid, mro, needed)
-            entries += len(row)
-            rows[cid] = row
-        if stats is not None:
-            stats.classes_visited += len(ch.topo_order)
-            stats.entries_computed += entries
-        return rows
-
     def cone_sweep(self, ch, rows, *, cone_mask, member_mask, stats=None,
                    track_witnesses=True, certificate=None):
         visible_masks = ch.visible_masks
-        cone_classes = 0
         recomputed = 0
-        boundary = 0
         memo: dict = {}
-        cone_ids = mask_ids(cone_mask)
-        cone_ids.sort(key=ch.topo_positions.__getitem__)
+        cone_ids, boundary = ordered_cone(ch, cone_mask)
         for cid in cone_ids:
-            cone_classes += 1
-            row = rows[cid]
-            row = rows[cid] = dict(row) if row else {}
-            for base, _virtual in ch.base_pairs[cid]:
-                if not (cone_mask >> base) & 1:
-                    boundary += 1
+            old = rows[cid]
+            row = rows[cid] = dict(old) if old else {}
             affected = visible_masks[cid] & member_mask
             if affected:
                 mro = c3_linearization_ids(ch, cid, memo)
@@ -567,14 +496,14 @@ class C3Semantics(Semantics):
                 row.update(fresh)
                 recomputed += len(fresh)
             stale = member_mask & ~visible_masks[cid]
-            if stale and row:
+            if stale and old:
                 for mid in [mid for mid in row if (stale >> mid) & 1]:
                     del row[mid]
         if stats is not None:
-            stats.classes_visited += cone_classes
+            stats.classes_visited += len(cone_ids)
             stats.entries_computed += recomputed
         return ConeSweepStats(
-            cone_classes=cone_classes,
+            cone_classes=len(cone_ids),
             entries_recomputed=recomputed,
             boundary_rows=boundary,
         )
@@ -737,43 +666,15 @@ class GxxBfsSemantics(Semantics):
             row[mid] = entry
         return row
 
-    def sweep(self, ch, *, stats=None, track_witnesses=True,
-              certificate=None):
-        rows: list = [None] * ch.n_classes
-        visible_masks = ch.visible_masks
-        counters = [0, 0]
-        entries = 0
-        for cid in ch.topo_order:
-            needed = visible_masks[cid]
-            if not needed:
-                rows[cid] = {}
-                continue
-            row = self._row(ch, cid, needed, track_witnesses, counters)
-            entries += len(row)
-            rows[cid] = row
-        if stats is not None:
-            stats.classes_visited += len(ch.topo_order)
-            stats.entries_computed += entries
-        if certificate is not None:
-            certificate.record(counters[0], counters[1])
-        return rows
-
     def cone_sweep(self, ch, rows, *, cone_mask, member_mask, stats=None,
                    track_witnesses=True, certificate=None):
         visible_masks = ch.visible_masks
-        cone_classes = 0
         recomputed = 0
-        boundary = 0
         counters = [0, 0]
-        cone_ids = mask_ids(cone_mask)
-        cone_ids.sort(key=ch.topo_positions.__getitem__)
+        cone_ids, boundary = ordered_cone(ch, cone_mask)
         for cid in cone_ids:
-            cone_classes += 1
-            row = rows[cid]
-            row = rows[cid] = dict(row) if row else {}
-            for base, _virtual in ch.base_pairs[cid]:
-                if not (cone_mask >> base) & 1:
-                    boundary += 1
+            old = rows[cid]
+            row = rows[cid] = dict(old) if old else {}
             affected = visible_masks[cid] & member_mask
             if affected:
                 fresh = self._row(
@@ -782,16 +683,16 @@ class GxxBfsSemantics(Semantics):
                 row.update(fresh)
                 recomputed += len(fresh)
             stale = member_mask & ~visible_masks[cid]
-            if stale and row:
+            if stale and old:
                 for mid in [mid for mid in row if (stale >> mid) & 1]:
                     del row[mid]
         if stats is not None:
-            stats.classes_visited += cone_classes
+            stats.classes_visited += len(cone_ids)
             stats.entries_computed += recomputed
         if certificate is not None:
             certificate.record(counters[0], counters[1])
         return ConeSweepStats(
-            cone_classes=cone_classes,
+            cone_classes=len(cone_ids),
             entries_recomputed=recomputed,
             boundary_rows=boundary,
         )

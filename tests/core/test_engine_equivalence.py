@@ -4,7 +4,7 @@ Eager (:class:`MemberLookupTable` — in both build modes: per-member
 and batched single-sweep) and lazy
 (:class:`LazyMemberLookup`, also over a graph grown in place) are all
 thin drivers over :func:`repro.core.kernel.fold_entry` /
-:func:`repro.core.kernel.batched_sweep`, so they must return *identical*
+:func:`repro.core.kernel.cone_sweep`, so they must return *identical*
 :class:`LookupResult` objects — same status, same declaring class, same
 least-virtual abstraction, and the very same witness path — for every
 ``(class, member)`` pair, on every hierarchy.  This file checks that on

@@ -149,7 +149,7 @@ def _streamed_gui_table():
 PINNED_PACKS = {
     "figure3": (
         lambda: build_lookup_table(figure3(), mode="batched", fastpath=True),
-        "bb7f0d8dd77869848d60a7499ec6da3ceaed5aefc2e6c328fd85cc0220bd746a",
+        "fbce3f194d2eefc629d9401b09664b5473af2bca6c077a78953f3231c32ecb69",
     ),
     "iostream_like": (
         lambda: build_lookup_table(

@@ -41,6 +41,7 @@ from repro.workloads.generators import (
     grid,
     layered_hierarchy,
     nonvirtual_diamond_ladder,
+    random_hierarchy,
     virtual_diamond_ladder,
     wide_unambiguous,
 )
@@ -382,6 +383,42 @@ def test_mid_delta_rejection_preserves_parent_snapshot():
     assert table.snapshot.generation == generation
     for (c, m), status in before.items():
         assert table.lookup(c, m).status.name == status
+
+
+@pytest.mark.parametrize(
+    "builder, class_name, member",
+    [
+        (
+            lambda: random_hierarchy(23, seed=3, member_probability=0.5),
+            "K3",
+            "m",
+        ),
+        (
+            # 1024 classes over 32 names: the serve benchmark's tenant.
+            lambda: layered_hierarchy(
+                32,
+                32,
+                seed=0,
+                member_names=tuple(f"m{i:02d}" for i in range(32)),
+                member_probability=0.15,
+            ),
+            "L1_29",
+            "m25",
+        ),
+    ],
+    ids=["random23", "layered32"],
+)
+def test_eiffel_rejection_names_lowest_member_at_first_class(
+    builder, class_name, member
+):
+    """With several clashes, the rejection names the first clashing
+    class in topological order and, there, the clashing member of
+    lowest member id — whatever order the base rows hold entries in."""
+    graph = builder()
+    with pytest.raises(SemanticsRejection) as excinfo:
+        MemberLookupTable(graph, mode="batched", semantics="eiffel")
+    assert excinfo.value.class_name == class_name
+    assert excinfo.value.reason.startswith(f"name {member!r} ")
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,14 @@ class TestCheck:
         assert main(["check", str(path)]) == 1
         assert "ambiguous" in capsys.readouterr().out
 
+    def test_semantic_error_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "fig1.h"
+        path.write_text("struct A { int m; };\nmain() { A a; d.m = 1; }\n")
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().out.startswith(
+            f"{path}:2:15: error: use of undeclared variable 'd'\n"
+        )
+
     def test_json_dump(self, fig3_json, capsys):
         assert main(["check", fig3_json]) == 0
         assert "OK" in capsys.readouterr().out
