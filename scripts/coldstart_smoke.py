@@ -4,12 +4,18 @@
 CI runs this after the test suite: the parent builds a 256-class
 family, packs it to a temp file, then spawns *this same script* as a
 fresh subprocess (``--child``) that only ever sees the pack — it
-``mmap_table``s the file, answers 50 deterministic queries straight
-off the buffer, and reports the generation plus every answer as JSON.
-The parent asserts the child produced all 50 answers, the right
-generation, and byte-identical results to the live table it packed.
-Exit code 0 means cold start actually works cold — no warm compile
-memo, no shared interpreter state, just the file.
+``mmap_table``s the file and reports that on stdout.  While the child
+holds that mapping, the parent re-packs a different (16-class) table
+onto the same path, then tells the child to go on: it answers 50
+deterministic queries straight off its original mapping and reports
+the generation plus every answer as JSON.  The parent asserts the
+child produced all 50 answers, the right generation, and
+byte-identical results to the live table it first packed, and that
+the path now holds the second table.  Exit code 0 means cold start
+actually works cold — no warm compile memo, no shared interpreter
+state, just the file — and that ``pack`` replaces a file under a live
+reader instead of truncating it (which would kill the reader with
+SIGBUS).
 
 Usage:  PYTHONPATH=src python scripts/coldstart_smoke.py
 """
@@ -31,14 +37,14 @@ MEMBERS = 8
 QUERIES = 50
 
 
-def smoke_family():
+def smoke_family(classes: int = CLASSES):
     """The 256-class binary-tree family from ``bench_coldstart.py``,
     shrunk to smoke size."""
     from repro.hierarchy.graph import ClassHierarchyGraph
 
     graph = ClassHierarchyGraph()
     graph.add_class("N1", members=["m0"])
-    for i in range(2, CLASSES + 1):
+    for i in range(2, classes + 1):
         declared = [f"m{i - 1}"] if i <= MEMBERS else []
         graph.add_class(f"N{i}", members=declared)
         graph.add_edge(f"N{i // 2}", f"N{i}")
@@ -63,10 +69,13 @@ def answer_row(result) -> list:
 
 
 def child(pack_path: str) -> int:
-    """The cold process: one mmap, 50 answers, one JSON line."""
+    """The cold process: one mmap, then (once the parent has re-packed
+    the path) 50 answers off that mapping, one JSON line."""
     from repro.core.flatpack import mmap_table
 
     with mmap_table(pack_path) as packed:
+        print("mapped", flush=True)
+        sys.stdin.readline()
         answers = [
             answer_row(result)
             for result in packed.lookup_many(smoke_queries())
@@ -80,7 +89,7 @@ def main() -> int:
     if len(sys.argv) == 3 and sys.argv[1] == "--child":
         return child(sys.argv[2])
 
-    from repro.core.flatpack import pack
+    from repro.core.flatpack import mmap_table, pack
     from repro.core.lookup import build_lookup_table
 
     graph = smoke_family()
@@ -89,23 +98,33 @@ def main() -> int:
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
+    other = build_lookup_table(smoke_family(16), mode="batched", fastpath=True)
     with tempfile.TemporaryDirectory() as tmp:
         pack_path = str(Path(tmp) / "smoke.pack")
         pack(table, pack_path)
-        completed = subprocess.run(
+        with subprocess.Popen(
             [sys.executable, str(Path(__file__).resolve()), "--child", pack_path],
             cwd=ROOT,
             env=env,
-            capture_output=True,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
             text=True,
-        )
-    if completed.returncode != 0:
-        sys.stderr.write(completed.stdout)
-        sys.stderr.write(completed.stderr)
-        raise SystemExit(
-            f"cold child exited rc={completed.returncode}"
-        )
-    payload = json.loads(completed.stdout)
+        ) as proc:
+            mapped = proc.stdout.readline()
+            if mapped.strip() == "mapped":
+                pack(other, pack_path)
+            stdout, stderr = proc.communicate("go\n", timeout=120)
+        with mmap_table(pack_path) as repacked:
+            repacked_classes = repacked.n_classes
+    if proc.returncode != 0 or mapped.strip() != "mapped":
+        sys.stderr.write(mapped + stdout)
+        sys.stderr.write(stderr)
+        raise SystemExit(f"cold child exited rc={proc.returncode}")
+    assert repacked_classes == 16, (
+        f"re-pack did not land: the path holds {repacked_classes} classes"
+    )
+    payload = json.loads(stdout)
     assert payload["generation"] == table.compiled.generation, (
         f"generation mismatch: packed {payload['generation']} vs "
         f"live {table.compiled.generation}"
@@ -117,7 +136,7 @@ def main() -> int:
     print(
         f"coldstart smoke OK: fresh process answered {QUERIES} queries "
         f"off the mmapped pack (generation {payload['generation']}, "
-        f"{CLASSES} classes)"
+        f"{CLASSES} classes) after the path was re-packed under it"
     )
     return 0
 

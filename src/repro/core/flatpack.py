@@ -22,7 +22,15 @@ header validation — no per-entry work at all:
   columnar entry-id and witness-id arrays of
   :class:`~repro.core.columnar.ColumnarTable`.
 
-:func:`pack` writes a snapshot-backed table out; :func:`mmap_table`
+:func:`pack` writes a snapshot-backed table out.  The write is
+streamed: every section size is known up front (the slot-value run's
+from the popcounts of the blue masks), so the header and section
+directory go first and each section follows straight from its buffer,
+the slot-value run — most of a blue-heavy pack — in bounded chunks, so
+no section is held twice.  It goes to a temporary file beside the
+destination, which ``os.replace`` moves onto the path only once it is
+complete: a process with the old file mapped keeps serving it, and no
+reader ever opens a partial pack.  :func:`mmap_table`
 maps one back in as a :class:`PackedTable` that serves ``lookup`` /
 ``lookup_many`` straight off the buffer: column cells are zero-copy
 ``memoryview.cast('q')`` views of the mapped pages, columns load lazily
@@ -59,6 +67,7 @@ or witness the pack does not hold raise
 from __future__ import annotations
 
 import mmap
+import os
 import struct
 from typing import Optional, Union
 
@@ -146,9 +155,9 @@ def _pad8(n: int) -> int:
     return (8 - n % 8) % 8
 
 
-def _name_pool(names) -> tuple[bytes, bytes]:
+def _name_pool(names) -> tuple[array, list[bytes]]:
     """Offset-indexed UTF-8 string pool: ``offsets[i]:offsets[i+1]``
-    slices the blob to name ``i``."""
+    slices the blob (the chunks written in order) to name ``i``."""
     offsets = array("q", [0])
     chunks = []
     total = 0
@@ -157,12 +166,12 @@ def _name_pool(names) -> tuple[bytes, bytes]:
         chunks.append(raw)
         total += len(raw)
         offsets.append(total)
-    return offsets.tobytes(), b"".join(chunks)
+    return offsets, chunks
 
 
-def _mask_matrix(masks, stride: int) -> bytes:
+def _mask_matrix(masks, stride: int) -> list[bytes]:
     """Python-int bitmasks as fixed-stride little-endian byte rows."""
-    return b"".join(mask.to_bytes(stride, "little") for mask in masks)
+    return [mask.to_bytes(stride, "little") for mask in masks]
 
 
 def _snapshot_of(table) -> TableSnapshot:
@@ -178,6 +187,34 @@ def _snapshot_of(table) -> TableSnapshot:
     return snapshot
 
 
+#: Slot values decoded between two writes of the slot-value run.  The
+#: run is most of a blue-heavy pack (blue sets grow to Θ(|N|)), so it
+#: is streamed in chunks of about this many int64s, never held whole.
+_SLOT_CHUNK = 1 << 16
+
+
+def _slot_value_chunks(slots):
+    """The entry-pool slots as the flat int run, in bounded chunks: a
+    red slot is ``(0, ldc, lv)``, a blue slot ``(1, n_abs, n_cand,
+    *abstractions, *candidates)``."""
+    chunk = array("q")
+    for slot in slots:
+        if type(slot) is tuple:
+            chunk.extend((0, slot[0], slot[1]))
+        else:
+            abstractions = abstraction_ids(slot[0])
+            candidates = mask_ids(slot[1])
+            chunk.append(1)
+            chunk.append(len(abstractions))
+            chunk.append(len(candidates))
+            chunk.extend(abstractions)
+            chunk.extend(candidates)
+        if len(chunk) >= _SLOT_CHUNK:
+            yield chunk
+            chunk = array("q")
+    yield chunk
+
+
 def pack(table, path) -> int:
     """Write ``table`` (a snapshot-backed
     :class:`~repro.core.lookup.MemberLookupTable` or a
@@ -188,6 +225,16 @@ def pack(table, path) -> int:
     packed cells (the whole-table truth at this generation, not the
     chain-accumulated diagnostic), so equal tables pack to equal
     certificates regardless of their delta history.
+
+    Every section size is known before the first byte is written (the
+    slot-value run's from the popcounts of the blue masks), so the file
+    is streamed in order: header, section directory, then each section
+    straight from its buffer, the slot-value run in bounded chunks.  It
+    is written to a temporary file beside ``path`` and moved onto
+    ``path`` with ``os.replace`` only once complete, so a process that
+    has the old file mapped keeps serving it, and no reader ever sees a
+    partial pack.  On any failure the temporary file is removed and
+    ``path`` is left as it was.
     """
     snapshot = _snapshot_of(table)
     ch = snapshot.ch
@@ -249,27 +296,21 @@ def pack(table, path) -> int:
             else:
                 amb_mask |= 1 << mid
                 blue_cells += 1
-        cells_rows.append(row.tobytes())
-        wits_rows.append(wrow.tobytes())
+        cells_rows.append(row)
+        wits_rows.append(wrow)
     n_columns = len(cells_rows)
 
-    # --- entry-pool slots as flat int runs --------------------------
+    # --- slot offsets from the masks' popcounts (nothing decoded) ---
     slot_offsets = array("q", [0])
-    slot_values = array("q")
+    n_slot_values = 0
     for slot in slots:
         if type(slot) is tuple:
-            slot_values.extend((0, slot[0], slot[1]))
+            n_slot_values += 3
         else:
-            abstractions = abstraction_ids(slot[0])
-            candidates = mask_ids(slot[1])
-            slot_values.append(1)
-            slot_values.append(len(abstractions))
-            slot_values.append(len(candidates))
-            slot_values.extend(abstractions)
-            slot_values.extend(candidates)
-        slot_offsets.append(len(slot_values))
+            n_slot_values += 3 + slot[0].bit_count() + slot[1].bit_count()
+        slot_offsets.append(n_slot_values)
 
-    # --- sections ---------------------------------------------------
+    # --- sections, each an iterable of buffers ----------------------
     class_offs, class_blob = _name_pool(ch.class_names)
     member_offs, member_blob = _name_pool(ch.member_names)
     decl_offsets = array("q", [0])
@@ -280,17 +321,17 @@ def pack(table, path) -> int:
     class_stride = (n + 7) // 8
     member_stride = (n_members + 7) // 8 or 1
 
-    sections: list[bytes] = [b""] * _N_SECTIONS
-    sections[_SEC_CLASS_OFFS] = class_offs
+    sections: list = [()] * _N_SECTIONS
+    sections[_SEC_CLASS_OFFS] = (class_offs,)
     sections[_SEC_CLASS_BLOB] = class_blob
-    sections[_SEC_MEMBER_OFFS] = member_offs
+    sections[_SEC_MEMBER_OFFS] = (member_offs,)
     sections[_SEC_MEMBER_BLOB] = member_blob
-    sections[_SEC_BASE_OFFSETS] = ch.base_offsets.tobytes()
-    sections[_SEC_BASE_TARGETS] = ch.base_targets.tobytes()
-    sections[_SEC_BASE_VIRTUAL] = ch.base_virtual.tobytes()
-    sections[_SEC_TOPO_ORDER] = array("q", ch.topo_order).tobytes()
-    sections[_SEC_DECL_OFFS] = decl_offsets.tobytes()
-    sections[_SEC_DECL_VALS] = decl_values.tobytes()
+    sections[_SEC_BASE_OFFSETS] = (ch.base_offsets,)
+    sections[_SEC_BASE_TARGETS] = (ch.base_targets,)
+    sections[_SEC_BASE_VIRTUAL] = (ch.base_virtual,)
+    sections[_SEC_TOPO_ORDER] = (array("q", ch.topo_order),)
+    sections[_SEC_DECL_OFFS] = (decl_offsets,)
+    sections[_SEC_DECL_VALS] = (decl_values,)
     sections[_SEC_VB_MASKS] = _mask_matrix(
         ch.virtual_base_masks, class_stride
     )
@@ -298,15 +339,20 @@ def pack(table, path) -> int:
         ch.declared_masks, member_stride
     )
     sections[_SEC_VIS_MASKS] = _mask_matrix(ch.visible_masks, member_stride)
-    sections[_SEC_CERT_MASK] = amb_mask.to_bytes(member_stride, "little")
-    sections[_SEC_SLOT_OFFS] = slot_offsets.tobytes()
-    sections[_SEC_SLOT_VALS] = slot_values.tobytes()
-    sections[_SEC_WIT_CLASS] = wit_class.tobytes()
-    sections[_SEC_WIT_VIRTUAL] = wit_virtual.tobytes()
-    sections[_SEC_WIT_PREV] = wit_prev.tobytes()
-    sections[_SEC_COLUMN_DIR] = column_dir.tobytes()
-    sections[_SEC_COLUMN_CELLS] = b"".join(cells_rows)
-    sections[_SEC_COLUMN_WITS] = b"".join(wits_rows)
+    sections[_SEC_CERT_MASK] = (amb_mask.to_bytes(member_stride, "little"),)
+    sections[_SEC_SLOT_OFFS] = (slot_offsets,)
+    sections[_SEC_WIT_CLASS] = (wit_class,)
+    sections[_SEC_WIT_VIRTUAL] = (wit_virtual,)
+    sections[_SEC_WIT_PREV] = (wit_prev,)
+    sections[_SEC_COLUMN_DIR] = (column_dir,)
+    sections[_SEC_COLUMN_CELLS] = cells_rows
+    sections[_SEC_COLUMN_WITS] = wits_rows
+    sizes = [
+        sum(memoryview(chunk).nbytes for chunk in chunks)
+        for chunks in sections
+    ]
+    sections[_SEC_SLOT_VALS] = _slot_value_chunks(slots)
+    sizes[_SEC_SLOT_VALS] = 8 * n_slot_values
 
     semantics_raw = snapshot.semantics.name.encode("utf-8")
     flags = _FLAG_TRACK_WITNESSES if snapshot.track_witnesses else 0
@@ -320,7 +366,7 @@ def pack(table, path) -> int:
         n_members,
         len(ch.base_targets),
         len(slots),
-        len(slot_values),
+        n_slot_values,
         len(wit_cells),
         n_columns,
         snapshot.entry_total,
@@ -330,18 +376,33 @@ def pack(table, path) -> int:
 
     position = len(head) + _N_SECTIONS * _SECTION.size
     directory = []
-    body = []
-    for section in sections:
-        directory.append(_SECTION.pack(position, len(section)))
-        body.append(section)
-        padding = _pad8(len(section))
-        body.append(b"\0" * padding)
-        position += len(section) + padding
+    for size in sizes:
+        directory.append(_SECTION.pack(position, size))
+        position += size + _pad8(size)
 
-    blob = b"".join([head, *directory, *body])
-    with open(path, "wb") as handle:
-        handle.write(blob)
-    return len(blob)
+    path = os.fspath(path)
+    temp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
+    handle = open(temp, "xb")
+    try:
+        with handle:
+            handle.write(head)
+            handle.write(b"".join(directory))
+            for index, chunks in enumerate(sections):
+                written = sum(handle.write(chunk) for chunk in chunks)
+                if written != sizes[index]:
+                    # The directory is already on disk: a section that
+                    # streams a different length would land a pack whose
+                    # header disagrees with its body.
+                    raise RuntimeError(
+                        f"flatpack section {index} streamed {written} "
+                        f"bytes, its directory entry says {sizes[index]}"
+                    )
+                handle.write(bytes(_pad8(written)))
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+    return position
 
 
 def mmap_table(path) -> "PackedTable":

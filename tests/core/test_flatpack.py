@@ -10,10 +10,17 @@ pack is a first-class snapshot-chain parent (``to_table`` +
 """
 
 import hashlib
+import json
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from repro.core import flatpack
 from repro.core.flatpack import (
     _SEC_COLUMN_CELLS,
     _SEC_COLUMN_DIR,
@@ -27,6 +34,7 @@ from repro.core.flatpack import (
     mmap_table,
     pack,
 )
+from repro.core.kernel import mask_ids
 from repro.core.lookup import MemberLookupTable, build_lookup_table
 from repro.errors import UnknownClassError
 from repro.ingest import StreamingIngest
@@ -44,6 +52,8 @@ from repro.workloads.generators import (
     wide_unambiguous,
 )
 from repro.workloads.paper_figures import figure3, iostream_like
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 FAMILIES = [
     ("ambiguous_fan", lambda: ambiguous_fan(8)),
@@ -176,6 +186,123 @@ def test_pack_rejects_in_place_tables(tmp_path):
     table = build_lookup_table(binary_tree(3), mode="per-member")
     with pytest.raises(ValueError):
         pack(table, tmp_path / "nope.pack")
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PACKS))
+def test_pack_returns_the_file_size(name, tmp_path):
+    build, _digest = PINNED_PACKS[name]
+    path = tmp_path / f"{name}.pack"
+    assert pack(build(), path) == os.path.getsize(path)
+
+
+# ----------------------------------------------------------------------
+# The streamed writer: bounded memory, atomic replacement
+# ----------------------------------------------------------------------
+
+
+def test_pack_peak_memory_stays_below_the_file(tmp_path):
+    """The slot-value run (most of a blue-heavy pack) is streamed in
+    chunks and no section is held twice, so pack() allocates less than
+    it writes."""
+    pipeline = StreamingIngest(batch_size=16)
+    for file in gui_corpus(layers=24, width=32, files=4, seed=1):
+        pipeline.ingest_source(file.text, filename=file.name)
+    pipeline.flush()
+    table = pipeline.table
+    table.snapshot.columnar_table()  # the table's own state, not pack's
+    tracemalloc.start()
+    try:
+        written = pack(table, tmp_path / "gui.pack")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert written > 1 << 20
+    assert peak < written, f"peak {peak} bytes for a {written}-byte pack"
+
+
+_REPACK_UNDER_A_MAPPING = """
+import json, sys
+from repro.core.flatpack import mmap_table, pack
+from repro.core.lookup import build_lookup_table
+from repro.workloads.generators import chain
+
+path = sys.argv[1]
+pack(build_lookup_table(chain(512), mode="batched", fastpath=True), path)
+with mmap_table(path) as packed:
+    pack(build_lookup_table(chain(8), mode="batched", fastpath=True), path)
+    queries = [(f"C{i}", m) for i in range(512) for m in ("m", "nope")]
+    rows = [
+        [r.status.value, r.declaring_class, str(r.witness)]
+        for r in packed.lookup_many(queries)
+    ]
+    rows += [
+        [r.status.value, r.declaring_class, str(r.witness)]
+        for r in (packed.lookup(c, m) for c, m in queries[::7])
+    ]
+print(json.dumps(rows))
+"""
+
+
+def test_repack_keeps_a_live_mapping_serving(tmp_path):
+    """Re-packing onto a path another table has mapped replaces the
+    file rather than truncating it under the mapping (which would kill
+    the reader with SIGBUS): the old mapping answers as it did."""
+    path = tmp_path / "live.pack"
+    completed = subprocess.run(
+        [sys.executable, "-c", _REPACK_UNDER_A_MAPPING, str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    table = build_lookup_table(chain(512), mode="batched", fastpath=True)
+    queries = [(f"C{i}", m) for i in range(512) for m in ("m", "nope")]
+    expected = [
+        [r.status.value, r.declaring_class, str(r.witness)]
+        for r in [table.lookup(c, m) for c, m in queries]
+        + [table.lookup(c, m) for c, m in queries[::7]]
+    ]
+    assert json.loads(completed.stdout) == expected
+    with mmap_table(path) as packed:
+        assert packed.n_classes == 8
+    assert os.listdir(tmp_path) == ["live.pack"]
+
+
+def _failing_mask_ids(mask):
+    raise RuntimeError("injected mid-stream failure")
+
+
+def _short_mask_ids(mask):
+    return mask_ids(mask)[:-1]
+
+
+@pytest.mark.parametrize(
+    "mode,decode,error",
+    [
+        ("per-member", None, ValueError),
+        ("batched", _failing_mask_ids, RuntimeError),
+        ("batched", _short_mask_ids, RuntimeError),
+    ],
+    ids=["unpackable-table", "failure-mid-stream", "short-slot-run"],
+)
+def test_failed_pack_leaves_the_old_file_and_no_temp(
+    mode, decode, error, tmp_path, monkeypatch
+):
+    """A pack that fails — before writing, while streaming, or because
+    the streamed slot-value run disagrees with the popcount-derived
+    length in its header — removes its temporary file and leaves
+    ``path`` holding the previous pack."""
+    path = tmp_path / "table.pack"
+    pack(build_lookup_table(figure3(), mode="batched", fastpath=True), path)
+    before = path.read_bytes()
+    if decode is not None:
+        monkeypatch.setattr(flatpack, "mask_ids", decode)
+    table = build_lookup_table(ambiguous_fan(6), mode=mode)
+    with pytest.raises(error):
+        pack(table, path)
+    assert os.listdir(tmp_path) == ["table.pack"]
+    assert path.read_bytes() == before
 
 
 def test_non_default_semantics_round_trip(tmp_path):
