@@ -13,7 +13,12 @@ The lookups go over a raw socket, pipelined (several requests in
 flight), followed by one ``lookup_many`` over every key; each reply
 line must byte-equal ``encode_line(ok_response(id,
 result_to_dict(...)))`` computed by an in-process ``LookupService``
-built from the same hierarchy.
+built from the same hierarchy.  Then one ``sendall`` burst mixes
+lookups, an ``apply_delta`` and a ``lookup_many``: the replies must
+come back in request order, the lookups behind the delta must see it,
+and every line must byte-equal the in-process encoding (the local
+service applies the same delta).  Last, one lookup is sent a byte per
+``sendall`` and must get the same bytes.
 
 Usage:  PYTHONPATH=src python scripts/serve_smoke.py
 """
@@ -149,6 +154,65 @@ def check_reply_bytes(host: str, port: int) -> None:
         wire.close()
 
 
+def check_burst_and_dribble(host: str, port: int) -> None:
+    """One ``sendall`` of lookups around an ``apply_delta`` plus a
+    ``lookup_many``, then one lookup dribbled a byte at a time; every
+    reply is compared byte for byte, in order, with an in-process
+    service that applies the same delta."""
+    from repro.serve.protocol import encode_line, ok_response, result_to_dict
+    from repro.serve.service import LookupService
+
+    local = LookupService()
+    local.add_tenant("smoke", HIERARCHY)
+    delta = [{"op": "add_member", "class": "Leaf", "member": "missing"}]
+
+    def lookup(request_id, class_name, member):
+        request = {"id": request_id, "op": "lookup", "tenant": "smoke",
+                   "class": class_name, "member": member}
+        result = local.lookup("smoke", class_name, member)
+        return request, encode_line(
+            ok_response(request_id, result_to_dict(result))
+        )
+
+    pairs = [lookup(f"pre-{i}", *key) for i, key in enumerate(KEYS)]
+    pairs.append(
+        (
+            {"id": "delta", "op": "apply_delta", "tenant": "smoke",
+             "mutations": delta},
+            encode_line(ok_response("delta", local.apply_delta("smoke", delta))),
+        )
+    )
+    pairs += [lookup(f"post-{i}", *key) for i, key in enumerate(KEYS)]
+    assert local.lookup("smoke", "Leaf", "missing").declaring_class == "Leaf"
+    pairs.append(
+        (
+            {"id": "batch", "op": "lookup_many", "tenant": "smoke",
+             "queries": [{"class": c, "member": m} for c, m in KEYS]},
+            encode_line(
+                ok_response(
+                    "batch",
+                    [result_to_dict(r) for r in local.lookup_many("smoke", KEYS)],
+                )
+            ),
+        )
+    )
+    dribbled, dribbled_reply = lookup("dribble", "Leaf", "missing")
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        rfile = sock.makefile("rb")
+        sock.sendall(b"".join(encode_line(request) for request, _ in pairs))
+        for _, want in pairs:
+            got = rfile.readline()
+            assert got == want, f"burst reply differs:\n{got!r}\n{want!r}"
+        for byte in encode_line(dribbled):
+            sock.sendall(bytes((byte,)))
+        got = rfile.readline()
+        assert got == dribbled_reply, (
+            f"dribbled reply differs:\n{got!r}\n{dribbled_reply!r}"
+        )
+        rfile.close()
+
+
 def main() -> int:
     from repro.serve import ServeClient
 
@@ -161,6 +225,7 @@ def main() -> int:
             generation = created["generation"]
 
             check_reply_bytes(host, port)
+            check_burst_and_dribble(host, port)
 
             applied = client.apply_delta(
                 "smoke",
@@ -188,8 +253,9 @@ def main() -> int:
             proc.wait()
     print(
         f"serve smoke OK: {LOOKUPS} pipelined lookups and one batch "
-        "byte-identical to the in-process encoding, one delta "
-        f"(generation {generation} -> {applied['generation']}), "
+        "byte-identical to the in-process encoding, one burst around a "
+        "delta in order and byte-identical, one dribbled request, one "
+        f"more delta (generation {generation} -> {applied['generation']}), "
         "clean shutdown"
     )
     return 0

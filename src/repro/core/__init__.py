@@ -50,7 +50,7 @@ from repro.core.results import (
     not_found_result,
     unique_result,
 )
-from repro.core.flatpack import TableSerializationError
+from repro.errors import TableSerializationError
 from repro.core.using_decls import (
     UnderlyingEntity,
     follow_using,

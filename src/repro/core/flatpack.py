@@ -82,7 +82,7 @@ from repro.core.kernel import (
 from repro.core.results import LookupResult
 from repro.core.semantics import Semantics, get_semantics
 from repro.core.snapshot import TableSnapshot
-from repro.errors import ReproError, UnknownClassError
+from repro.errors import TableSerializationError, UnknownClassError
 from repro.hierarchy.compiled import NONE_ID, CompiledHierarchy
 from repro.hierarchy.graph import ClassHierarchyGraph
 
@@ -96,10 +96,6 @@ __all__ = [
     "mmap_table",
     "pack",
 ]
-
-
-class TableSerializationError(ReproError):
-    """The file is not a valid flatpack table."""
 
 
 FLATPACK_MAGIC = b"RPFLATPK"

@@ -81,5 +81,9 @@ class AmbiguousLookupDetected(LookupError_):
     """
 
 
+class TableSerializationError(ReproError):
+    """The file is not a valid flatpack table."""
+
+
 class FrontendError(ReproError):
     """Base class for lexer/parser/sema diagnostics raised as exceptions."""

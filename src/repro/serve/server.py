@@ -4,6 +4,13 @@
 Concurrency model
 -----------------
 
+*One protocol object per connection.*  The front is an
+``asyncio.Protocol`` server (``loop.create_server``): each connection
+appends what it receives to its own buffer and answers every complete
+line inside ``data_received``, one ``transport.write`` per reply, with
+no task, future or stream in between.  The newline scan resumes where
+the previous chunk's scan stopped, so a long line is scanned once.
+
 *Reads stay on the event loop.*  A ``lookup`` / ``lookup_many`` op
 captures the tenant's published snapshot and answers directly — no
 locks, no executor hop, because snapshots are immutable and their memo
@@ -20,6 +27,26 @@ delta lands.
 Removing a tenant cancels its writer task after the queue drains;
 pending deltas enqueued before the removal still publish.
 
+*Per-connection order.*  Replies go out in request order.
+``apply_delta`` is the one op that waits: while it is in flight its
+connection stops reading and holds its later lines, so a request sent
+after a delta reads the generation that delta published
+(read-your-writes).  Other connections keep being served meanwhile.
+
+*Backpressure.*  When the transport's write buffer passes its
+high-water mark (``pause_writing``), the connection stops answering and
+stops reading until the buffer drains (``resume_writing``), so a
+client that does not read its replies cannot make the server buffer
+without bound.
+
+*Line limit.*  A line longer than ``_LINE_LIMIT`` bytes gets one error
+reply with ``"id": null`` and type ``ValueError``, and its connection
+is closed: the rest of that stream cannot be framed reliably.
+
+At EOF an unterminated last line is still answered before the
+connection closes, and once ``shutdown`` has been requested every
+connection closes after its next reply.
+
 Replies
 -------
 
@@ -32,9 +59,10 @@ outside a delta's cone, so no publish invalidates anything.  Every
 other op encodes its reply dict with
 :func:`~repro.serve.protocol.encode_line`.
 
-Malformed requests (a missing field, a query or mutation of the wrong
-shape) are answered with a ``ValueError`` that names the op and the
-field; the connection keeps serving.
+Blank lines are skipped.  A line that is not a JSON object, and a
+malformed request (a missing field, a query or mutation of the wrong
+shape), is answered with an error reply — a ``ValueError`` naming the
+op and the field for the latter; the connection keeps serving.
 """
 
 from __future__ import annotations
@@ -55,8 +83,8 @@ from repro.serve.service import LookupService
 
 __all__ = ["ServeFront"]
 
-#: Refuse lines longer than this (sanity limit, matches asyncio default
-#: stream limit reasoning: one hierarchy payload can be large).
+#: Refuse lines longer than this many bytes (one ``add_tenant``
+#: hierarchy payload can be large).  Read at check time.
 _LINE_LIMIT = 16 * 1024 * 1024
 
 
@@ -100,8 +128,9 @@ class ServeFront:
 
     async def start(self) -> None:
         """Bind the listening socket and record the actual port."""
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port, limit=_LINE_LIMIT
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -165,15 +194,6 @@ class ServeFront:
             else:
                 future.set_result(summary)
 
-    async def _submit_delta(self, tenant: str, mutations: list) -> dict:
-        # Validate the tenant before enqueueing so unknown names fail
-        # fast instead of spinning up a writer task.
-        self.service.tenant(tenant)
-        writer = self._writer_for(tenant)
-        future: asyncio.Future = asyncio.get_event_loop().create_future()
-        writer.queue.put_nowait((mutations, future))
-        return await future
-
     def _drop_writer(self, tenant: str) -> None:
         writer = self._writers.pop(tenant, None)
         if writer is not None and writer.task is not None:
@@ -183,48 +203,9 @@ class ServeFront:
     # Request handling
     # ------------------------------------------------------------------
 
-    async def _handle_client(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        try:
-            while not self._shutdown.is_set():
-                try:
-                    line = await reader.readline()
-                except ValueError as exc:
-                    # A line over the stream limit leaves the reader out
-                    # of sync: answer once, then drop this connection.
-                    writer.write(encode_line(error_response(None, exc)))
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                request_id = None
-                try:
-                    request = decode_line(line)
-                    request_id = request.get("id")
-                    reply = await self._reply(request_id, request)
-                except Exception as exc:
-                    reply = encode_line(error_response(request_id, exc))
-                writer.write(reply)
-                await writer.drain()
-                if self._shutdown.is_set():
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _reply(self, request_id, request: dict) -> bytes:
-        """The reply line for one decoded request."""
+    def _reply(self, request_id, request: dict) -> bytes:
+        """The reply line for one decoded request other than
+        ``apply_delta``."""
         op = request.get("op")
         if op == "lookup":
             result = self.service.lookup(
@@ -241,19 +222,27 @@ class ServeFront:
             return ok_line(
                 request_id, b"[" + b", ".join(map(result_json, results)) + b"]"
             )
-        result = await self._dispatch(op, request)
-        return encode_line(ok_response(request_id, result))
+        return encode_line(ok_response(request_id, self._dispatch(op, request)))
 
-    async def _dispatch(self, op, request: dict):
-        """The ``result`` payload of every op except the lookups."""
+    async def _apply_delta(self, request_id, request: dict) -> bytes:
+        """The reply line for an ``apply_delta`` request, once the
+        tenant's writer task has published its delta."""
+        op = "apply_delta"
+        tenant = _field(request, op, "tenant")
+        mutations = _field(request, op, "mutations")
+        # Validate the tenant before enqueueing so unknown names fail
+        # fast instead of spinning up a writer task.
+        self.service.tenant(tenant)
+        future = asyncio.get_running_loop().create_future()
+        self._writer_for(tenant).queue.put_nowait((mutations, future))
+        return encode_line(ok_response(request_id, await future))
+
+    def _dispatch(self, op, request: dict):
+        """The ``result`` payload of every op except the lookups and
+        ``apply_delta``."""
         service = self.service
         if op == "ping":
             return "pong"
-        if op == "apply_delta":
-            return await self._submit_delta(
-                _field(request, op, "tenant"),
-                _field(request, op, "mutations"),
-            )
         if op == "add_tenant":
             tenant = service.add_tenant(
                 _field(request, op, "tenant"),
@@ -277,6 +266,143 @@ class ServeFront:
             self.stop()
             return {"shutting_down": True}
         raise ValueError(f"unknown op {op!r}")
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames request lines out of the byte
+    stream and answers them in order.
+
+    Lines are answered inside :meth:`data_received`.  The connection
+    stops answering (and stops reading) while an ``apply_delta`` is in
+    flight, while the transport's write buffer is over its high-water
+    mark, and once it is closing; :meth:`_answer_lines` picks up where
+    it stopped when the hold ends."""
+
+    def __init__(self, front: ServeFront) -> None:
+        self._front = front
+        self._shutdown = front._shutdown
+        self._transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray()
+        #: Where the next newline scan of ``_buffer`` starts: every byte
+        #: before it has been scanned once already.
+        self._scanned = 0
+        self._delta: Optional[asyncio.Task] = None
+        self._write_paused = False
+        self._eof = False
+
+    # -- transport callbacks ------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._answer_lines()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        self._answer_lines()
+        # Keep the transport open: held lines are still to be answered,
+        # and the connection closes itself once they are.
+        return True
+
+    def connection_lost(self, exc) -> None:
+        self._buffer.clear()
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._resume()
+
+    # -- framing ------------------------------------------------------
+
+    def _held(self) -> bool:
+        return (
+            self._delta is not None
+            or self._write_paused
+            or self._transport.is_closing()
+        )
+
+    def _resume(self) -> None:
+        if not self._held():
+            self._transport.resume_reading()
+            self._answer_lines()
+
+    def _answer_lines(self) -> None:
+        """Answer every complete line in the buffer until a hold starts;
+        at EOF, answer the unterminated tail and close."""
+        buffer = self._buffer
+        scan = self._scanned
+        start = 0
+        while not self._held():
+            end = buffer.find(b"\n", scan)
+            if end < 0:
+                end = len(buffer)
+                if not self._eof:
+                    scan = end
+                    break
+                if start >= end:
+                    self._transport.close()
+                    break
+            if end - start > _LINE_LIMIT:
+                self._refuse_oversized()
+                break
+            line = buffer[start:end]
+            start = scan = end + 1
+            self._answer(line)
+        del buffer[:start]
+        self._scanned = scan - start
+        if len(buffer) > _LINE_LIMIT and not self._held():
+            self._refuse_oversized()
+
+    def _refuse_oversized(self) -> None:
+        # The rest of the stream cannot be framed reliably: answer once,
+        # then drop this connection.
+        error = ValueError(f"request line longer than {_LINE_LIMIT} bytes")
+        self._transport.write(encode_line(error_response(None, error)))
+        self._transport.close()
+
+    # -- answering ----------------------------------------------------
+
+    def _answer(self, line: bytearray) -> None:
+        line = line.strip()
+        if not line:
+            return
+        request_id = None
+        try:
+            request = decode_line(line)
+            request_id = request.get("id")
+            if request.get("op") == "apply_delta":
+                # The one op that awaits: hold this connection's later
+                # lines until its reply is written.
+                self._transport.pause_reading()
+                self._delta = asyncio.ensure_future(
+                    self._await_delta(request_id, request)
+                )
+                return
+            reply = self._front._reply(request_id, request)
+        except Exception as exc:
+            reply = encode_line(error_response(request_id, exc))
+        self._send(reply)
+
+    async def _await_delta(self, request_id, request: dict) -> None:
+        try:
+            reply = await self._front._apply_delta(request_id, request)
+        except Exception as exc:
+            reply = encode_line(error_response(request_id, exc))
+        self._delta = None
+        # The client may have gone while the delta was in flight.
+        if not self._transport.is_closing():
+            self._send(reply)
+            self._resume()
+
+    def _send(self, reply: bytes) -> None:
+        self._transport.write(reply)
+        if self._shutdown.is_set():
+            self._transport.close()
 
 
 def _field(request: dict, op: str, name: str):

@@ -124,3 +124,35 @@ def test_entry_points_do_not_import_numpy():
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "False"
+
+
+def test_cli_and_serving_front_do_not_import_flatpack():
+    """The pack reader and writer (and ``mmap``) load only when a
+    command packs or maps a table: ``TableSerializationError`` lives in
+    ``repro.errors``, so re-exporting it from ``repro.core`` imports
+    nothing of flatpack."""
+    probe = (
+        "import sys\n"
+        "import repro.cli, repro.serve.server\n"
+        "print('repro.core.flatpack' in sys.modules, 'mmap' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == ["False", "False"]
+
+
+def test_table_serialization_error_is_one_class():
+    from repro.core import TableSerializationError as from_core
+    from repro.core.flatpack import TableSerializationError as from_flatpack
+    from repro.errors import ReproError, TableSerializationError
+
+    assert from_core is TableSerializationError
+    assert from_flatpack is TableSerializationError
+    assert issubclass(TableSerializationError, ReproError)
