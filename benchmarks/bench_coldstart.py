@@ -59,7 +59,7 @@ def artifacts(tmp_path_factory):
     """The family, built and persisted once per session: the live
     table and its flatpack file."""
     graph = coldstart_family()
-    table = build_lookup_table(graph, mode="batched", fastpath=True)
+    table = build_lookup_table(graph, mode="batched")
     path = tmp_path_factory.mktemp("coldstart") / "table.pack"
     pack(table, path)
     return graph, table, str(path)
@@ -97,7 +97,7 @@ def test_coldstart_full_rebuild(benchmark, artifacts):
     graph, _table, _path = artifacts
 
     def boot():
-        table = build_lookup_table(graph, mode="batched", fastpath=True)
+        table = build_lookup_table(graph, mode="batched")
         return table.lookup(*PROBE)
 
     result = benchmark(boot)

@@ -62,7 +62,7 @@ def member_layered(
 ) -> ClassHierarchyGraph:
     """One root declaring ``m0..m7``; each layer inherits virtually
     from the one below, so the DAG is wide yet unambiguous (the
-    ``bench_unambiguous`` shape with a full member set)."""
+    ``bench_snapshot`` layered shape with a full member set)."""
     rng = random.Random(seed)
     graph = ClassHierarchyGraph()
     graph.add_class("R", members=[f"m{i}" for i in range(MEMBERS)])

@@ -45,7 +45,7 @@ SWITCH_INTERVAL = 2e-4
 def layered_virtual(
     layers: int, width: int, *, seed: int = 3
 ) -> ClassHierarchyGraph:
-    """The all-virtual layered DAG of ``bench_unambiguous``: one root
+    """An all-virtual layered DAG: one root
     declaring ``m``, every class virtually joining two classes of the
     previous layer — 1025 classes whose root cone is the whole graph."""
     rng = random.Random(seed)
@@ -75,7 +75,7 @@ def _storm_scenario(name: str) -> float:
     needed to finish its sweeps (the writer storms until then)."""
     graph, storm_target = WORKLOADS[name]()
     graph.compile()
-    table = build_lookup_table(graph, mode="batched", fastpath=True)
+    table = build_lookup_table(graph, mode="batched")
     names = list(graph.classes)
     for class_name in names:
         table.lookup(class_name, "m")  # steady state before the storm

@@ -93,12 +93,12 @@ def main() -> int:
     from repro.core.lookup import build_lookup_table
 
     graph = smoke_family()
-    table = build_lookup_table(graph, mode="batched", fastpath=True)
+    table = build_lookup_table(graph, mode="batched")
     expected = [answer_row(table.lookup(c, m)) for c, m in smoke_queries()]
 
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
-    other = build_lookup_table(smoke_family(16), mode="batched", fastpath=True)
+    other = build_lookup_table(smoke_family(16), mode="batched")
     with tempfile.TemporaryDirectory() as tmp:
         pack_path = str(Path(tmp) / "smoke.pack")
         pack(table, pack_path)

@@ -9,7 +9,6 @@ change.
 Usage:  python scripts/collect_bench_numbers.py [pytest-args...]
         python scripts/collect_bench_numbers.py -k interning --json-out BENCH_interning.json
         python scripts/collect_bench_numbers.py -k storm --json-out BENCH_delta.json
-        python scripts/collect_bench_numbers.py -k bench_unambiguous --json-out BENCH_unambiguous.json
         python scripts/collect_bench_numbers.py -k snapshot --json-out BENCH_snapshot.json
         python scripts/collect_bench_numbers.py -k bench_columnar --json-out BENCH_columnar.json
         python scripts/collect_bench_numbers.py -k bench_semantics --json-out BENCH_semantics.json

@@ -129,9 +129,7 @@ def main() -> int:
         for decl in unit.classes():
             sema.declare(decl)
     assert not sema.diagnostics.has_errors()
-    table = MemberLookupTable(
-        sema.graph.compile(), mode="batched", fastpath=True
-    )
+    table = MemberLookupTable(sema.graph.compile(), mode="batched")
     expected = [
         answer_row(table.lookup(c, m)) for c, m in smoke_queries(sema.graph)
     ]

@@ -91,14 +91,6 @@ def _add_build_mode_options(parser: argparse.ArgumentParser) -> None:
         "sweep; the build default)",
     )
     parser.add_argument(
-        "--fastpath",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="serve certified-unambiguous member columns from the flat "
-        "fast path (default: off for table, on for build's batched "
-        "tables; rejected for per-member)",
-    )
-    parser.add_argument(
         "--columnar",
         action="store_true",
         help="exercise the dense columnar serving layout: answer every "
@@ -123,17 +115,11 @@ def _add_build_mode_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_build_options(
-    args: argparse.Namespace, *, fastpath_default: bool
-) -> None:
+def _resolve_build_options(args: argparse.Namespace) -> None:
     """Non-default semantics only run on the batched driver: upgrade
-    the per-member mode silently.  An unset ``--fastpath`` means
-    ``fastpath_default`` on a batched table and off on a per-member
-    one, whose fold does not certify."""
+    the per-member mode silently."""
     if args.semantics != DEFAULT_SEMANTICS:
         args.mode = "batched"
-    if args.fastpath is None:
-        args.fastpath = fastpath_default and args.mode == "batched"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -432,21 +418,6 @@ def _render_lookup_stats(table) -> str:
     )
 
 
-def _render_fastpath_stats(table) -> Optional[str]:
-    """The flat serving overlay's certification and routing counters,
-    or ``None`` when the fast path is off."""
-    flat = table.flat_table
-    if flat is None:
-        return None
-    stats = flat.stats
-    return (
-        f"[fastpath] flat_columns={flat.flat_column_count} "
-        f"ambiguous_columns={flat.ambiguous_column_count} "
-        f"flat_cells={flat.flat_cells} "
-        f"flat_hits={stats.flat_hits} fallback_hits={stats.fallback_hits}"
-    )
-
-
 def _render_columnar_stats(table) -> Optional[str]:
     """The columnar layout's shape and serving counters, or ``None``
     for the in-place per-member table, which has no columnar layout."""
@@ -526,10 +497,7 @@ def _report_delta_stats(
             )
 
     table = build_lookup_table(
-        prefix,
-        mode=args.mode,
-        fastpath=args.fastpath,
-        semantics=args.semantics,
+        prefix, mode=args.mode, semantics=args.semantics
     )
 
     prefix.add_class(leaf, graph.declared_members(leaf).values())
@@ -555,13 +523,6 @@ def _report_delta_stats(
         f"full_rebuilds={delta.full_rebuilds}"
     )
     print("  " + _check_against_reference(prefix, table, args.semantics))
-    if table.fastpath_stats is not None:
-        fast = table.fastpath_stats
-        print(
-            f"  fastpath: demotions={fast.demotions} "
-            f"promotions={fast.promotions} "
-            f"cone_updates={fast.cone_updates}"
-        )
 
 
 def _run_build(graph: ClassHierarchyGraph, args: argparse.Namespace) -> int:
@@ -573,10 +534,7 @@ def _run_build(graph: ClassHierarchyGraph, args: argparse.Namespace) -> int:
     ch = graph.compile()
     start = time.perf_counter()
     table = build_lookup_table(
-        graph,
-        mode=args.mode,
-        fastpath=args.fastpath,
-        semantics=args.semantics,
+        graph, mode=args.mode, semantics=args.semantics
     )
     elapsed = time.perf_counter() - start
     print(
@@ -588,11 +546,6 @@ def _run_build(graph: ClassHierarchyGraph, args: argparse.Namespace) -> int:
     print("  " + _render_lookup_stats(table))
 
     print("  " + _check_against_reference(graph, table, args.semantics))
-    fastpath_line = _render_fastpath_stats(table)
-    if fastpath_line is not None:
-        # The cross-check above queried the table once per pair, so the
-        # flat/fallback split reflects real serving, not a cold overlay.
-        print("  " + fastpath_line)
     if args.columnar:
         columnar_line = _exercise_columnar(graph, table)
         if columnar_line is not None:
@@ -850,12 +803,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if result.is_unique else 1
 
     if args.command == "table":
-        _resolve_build_options(args, fastpath_default=False)
+        _resolve_build_options(args)
         table = build_lookup_table(
-            graph,
-            mode=args.mode,
-            fastpath=args.fastpath,
-            semantics=args.semantics,
+            graph, mode=args.mode, semantics=args.semantics
         )
         for class_name in graph.classes:
             for member in table.visible_members(class_name):
@@ -869,9 +819,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 print(columnar_line)
         if args.stats:
             print(_render_lookup_stats(table))
-            fastpath_line = _render_fastpath_stats(table)
-            if fastpath_line is not None:
-                print(fastpath_line)
         if args.delta_stats:
             _report_delta_stats(graph, args)
         if args.save_pack:
@@ -888,7 +835,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.core.flatpack import pack as write_pack
 
         table = build_lookup_table(
-            graph, mode="batched", fastpath=True, semantics=args.semantics
+            graph, mode="batched", semantics=args.semantics
         )
         written = write_pack(table, args.out)
         ch = table.compiled
@@ -900,7 +847,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "build":
-        _resolve_build_options(args, fastpath_default=True)
+        _resolve_build_options(args)
         return _run_build(graph, args)
 
     if args.command == "explain":

@@ -22,14 +22,6 @@ from repro.core.enumeration import (
     iter_paths_to,
 )
 from repro.core.equivalence import SubobjectKey, equivalent, subobject_key
-from repro.core.fastpath import (
-    AmbiguousColumnError,
-    FastPathStats,
-    FlatColumn,
-    FlatTable,
-    build_flat_table,
-    flatten_column,
-)
 from repro.core.kernel import AmbiguityCertificate
 from repro.core.lazy import LazyMemberLookup
 from repro.core.lookup import (
@@ -65,15 +57,11 @@ from repro.core.static_lookup import (
 
 __all__ = [
     "AmbiguityCertificate",
-    "AmbiguousColumnError",
     "Certificate",
     "ColumnarColumn",
     "ColumnarStats",
     "ColumnarTable",
     "EntryPool",
-    "FastPathStats",
-    "FlatColumn",
-    "FlatTable",
     "OMEGA",
     "Abstraction",
     "BlueEntry",
@@ -94,7 +82,6 @@ __all__ = [
     "UnderlyingEntity",
     "abstract_dominates",
     "ambiguous_result",
-    "build_flat_table",
     "build_lookup_table",
     "certify",
     "certify_table",
@@ -103,7 +90,6 @@ __all__ = [
     "dominates_paths",
     "equivalent",
     "extend_abstraction",
-    "flatten_column",
     "follow_using",
     "hides",
     "is_partial_order",

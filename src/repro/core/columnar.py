@@ -2,17 +2,15 @@
 
 The Red/Blue table is conceptually a dense ``classes × members``
 matrix; the sweeps produce it as per-class Python dicts.  This module
-re-lays the *full* table — ambiguous (blue) columns included, unlike
-the certified-red-only :mod:`repro.core.fastpath` — as dense
-per-member arrays of interned entry ids over one shared
+re-lays the *full* table — ambiguous (blue) columns included — as
+dense per-member arrays of interned entry ids over one shared
 :class:`EntryPool`.  It is the one layout a published
 :class:`~repro.core.snapshot.TableSnapshot` reads from: batches are
 answered with one gather per distinct member, point queries
 with one memoised result cell (:meth:`ColumnarTable._result_one`):
 
-* :class:`EntryPool` generalizes :class:`~repro.core.fastpath
-  .FlatColumn`'s slot interning to blue entries: a red slot is the
-  ``(ldc_id, least_virtual_id)`` int pair, a blue slot is the
+* :class:`EntryPool` interns every distinct entry once: a red slot is
+  the ``(ldc_id, least_virtual_id)`` int pair, a blue slot is the
   :class:`~repro.core.kernel.KernelBlue` value itself (two int masks,
   interned under a key of its own kind — see :class:`EntryPool`).
   Chains and deep trees intern thousands of classes onto a handful of
@@ -557,7 +555,7 @@ class ColumnarTable:
         """The point-read path: one query against one (possibly short,
         possibly cold) column, memoising the touched cell — what
         :meth:`~repro.core.snapshot.TableSnapshot.lookup` answers every
-        cell outside the flat overlay with."""
+        cell with."""
         mid = ch.member_ids.get(member)
         if mid is None:
             return not_found_result(class_name, member)

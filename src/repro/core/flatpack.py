@@ -1035,8 +1035,6 @@ class PackedTable:
                 rows=[
                     _PackedRow(self, cid) for cid in range(self._n_classes)
                 ],
-                flat=None,
-                certificate=self.certificate,
                 entry_total=self.entry_total,
                 track_witnesses=self.track_witnesses,
                 semantics=self.semantics,

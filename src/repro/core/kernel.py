@@ -360,10 +360,10 @@ class AmbiguityCertificate:
     cone sweep of every class) the certificate is the whole-table truth:
     bit ``mid`` of :attr:`ambiguous_columns` is set iff **some** visible
     ``(class, mid)`` lookup is ambiguous.  Columns whose bit is clear
-    satisfy the paper's Section-5 premise ("no lookup is ambiguous"), so
-    they may be served from the flat ``O(|N|+|E|)`` structure of
-    :mod:`repro.core.fastpath` — the certification is the proof
-    obligation, discharged for free while the table is built anyway.
+    satisfy the paper's Section-5 premise ("no lookup is ambiguous"); the
+    certification is that proof obligation, discharged for free while
+    the table is built anyway.  The flatpack writer records the same
+    mask, recomputed from the packed cells.
 
     After a delta's :func:`cone_sweep` the certificate covers only the
     entries the cone re-folded: a set bit *demotes* a column (a blue
@@ -607,7 +607,7 @@ def abstraction_name(ch: CompiledHierarchy, value: int) -> Abstraction:
     alternative semantics (:mod:`repro.core.semantics`) use it for "no
     least-virtual abstraction tracked", which the string-keyed baselines
     express as ``least_virtual=None``.  Every conversion funnel (rows,
-    fastpath, columnar) goes through here, so the sentinel round-trips
+    columnar) goes through here, so the sentinel round-trips
     exactly.
     """
     if value == OMEGA_ID:

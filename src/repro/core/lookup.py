@@ -37,7 +37,9 @@ Both modes produce identical tables and count identical
 publishes immutable :class:`~repro.core.snapshot.TableSnapshot`
 generations, whose columnar layout answers both point and batch reads;
 the per-member driver is the one in-place table, kept as the
-independent reference build path (an edit rebuilds it whole).
+independent reference build path (an edit rebuilds it whole).  A
+snapshot holds two stores, the red/blue rows and the columnar layout;
+the table adds no serving structure of its own.
 
 Complexity (Section 5): ``O(|M| * |N| * (|N| + |E|))`` to build the whole
 table, dropping to ``O((|M| + |N|) * (|N| + |E|))`` when no entry is
@@ -49,7 +51,6 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from repro.core.columnar import ColumnarStats, ColumnarTable
-from repro.core.fastpath import FastPathStats, FlatTable
 from repro.core.kernel import (
     BlueEntry,
     KernelBlue,
@@ -104,17 +105,6 @@ class MemberLookupTable:
     ``"per-member"`` (default) or ``"batched"``.  Both yield identical
     query results and identical propagation counters in :attr:`stats`.
 
-    ``fastpath`` controls the unambiguous serving overlay
-    (:mod:`repro.core.fastpath`): the batched sweep certifies per
-    member column whether any entry is ambiguous, certified columns are
-    flattened into array-backed :class:`~repro.core.fastpath
-    .FlatColumn` structures (§5's ``O(|N|+|E|)`` regime), and
-    :meth:`lookup` serves them from memoised results, falling back to
-    the snapshot's columnar layout only where ambiguity exists.
-    Off unless requested, and rejected for ``"per-member"`` (that
-    driver's fold does not certify).  Delta maintenance keeps the
-    overlay current — see :meth:`apply_delta`.
-
     Since the snapshot refactor this class is a *thin writer* over the
     RCU tier of :mod:`repro.core.snapshot`: in the batched mode it
     owns the head of an immutable :class:`TableSnapshot` chain,
@@ -132,7 +122,6 @@ class MemberLookupTable:
         *,
         track_witnesses: bool = True,
         mode: str = "per-member",
-        fastpath: bool = False,
         semantics: Optional[str | Semantics] = None,
     ) -> None:
         if mode not in BUILD_MODES:
@@ -151,13 +140,6 @@ class MemberLookupTable:
                 f"mode='batched', not {mode!r}; the per-member driver "
                 "runs the dominance kernel"
             )
-        if fastpath and mode == "per-member":
-            raise ValueError(
-                "fastpath=True requires a row-major build mode "
-                "('batched'); the per-member driver's fold does not "
-                "certify ambiguity"
-            )
-        self.fastpath = fastpath
         self._head: Optional[TableSnapshot] = None
         # Per-member mode fills a column-major interned table
         # (member id -> {class id -> entry}); the batched mode keeps
@@ -180,7 +162,6 @@ class MemberLookupTable:
             self._head = TableSnapshot.build(
                 self._ch,
                 track_witnesses=self._track_witnesses,
-                fastpath=self.fastpath,
                 stats=self.stats,
                 semantics=self.semantics,
             )
@@ -210,7 +191,6 @@ class MemberLookupTable:
         table._ch = snapshot.ch
         table._track_witnesses = snapshot.track_witnesses
         table.semantics = snapshot.semantics
-        table.fastpath = snapshot.flat is not None
         table._head = snapshot
         table._columns = {}
         table._public = {}
@@ -239,20 +219,6 @@ class MemberLookupTable:
         thread.  ``None`` for the in-place per-member table, which has
         no published state."""
         return self._head
-
-    @property
-    def flat_table(self) -> Optional[FlatTable]:
-        """The flat serving overlay (``None`` when the fast path is
-        off) — inspect it for certification and routing state."""
-        head = self._head
-        return head.flat if head is not None else None
-
-    @property
-    def fastpath_stats(self) -> Optional[FastPathStats]:
-        """Serving/maintenance counters of the fast path, or ``None``
-        when it is off."""
-        flat = self.flat_table
-        return flat.stats if flat is not None else None
 
     @property
     def columnar_table(self) -> Optional[ColumnarTable]:
@@ -460,13 +426,11 @@ def build_lookup_table(
     *,
     track_witnesses: bool = True,
     mode: str = "per-member",
-    fastpath: bool = False,
     semantics: Optional[str | Semantics] = None,
 ) -> MemberLookupTable:
     """Run the paper's ``doLookup()`` and return the filled table.
 
-    See the module docstring for the two build modes and
-    :class:`MemberLookupTable` for the ``fastpath`` overlay.  Batched
+    See the module docstring for the two build modes.  Batched
     tables maintain an immutable snapshot chain (lock-free
     concurrent reads) whose columnar layout answers every ``lookup``
     and ``lookup_many``; the per-member table is maintained in place.
@@ -478,7 +442,6 @@ def build_lookup_table(
         hierarchy,
         track_witnesses=track_witnesses,
         mode=mode,
-        fastpath=fastpath,
         semantics=semantics,
     )
 

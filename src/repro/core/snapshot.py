@@ -1,24 +1,22 @@
 """Immutable published lookup tables — the RCU snapshot tier.
 
 The eager table (:mod:`repro.core.lookup`) maintains its rows in
-O(delta) and the flat overlay (:mod:`repro.core.fastpath`) serves
-unambiguous columns in O(1); this module is the only backing of both
-for every row-major table, so neither is ever mutated where a reader
-can see it.  A :class:`TableSnapshot` is an
-*immutable*, generation-stamped view — the red/blue rows, the
-:class:`~repro.core.fastpath.FlatTable` overlay and the
-:class:`~repro.core.kernel.AmbiguityCertificate` of one compiled
-hierarchy generation — and a delta never rewrites it.  Instead
+O(delta); this module is their only backing for every row-major
+table, so they are never mutated where a reader can see them.  A
+:class:`TableSnapshot` is an *immutable*, generation-stamped view of
+one compiled hierarchy generation, and it holds two stores: the
+red/blue kernel rows and the dense
+:class:`~repro.core.columnar.ColumnarTable` every read answers from.
+A delta never rewrites either.  Instead
 :meth:`TableSnapshot.apply_delta` builds a **child** snapshot in
 O(delta) and the writer publishes it by swapping a single reference
 (atomic under the GIL), RCU style:
 
 * **publish** — the child shares every out-of-cone row dict and every
-  unaffected :class:`~repro.core.fastpath.FlatColumn` with its parent
-  by reference; only the invalidation cone is copied (``cone_sweep``
-  emits fresh cone row dicts, ``FlatTable.apply_delta`` emits fresh
-  affected columns).  Nothing reachable from the parent is ever
-  written.
+  unaffected columnar column with its parent by reference; only the
+  invalidation cone is copied (``cone_sweep`` emits fresh cone row
+  dicts, ``ColumnarTable.apply_delta`` fresh affected columns).
+  Nothing reachable from the parent is ever written.
 * **retire** — dropping the last reference to an old snapshot is the
   whole retirement protocol; readers that captured it keep a coherent
   view of its generation for as long as they hold it.
@@ -31,13 +29,12 @@ written again.
 
 Every read of a published snapshot — a point :meth:`TableSnapshot
 .lookup` or a :meth:`TableSnapshot.lookup_many` batch — answers from
-one layout: the dense :class:`~repro.core.columnar.ColumnarTable` laid
-out lazily on the first read and derived copy-on-write by each publish
-after that.  Point reads try the flat overlay's certified columns
-first; everything else is the columnar layout's memoised result cell.
+one layout: the columnar table, laid out lazily on the first read and
+derived copy-on-write by each publish after that.  A point read is the
+layout's memoised result cell.
 
 The one deliberate reader-visible mutation is memoisation (the
-columnar and flat layouts memoise
+columnar layout memoises
 :class:`~repro.core.results.LookupResult` objects, the snapshot
 memoises its columnar layout and public Red/Blue conversions).  All
 are idempotent single-reference writes of value-identical objects, so
@@ -56,15 +53,13 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from repro.core.columnar import ColumnarTable
-from repro.core.fastpath import FlatTable, build_flat_table
 from repro.core.kernel import (
-    AmbiguityCertificate,
     KernelBlue,
     LookupStats,
     TableEntry,
     to_table_entry,
 )
-from repro.core.results import LookupResult, not_found_result
+from repro.core.results import LookupResult
 from repro.core.semantics import Semantics, get_semantics
 from repro.errors import UnknownClassError
 from repro.hierarchy.compiled import (
@@ -124,8 +119,7 @@ class TableSnapshot:
     """One immutable, generation-stamped published lookup table.
 
     Holds the complete serving state of one compiled hierarchy
-    generation: the row-major red/blue kernel rows, the optional flat
-    overlay with its persistent ambiguity certificate, the columnar
+    generation: the row-major red/blue kernel rows, the columnar
     layout every read answers from (laid out on the first read), and
     the entry count.  Construct one with :meth:`build`; derive the next
     generation with :meth:`apply_delta` — ``self`` is never modified,
@@ -139,8 +133,6 @@ class TableSnapshot:
     __slots__ = (
         "ch",
         "rows",
-        "flat",
-        "certificate",
         "entry_total",
         "track_witnesses",
         "delta_stats",
@@ -155,8 +147,6 @@ class TableSnapshot:
         *,
         ch,
         rows: list,
-        flat: Optional[FlatTable],
-        certificate: Optional[AmbiguityCertificate],
         entry_total: int,
         track_witnesses: bool,
         delta_stats: Optional[DeltaStats] = None,
@@ -165,8 +155,6 @@ class TableSnapshot:
     ) -> None:
         self.ch = ch
         self.rows = rows
-        self.flat = flat
-        self.certificate = certificate
         self.entry_total = entry_total
         self.track_witnesses = track_witnesses
         self._public: dict = {}
@@ -194,14 +182,11 @@ class TableSnapshot:
         hierarchy: HierarchyLike,
         *,
         track_witnesses: bool = True,
-        fastpath: bool = True,
         stats: Optional[LookupStats] = None,
         semantics: Optional[str | Semantics] = None,
     ) -> "TableSnapshot":
         """Sweep a hierarchy from scratch into a root snapshot.
 
-        The row-major sweep certifies ambiguity per column, so
-        ``fastpath=True`` (the default) also builds the flat overlay.
         The columnar serving layout is laid out lazily on the first
         read.  ``stats`` receives the sweep's
         :class:`~repro.core.kernel.LookupStats` counters.
@@ -215,23 +200,12 @@ class TableSnapshot:
         if isinstance(semantics, str) or semantics is None:
             semantics = get_semantics(semantics)
         ch = compiled_of(hierarchy)
-        certificate = AmbiguityCertificate() if fastpath else None
         rows = semantics.sweep(
-            ch,
-            stats=stats,
-            track_witnesses=track_witnesses,
-            certificate=certificate,
-        )
-        flat = (
-            build_flat_table(ch, certificate, _entry_reader(rows))
-            if certificate is not None
-            else None
+            ch, stats=stats, track_witnesses=track_witnesses
         )
         return cls(
             ch=ch,
             rows=rows,
-            flat=flat,
-            certificate=certificate,
             entry_total=sum(len(row) for row in rows if row),
             track_witnesses=track_witnesses,
             semantics=semantics,
@@ -251,11 +225,10 @@ class TableSnapshot:
         (or accept a precomputed :class:`~repro.hierarchy.compiled
         .HierarchyDelta`), copy the row *list* (O(|N|) references),
         re-fold the invalidation cone with the copy-on-write
-        ``cone_sweep`` so the cone rows land in fresh dicts, and derive
-        the flat overlay with ``FlatTable.apply_delta`` and, when this
-        snapshot has laid out its columnar layout, the child's with
-        ``ColumnarTable.apply_delta``.  Everything outside ``cone ×
-        affected-members`` — row dicts, flat and columnar columns,
+        ``cone_sweep`` so the cone rows land in fresh dicts, and, when
+        this snapshot has laid out its columnar layout, derive the
+        child's with ``ColumnarTable.apply_delta``.  Everything outside
+        ``cone × affected-members`` — row dicts, columnar columns,
         memoised results — is shared with this snapshot by reference.
 
         Same generation returns ``self``; incomparable snapshots (never
@@ -273,7 +246,6 @@ class TableSnapshot:
             child = TableSnapshot.build(
                 new,
                 track_witnesses=self.track_witnesses,
-                fastpath=self.flat is not None,
                 stats=stats,
                 semantics=self.semantics,
             )
@@ -295,9 +267,6 @@ class TableSnapshot:
         before = sum(
             len(rows[cid]) for cid in cone_ids if rows[cid] is not None
         )
-        certificate = (
-            AmbiguityCertificate() if self.flat is not None else None
-        )
         if not delta.is_empty:
             sweep = self.semantics.cone_sweep(
                 new,
@@ -306,33 +275,12 @@ class TableSnapshot:
                 member_mask=delta.member_mask,
                 stats=stats,
                 track_witnesses=self.track_witnesses,
-                certificate=certificate,
             )
             result.entries_recomputed = sweep.entries_recomputed
             result.boundary_rows = sweep.boundary_rows
         for cid in range(first_new, new.n_classes):
             if rows[cid] is None:
                 rows[cid] = {}
-
-        flat = None
-        cert = None
-        if self.flat is not None:
-            flat = self.flat.apply_delta(
-                new,
-                cone_ids,
-                list(delta.member_ids()),
-                certificate,
-                _entry_reader(rows),
-            )
-            cert = AmbiguityCertificate(
-                ambiguous_columns=(
-                    self.certificate.ambiguous_columns
-                    | certificate.ambiguous_columns
-                ),
-                blue_cells=(
-                    self.certificate.blue_cells + certificate.blue_cells
-                ),
-            )
 
         after = sum(len(rows[cid]) for cid in cone_ids)
         entry_total = self.entry_total + (after - before)
@@ -343,8 +291,6 @@ class TableSnapshot:
         child = TableSnapshot(
             ch=new,
             rows=rows,
-            flat=flat,
-            certificate=cert,
             entry_total=entry_total,
             track_witnesses=self.track_witnesses,
             delta_stats=result,
@@ -379,21 +325,12 @@ class TableSnapshot:
         Raises :class:`~repro.errors.UnknownClassError` for a class
         this generation has never heard of.
 
-        A certified-unambiguous column answers from the flat overlay;
-        every other cell is the columnar layout's memoised result, so a
+        The answer is the columnar layout's memoised result cell, so a
         repeated query returns the same object."""
         ch = self.ch
         cid = ch.class_ids.get(class_name)
         if cid is None:
             raise UnknownClassError(class_name)
-        mid = ch.member_ids.get(member)
-        if mid is None:
-            return not_found_result(class_name, member)
-        flat = self.flat
-        if flat is not None:
-            result = flat.serve(ch, cid, mid, class_name, member)
-            if result is not None:
-                return result
         return self.columnar_table()._result_one(ch, cid, class_name, member)
 
     def columnar_table(self) -> ColumnarTable:

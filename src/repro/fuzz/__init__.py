@@ -15,9 +15,7 @@ Failures are delta-debugged to minimal counterexamples
 from importlib import import_module
 
 #: The full engine matrix a campaign compares by default: the eager
-#: table in its two build modes, the batched table with the
-#: certified-unambiguous flat serving overlay (``fastpath``), the lazy
-#: engine replaying the hierarchy with queries interleaved between
+#: table in its two build modes, the lazy engine replaying the hierarchy with queries interleaved between
 #: declarations, plus a bare published
 #: :class:`~repro.core.snapshot.TableSnapshot` (``snapshot``) and the
 #: same snapshot answering every query through the columnar batch
@@ -26,7 +24,6 @@ from importlib import import_module
 ENGINES: tuple[str, ...] = (
     "per-member",
     "batched",
-    "fastpath",
     "lazy",
     "snapshot",
     "columnar",

@@ -143,16 +143,12 @@ def build_engine(name: str, graph: ClassHierarchyGraph):
     """
     if name in ("per-member", "batched"):
         return build_lookup_table(graph, mode=name)
-    if name == "fastpath":
-        # The batched table serving certified-unambiguous columns from
-        # flat arrays (repro.core.fastpath), red/blue rows elsewhere.
-        return build_lookup_table(graph, mode="batched", fastpath=True)
     if name == "lazy":
         return _lazy_replay(graph)
     if name == "snapshot":
         # The serving tier's unit: an immutable generation-stamped
         # published table, queried directly (no writer façade).
-        return TableSnapshot.build(graph, fastpath=True)
+        return TableSnapshot.build(graph)
     if name == "columnar":
         # The same published snapshot, but every query is answered by
         # the columnar batch kernel: lookup() routes through a
@@ -372,23 +368,16 @@ def _delta_storm_check(
     plus the subobject-poset oracle.
 
     The build mode is drawn per check (restricted to the campaign's
-    engine matrix), so the cone sweep, the flat overlay's upkeep and
-    the per-member full rebuild all get storm coverage.  Returns
+    engine matrix), so both the cone sweep and the per-member full
+    rebuild get storm coverage.  Returns
     ``(mutation names, divergences, queries)``.
     """
     storm = copy_hierarchy(graph)
     modes = [
-        name
-        for name in ("batched", "per-member", "fastpath")
-        if name in engines
+        name for name in ("batched", "per-member") if name in engines
     ] or ["batched"]
     mode = rng.choice(modes)
-    if mode == "fastpath":
-        # Storms against the flat overlay: mutations that ambiguate a
-        # certified column must demote it (and only it) mid-storm.
-        table = build_lookup_table(storm, mode="batched", fastpath=True)
-    else:
-        table = build_lookup_table(storm, mode=mode)
+    table = build_lookup_table(storm, mode=mode)
     applied_names: list[str] = []
     for _ in range(rng.randint(1, 3)):
         applied = mutate(storm, rng, in_place_only=True)
@@ -447,7 +436,7 @@ def _snapshot_chain_check(
     Returns ``(publishes, divergences, queries)``.
     """
     chain = copy_hierarchy(graph)
-    table = build_lookup_table(chain, mode="batched", fastpath=True)
+    table = build_lookup_table(chain, mode="batched")
     retained = [
         (table.snapshot, copy_hierarchy(chain), chain.compile().generation)
     ]

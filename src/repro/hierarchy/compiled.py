@@ -177,10 +177,9 @@ class CompiledHierarchy:
     def member_class_masks(self) -> list[int]:
         """Per-member bitmask of the classes the member is visible in —
         the transpose of ``visible_masks``, and the column footprint the
-        unambiguous fast path (:mod:`repro.core.fastpath`) materialises:
-        flattening a column visits exactly these classes, keeping the
-        per-member cost at the paper's Section-5 ``O(|N| + |E|)`` bound
-        instead of an unconditional ``O(|N|)`` scan per column.
+        columnar layout (:mod:`repro.core.columnar`) materialises:
+        flattening a column visits exactly these classes instead of an
+        unconditional ``O(|N|)`` scan per column.
 
         Built lazily in one pass over the visible bitsets (O(visible
         cells)) and memoised for the snapshot's lifetime.

@@ -120,7 +120,6 @@ class StreamingIngest:
             table = MemberLookupTable(
                 ClassHierarchyGraph(),
                 mode="batched",
-                fastpath=True,
                 semantics=semantics,
             )
         if table.graph is None:
@@ -270,7 +269,6 @@ def rebuild_baseline(
         table = MemberLookupTable(
             graph.compile(),
             mode="batched",
-            fastpath=True,
             semantics=semantics,
         )
     if table is None:

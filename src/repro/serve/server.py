@@ -24,13 +24,17 @@ contract) while reads — and other tenants' writes — keep flowing.
 ``apply_delta`` requests resolve with the publish summary once their
 delta lands.
 
-Removing a tenant cancels its writer task after the queue drains;
-pending deltas enqueued before the removal still publish.
+*Removal is the writer's last queue item.*  A ``remove_tenant``
+request closes the tenant's queue to new deltas and enqueues the
+removal behind the deltas already queued: those publish and get their
+replies first, then the tenant is removed and the removal replies.  A
+delta that arrives after the removal request gets
+:class:`~repro.serve.service.UnknownTenantError`.
 
 *Per-connection order.*  Replies go out in request order.
-``apply_delta`` is the one op that waits: while it is in flight its
-connection stops reading and holds its later lines, so a request sent
-after a delta reads the generation that delta published
+``apply_delta`` and ``remove_tenant`` are the ops that wait: while one
+is in flight its connection stops reading and holds its later lines, so
+a request sent after a write sees what that write did
 (read-your-writes).  Other connections keep being served meanwhile.
 
 *Backpressure.*  When the transport's write buffer passes its
@@ -42,6 +46,10 @@ without bound.
 *Line limit.*  A line longer than ``_LINE_LIMIT`` bytes gets one error
 reply with ``"id": null`` and type ``ValueError``, and its connection
 is closed: the rest of that stream cannot be framed reliably.
+
+*Batch limit.*  A ``lookup_many`` request of more than
+``_BATCH_LIMIT`` queries gets one ``ValueError`` reply naming the
+limit, and its connection keeps serving.
 
 At EOF an unterminated last line is still answered before the
 connection closes, and once ``shutdown`` has been requested every
@@ -79,7 +87,7 @@ from repro.serve.protocol import (
     ok_response,
     result_json,
 )
-from repro.serve.service import LookupService
+from repro.serve.service import LookupService, UnknownTenantError
 
 __all__ = ["ServeFront"]
 
@@ -87,13 +95,25 @@ __all__ = ["ServeFront"]
 #: hierarchy payload can be large).  Read at check time.
 _LINE_LIMIT = 16 * 1024 * 1024
 
+#: Refuse ``lookup_many`` requests of more than this many queries.
+_BATCH_LIMIT = 65536
+
+#: The ops a tenant's writer task runs, in queue order.
+_WRITES = ("apply_delta", "remove_tenant")
+
+#: The queue item that removes the tenant, in place of a delta's
+#: mutations; always a writer's last item.
+_REMOVAL = object()
+
 
 @dataclass
 class _Writer:
-    """One tenant's delta queue and the task draining it."""
+    """One tenant's write queue and the task draining it.  ``closed``
+    is set once the tenant's removal is queued: it is the last item."""
 
     queue: asyncio.Queue = field(default_factory=asyncio.Queue)
     task: Optional[asyncio.Task] = None
+    closed: bool = False
 
 
 class ServeFront:
@@ -166,46 +186,57 @@ class ServeFront:
     # ------------------------------------------------------------------
 
     def _writer_for(self, tenant: str) -> _Writer:
+        """The tenant's open writer, started on first use.  An unknown
+        tenant, or one whose removal is queued, raises
+        :class:`~repro.serve.service.UnknownTenantError`."""
         writer = self._writers.get(tenant)
         if writer is None:
+            # Validate the tenant before starting a writer task.
+            self.service.tenant(tenant)
             writer = _Writer()
             writer.task = asyncio.ensure_future(
-                self._writer_loop(tenant, writer.queue)
+                self._writer_loop(tenant, writer)
             )
             self._writers[tenant] = writer
+        elif writer.closed:
+            raise UnknownTenantError(tenant)
         return writer
 
-    async def _writer_loop(
-        self, tenant: str, queue: asyncio.Queue
-    ) -> None:
-        loop = asyncio.get_event_loop()
+    async def _writer_loop(self, tenant: str, writer: _Writer) -> None:
+        """Run the tenant's queued writes one at a time: each delta's
+        publish in the executor, then the removal, which ends the
+        loop."""
+        loop = asyncio.get_running_loop()
         while True:
-            mutations, future = await queue.get()
-            if future.cancelled():
-                continue
+            mutations, future = await writer.queue.get()
+            removal = mutations is _REMOVAL
             try:
-                summary = await loop.run_in_executor(
-                    None, self.service.apply_delta, tenant, mutations
-                )
+                if removal:
+                    self._writers.pop(tenant, None)
+                    self.service.remove_tenant(tenant)
+                    result = {"tenant": tenant, "removed": True}
+                else:
+                    result = await loop.run_in_executor(
+                        None, self.service.apply_delta, tenant, mutations
+                    )
             except asyncio.CancelledError:
                 raise
             except BaseException as exc:  # propagate to the requester
-                future.set_exception(exc)
+                if not future.cancelled():
+                    future.set_exception(exc)
             else:
-                future.set_result(summary)
-
-    def _drop_writer(self, tenant: str) -> None:
-        writer = self._writers.pop(tenant, None)
-        if writer is not None and writer.task is not None:
-            writer.task.cancel()
+                if not future.cancelled():
+                    future.set_result(result)
+            if removal:
+                return
 
     # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------
 
     def _reply(self, request_id, request: dict) -> bytes:
-        """The reply line for one decoded request other than
-        ``apply_delta``."""
+        """The reply line for one decoded request other than a write
+        (``apply_delta``, ``remove_tenant``)."""
         op = request.get("op")
         if op == "lookup":
             result = self.service.lookup(
@@ -224,22 +255,26 @@ class ServeFront:
             )
         return encode_line(ok_response(request_id, self._dispatch(op, request)))
 
-    async def _apply_delta(self, request_id, request: dict) -> bytes:
-        """The reply line for an ``apply_delta`` request, once the
-        tenant's writer task has published its delta."""
-        op = "apply_delta"
+    async def _write(self, request_id, request: dict) -> bytes:
+        """The reply line for an ``apply_delta`` or ``remove_tenant``
+        request, once the tenant's writer task has run it."""
+        op = request["op"]
         tenant = _field(request, op, "tenant")
-        mutations = _field(request, op, "mutations")
-        # Validate the tenant before enqueueing so unknown names fail
-        # fast instead of spinning up a writer task.
-        self.service.tenant(tenant)
+        mutations = (
+            _field(request, op, "mutations")
+            if op == "apply_delta"
+            else _REMOVAL
+        )
+        writer = self._writer_for(tenant)
         future = asyncio.get_running_loop().create_future()
-        self._writer_for(tenant).queue.put_nowait((mutations, future))
+        writer.queue.put_nowait((mutations, future))
+        if mutations is _REMOVAL:
+            writer.closed = True
         return encode_line(ok_response(request_id, await future))
 
     def _dispatch(self, op, request: dict):
         """The ``result`` payload of every op except the lookups and
-        ``apply_delta``."""
+        the writes."""
         service = self.service
         if op == "ping":
             return "pong"
@@ -255,11 +290,6 @@ class ServeFront:
                 "classes": tenant.snapshot.ch.n_classes,
                 "semantics": tenant.table.semantics.name,
             }
-        if op == "remove_tenant":
-            name = _field(request, op, "tenant")
-            service.remove_tenant(name)
-            self._drop_writer(name)
-            return {"tenant": name, "removed": True}
         if op == "stats":
             return service.stats(request.get("tenant"))
         if op == "shutdown":
@@ -273,10 +303,11 @@ class _Connection(asyncio.Protocol):
     stream and answers them in order.
 
     Lines are answered inside :meth:`data_received`.  The connection
-    stops answering (and stops reading) while an ``apply_delta`` is in
-    flight, while the transport's write buffer is over its high-water
-    mark, and once it is closing; :meth:`_answer_lines` picks up where
-    it stopped when the hold ends."""
+    stops answering (and stops reading) while a write (``apply_delta``
+    or ``remove_tenant``) is in flight, while the transport's write
+    buffer is over its high-water mark, and once it is closing;
+    :meth:`_answer_lines` picks up where it stopped when the hold
+    ends."""
 
     def __init__(self, front: ServeFront) -> None:
         self._front = front
@@ -286,7 +317,7 @@ class _Connection(asyncio.Protocol):
         #: Where the next newline scan of ``_buffer`` starts: every byte
         #: before it has been scanned once already.
         self._scanned = 0
-        self._delta: Optional[asyncio.Task] = None
+        self._write: Optional[asyncio.Task] = None
         self._write_paused = False
         self._eof = False
 
@@ -321,7 +352,7 @@ class _Connection(asyncio.Protocol):
 
     def _held(self) -> bool:
         return (
-            self._delta is not None
+            self._write is not None
             or self._write_paused
             or self._transport.is_closing()
         )
@@ -375,12 +406,12 @@ class _Connection(asyncio.Protocol):
         try:
             request = decode_line(line)
             request_id = request.get("id")
-            if request.get("op") == "apply_delta":
-                # The one op that awaits: hold this connection's later
-                # lines until its reply is written.
+            if request.get("op") in _WRITES:
+                # The ops that await: hold this connection's later lines
+                # until the reply is written.
                 self._transport.pause_reading()
-                self._delta = asyncio.ensure_future(
-                    self._await_delta(request_id, request)
+                self._write = asyncio.ensure_future(
+                    self._await_write(request_id, request)
                 )
                 return
             reply = self._front._reply(request_id, request)
@@ -388,13 +419,13 @@ class _Connection(asyncio.Protocol):
             reply = encode_line(error_response(request_id, exc))
         self._send(reply)
 
-    async def _await_delta(self, request_id, request: dict) -> None:
+    async def _await_write(self, request_id, request: dict) -> None:
         try:
-            reply = await self._front._apply_delta(request_id, request)
+            reply = await self._front._write(request_id, request)
         except Exception as exc:
             reply = encode_line(error_response(request_id, exc))
-        self._delta = None
-        # The client may have gone while the delta was in flight.
+        self._write = None
+        # The client may have gone while the write was in flight.
         if not self._transport.is_closing():
             self._send(reply)
             self._resume()
@@ -416,12 +447,18 @@ def _field(request: dict, op: str, name: str):
 
 def _queries(raw) -> list:
     """A ``lookup_many`` request's ``queries`` as ``(class, member)``
-    pairs; anything but a list of ``{"class", "member"}`` objects is a
-    ``ValueError`` naming the first offending query."""
+    pairs; anything but a list of at most :data:`_BATCH_LIMIT`
+    ``{"class", "member"}`` objects is a ``ValueError`` naming the
+    limit or the first offending query."""
     if type(raw) is not list:
         raise ValueError(
             "lookup_many field 'queries' must be a list of objects, "
             f"not {type(raw).__name__}"
+        )
+    if len(raw) > _BATCH_LIMIT:
+        raise ValueError(
+            f"lookup_many field 'queries' holds {len(raw)} queries, "
+            f"more than the limit of {_BATCH_LIMIT}"
         )
     try:
         return [(q["class"], q["member"]) for q in raw]

@@ -216,7 +216,6 @@ class LookupService:
         table = MemberLookupTable(
             graph,
             mode="batched",
-            fastpath=True,
             semantics=(
                 self._semantics if semantics is None else semantics
             ),

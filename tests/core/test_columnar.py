@@ -1,8 +1,7 @@
 """The columnar batch-query kernel (``repro.core.columnar``).
 
 These tests pin the whole contract of the dense layout: entry interning
-over the shared pool (blue entries included — the generalization past
-:mod:`repro.core.fastpath`), strict result equality of the gather
+over the shared pool (blue entries included), strict result equality of the gather
 against the per-member reference table on every workload family,
 copy-on-write delta derivation (parent untouched, unaffected columns
 shared by reference, short shared columns bounds-guarded), and the
@@ -164,8 +163,6 @@ def test_colliding_red_and_blue_pack_round_trip(tmp_path):
     snapshot = TableSnapshot(
         ch=ch,
         rows=rows,
-        flat=None,
-        certificate=None,
         entry_total=2,
         track_witnesses=False,
     )

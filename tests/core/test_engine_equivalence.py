@@ -59,7 +59,6 @@ def assert_engines_identical(graph) -> None:
     table = build_lookup_table(graph)
     rivals = {
         "batched": build_lookup_table(graph, mode="batched"),
-        "fastpath": build_lookup_table(graph, mode="batched", fastpath=True),
         "lazy": LazyMemberLookup(graph),
         "lazy-replay": replay_into_lazy(graph),
     }
@@ -152,33 +151,24 @@ def test_engines_identical_after_mutation():
 
     table = build_lookup_table(graph)
     batched = build_lookup_table(graph, mode="batched")
-    flat = build_lookup_table(graph, mode="batched", fastpath=True)
     members = set(QUERY_MEMBERS) | {"fresh"}
     for class_name in graph.classes:
         for member in sorted(members):
             expected = table.lookup(class_name, member)
             assert batched.lookup(class_name, member) == expected
-            assert flat.lookup(class_name, member) == expected
             assert lazy.lookup(class_name, member) == expected
 
 
-@pytest.mark.parametrize(
-    "mode", ["per-member", "batched", "fastpath"]
-)
+@pytest.mark.parametrize("mode", ["per-member", "batched"])
 def test_apply_delta_matches_fresh_build_in_every_mode(mode):
     """Tables maintained through apply_delta across a burst of
     mutations must answer exactly like tables built from scratch after
-    them — in both build modes plus the flat-serving overlay,
-    including on the classes whose rows the cone re-sweep recomputed,
-    the ones it reused, and the flat columns the delta demoted or
-    cone-updated."""
+    them — in both build modes, including on the classes whose rows the
+    cone re-sweep recomputed and the ones it reused."""
     graph = random_hierarchy(
         14, seed=11, virtual_probability=0.4, member_probability=0.5
     )
-    if mode == "fastpath":
-        table = build_lookup_table(graph, mode="batched", fastpath=True)
-    else:
-        table = build_lookup_table(graph, mode=mode)
+    table = build_lookup_table(graph, mode=mode)
 
     anchors = list(graph.classes)
     graph.add_member(anchors[3], "fresh")

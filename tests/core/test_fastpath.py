@@ -1,15 +1,19 @@
-"""The unambiguous-hierarchy fast path (paper, §5).
+"""The flat column structures of :mod:`repro.core.fastpath` (paper, §5).
 
-The sweeps certify per member column whether any visible entry is blue
-(:class:`repro.core.kernel.AmbiguityCertificate`); certified columns are
-flattened into array-backed :class:`repro.core.fastpath.FlatColumn`
-structures served ahead of the full red/blue rows.  These tests pin the
-whole contract: certification at build time, strict result equality
-against the row path and the subobject-poset oracle, and all four
-delta-maintenance behaviours — demotion on ambiguation (permanent, the
-cone certificate proves nothing out of cone), in-place cone updates of
-columns that stayed red, promotion of brand-new columns, and array
-growth for appended classes.
+No published table serves from these structures; the module is tested
+on its own.  A dominance sweep run with ``certificate=`` records per
+member column whether any visible entry is blue
+(:class:`repro.core.kernel.AmbiguityCertificate`), and
+:func:`~repro.core.fastpath.build_flat_table` flattens the certified
+columns into array-backed :class:`~repro.core.fastpath.FlatColumn`
+structures.  These tests pin certification at build time, strict
+result equality of every flat answer against a fresh snapshot and the
+subobject-poset oracle, the four behaviours of
+:meth:`~repro.core.fastpath.FlatTable.apply_delta` after a certified
+cone sweep — demotion on ambiguation (permanent, the cone certificate
+proves nothing out of cone), cone updates of columns that stayed red,
+promotion of brand-new columns, and array growth for appended classes
+— and the column structure itself.
 """
 
 from collections import namedtuple
@@ -17,9 +21,16 @@ from collections import namedtuple
 import pytest
 
 from repro.core.certify import certify_table
-from repro.core.fastpath import AmbiguousColumnError, FlatColumn
-from repro.core.lookup import build_lookup_table
+from repro.core.fastpath import (
+    AmbiguousColumnError,
+    FlatColumn,
+    build_flat_table,
+)
+from repro.core.kernel import AmbiguityCertificate, cone_sweep
 from repro.core.results import LookupStatus
+from repro.core.semantics import get_semantics
+from repro.core.snapshot import TableSnapshot
+from repro.hierarchy.compiled import describe_delta
 from repro.hierarchy.graph import ClassHierarchyGraph
 from repro.workloads.generators import (
     ambiguous_fan,
@@ -28,6 +39,62 @@ from repro.workloads.generators import (
     random_hierarchy,
     wide_unambiguous,
 )
+
+
+class Overlay:
+    """A :class:`~repro.core.fastpath.FlatTable` over the rows of a
+    dominance sweep run with ``certificate=``, kept current by
+    :meth:`apply_delta`.  :meth:`lookup` answers a flat column from the
+    overlay and anything else from a fresh snapshot of the graph."""
+
+    def __init__(self, graph: ClassHierarchyGraph) -> None:
+        self.graph = graph
+        self.ch = graph.compile()
+        certificate = AmbiguityCertificate()
+        self.rows = get_semantics(None).sweep(
+            self.ch, certificate=certificate
+        )
+        self.flat = build_flat_table(self.ch, certificate, self.entry_at)
+        self.fallback = TableSnapshot.build(self.ch)
+
+    def entry_at(self, cid: int, mid: int):
+        row = self.rows[cid]
+        return row.get(mid) if row else None
+
+    def lookup(self, class_name: str, member: str):
+        ch = self.ch
+        mid = ch.member_ids.get(member)
+        cid = ch.class_ids.get(class_name)
+        if mid is not None and cid is not None:
+            result = self.flat.serve(ch, cid, mid, class_name, member)
+            if result is not None:
+                return result
+        return self.fallback.lookup(class_name, member)
+
+    def apply_delta(self) -> None:
+        """Re-fold the delta's cone with a certificate and bring the
+        overlay current from the re-folded rows."""
+        new = self.graph.compile()
+        delta = describe_delta(self.ch, new)
+        rows = self.rows + [None] * (new.n_classes - len(self.rows))
+        certificate = AmbiguityCertificate()
+        if not delta.is_empty:
+            cone_sweep(
+                new,
+                rows,
+                cone_mask=delta.cone_mask,
+                member_mask=delta.member_mask,
+                certificate=certificate,
+            )
+        self.ch, self.rows = new, rows
+        self.flat = self.flat.apply_delta(
+            new,
+            list(delta.cone_ids()),
+            list(delta.member_ids()),
+            certificate,
+            self.entry_at,
+        )
+        self.fallback = TableSnapshot.build(new)
 
 
 def all_queries(graph, extra=("does_not_exist",)):
@@ -41,16 +108,16 @@ def all_queries(graph, extra=("does_not_exist",)):
     ]
 
 
-def assert_flat_matches_rows(graph) -> None:
-    """Strict equality (witnesses included) of the fast-path table
-    against the plain batched table, plus the Definition-7 oracle."""
-    flat = build_lookup_table(graph, mode="batched", fastpath=True)
-    rows = build_lookup_table(graph, mode="batched")
+def assert_matches_fresh_build(overlay: Overlay) -> None:
+    """Strict equality (witnesses included) of every overlay answer
+    against a fresh snapshot, plus the Definition-7 oracle."""
+    graph = overlay.graph
+    fresh = TableSnapshot.build(graph)
     for class_name, member in all_queries(graph):
-        assert flat.lookup(class_name, member) == rows.lookup(
+        assert overlay.lookup(class_name, member) == fresh.lookup(
             class_name, member
-        ), f"fast path drifted on {class_name}::{member}"
-    assert certify_table(graph, flat) == []
+        ), f"flat column drifted on {class_name}::{member}"
+    assert certify_table(graph, overlay) == []
 
 
 # ----------------------------------------------------------------------
@@ -59,53 +126,32 @@ def assert_flat_matches_rows(graph) -> None:
 
 
 def test_unambiguous_build_flattens_every_column():
-    graph = chain(16, member_every=4)
-    table = build_lookup_table(graph, mode="batched", fastpath=True)
-    flat = table.flat_table
-    assert flat is not None
+    flat = Overlay(chain(16, member_every=4)).flat
     assert flat.ambiguous_column_count == 0
     assert flat.flat_column_count == 1  # the single member "m"
     assert flat.flat_cells == 16  # visible in every chain class
 
 
 def test_ambiguous_column_stays_on_the_rows():
-    graph = ambiguous_fan(4)
-    table = build_lookup_table(graph, mode="batched", fastpath=True)
-    flat = table.flat_table
-    mid = table.compiled.member_ids["m"]
-    assert not flat.column_is_flat(mid)
+    overlay = Overlay(ambiguous_fan(4))
+    flat = overlay.flat
+    assert not flat.column_is_flat(overlay.ch.member_ids["m"])
     assert flat.ambiguous_column_count == 1
-    # ...and the fallback still answers AMBIGUOUS, identically to rows.
-    result = table.lookup("Join", "m")
-    assert result.status is LookupStatus.AMBIGUOUS
-    assert_flat_matches_rows(graph)
+    # ...and the fallback still answers AMBIGUOUS.
+    assert overlay.lookup("Join", "m").status is LookupStatus.AMBIGUOUS
+    assert_matches_fresh_build(overlay)
 
 
 def test_serving_splits_flat_and_fallback_hits():
     graph = ambiguous_fan(3)
     graph.add_member("Join", "own")  # unambiguous column alongside "m"
-    table = build_lookup_table(graph, mode="batched", fastpath=True)
-    table.lookup("Join", "own")  # flat
-    table.lookup("Join", "m")  # ambiguous -> fallback
-    table.lookup("B0", "m")  # still the ambiguous column -> fallback
-    stats = table.fastpath_stats
+    overlay = Overlay(graph)
+    overlay.lookup("Join", "own")  # flat
+    overlay.lookup("Join", "m")  # ambiguous -> fallback
+    overlay.lookup("B0", "m")  # still the ambiguous column -> fallback
+    stats = overlay.flat.stats
     assert stats.flat_hits == 1
     assert stats.fallback_hits == 2
-
-
-def test_fastpath_off_unless_requested():
-    graph = chain(4)
-    assert build_lookup_table(graph).flat_table is None  # per-member
-    assert build_lookup_table(graph, mode="batched").flat_table is None
-    assert (
-        build_lookup_table(graph, mode="batched", fastpath=True).flat_table
-        is not None
-    )
-
-
-def test_per_member_mode_rejects_fastpath():
-    with pytest.raises(ValueError):
-        build_lookup_table(chain(4), mode="per-member", fastpath=True)
 
 
 @pytest.mark.parametrize(
@@ -118,7 +164,7 @@ def test_per_member_mode_rejects_fastpath():
     ],
 )
 def test_flat_serving_matches_rows_and_oracle(graph):
-    assert_flat_matches_rows(graph)
+    assert_matches_fresh_build(Overlay(graph))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -126,7 +172,7 @@ def test_flat_serving_matches_rows_on_random_dags(seed):
     graph = random_hierarchy(
         14, seed=seed, virtual_probability=0.35, member_probability=0.5
     )
-    assert_flat_matches_rows(graph)
+    assert_matches_fresh_build(Overlay(graph))
 
 
 # ----------------------------------------------------------------------
@@ -140,59 +186,50 @@ def test_delta_that_ambiguates_demotes_the_column():
     graph.add_class("B", members=["m"])
     graph.add_class("C")
     graph.add_edge("A", "C")
-    table = build_lookup_table(graph, mode="batched", fastpath=True)
-    mid = table.compiled.member_ids["m"]
-    assert table.flat_table.column_is_flat(mid)
+    overlay = Overlay(graph)
+    mid = overlay.ch.member_ids["m"]
+    assert overlay.flat.column_is_flat(mid)
 
     graph.add_edge("B", "C")  # C now sees A::m and B::m -> ambiguous
-    table.apply_delta()
-    assert not table.flat_table.column_is_flat(mid)
-    assert table.fastpath_stats.demotions == 1
-    assert table.lookup("C", "m").status is LookupStatus.AMBIGUOUS
-    fresh = build_lookup_table(graph)
-    for class_name, member in all_queries(graph):
-        assert table.lookup(class_name, member) == fresh.lookup(
-            class_name, member
-        )
+    overlay.apply_delta()
+    assert not overlay.flat.column_is_flat(mid)
+    assert overlay.flat.stats.demotions == 1
+    assert overlay.lookup("C", "m").status is LookupStatus.AMBIGUOUS
+    assert_matches_fresh_build(overlay)
 
 
 def test_delta_promotes_brand_new_columns():
     graph = chain(8, member_every=8)
-    table = build_lookup_table(graph, mode="batched", fastpath=True)
+    overlay = Overlay(graph)
     graph.add_member("C4", "fresh")
-    table.apply_delta()
-    mid = table.compiled.member_ids["fresh"]
-    assert table.flat_table.column_is_flat(mid)
-    assert table.fastpath_stats.promotions == 1
-    assert table.lookup("C7", "fresh").declaring_class == "C4"
-    assert certify_table(graph, table) == []
+    overlay.apply_delta()
+    assert overlay.flat.column_is_flat(overlay.ch.member_ids["fresh"])
+    assert overlay.flat.stats.promotions == 1
+    assert overlay.lookup("C7", "fresh").declaring_class == "C4"
+    assert_matches_fresh_build(overlay)
 
 
 def test_delta_cone_updates_columns_that_stay_red():
     graph = chain(6, member_every=6)
-    table = build_lookup_table(graph, mode="batched", fastpath=True)
+    overlay = Overlay(graph)
     graph.add_class("D", members=["m"])  # hides C0::m below it
     graph.add_edge("C5", "D")
     graph.add_class("E")
     graph.add_edge("D", "E")
-    table.apply_delta()
-    stats = table.fastpath_stats
+    overlay.apply_delta()
+    stats = overlay.flat.stats
     assert stats.cone_updates >= 1
     assert stats.demotions == 0
-    assert table.lookup("E", "m").declaring_class == "D"
-    fresh = build_lookup_table(graph)
-    for class_name, member in all_queries(graph):
-        assert table.lookup(class_name, member) == fresh.lookup(
-            class_name, member
-        )
+    assert overlay.lookup("E", "m").declaring_class == "D"
+    assert_matches_fresh_build(overlay)
 
 
 def test_memberless_growth_extends_flat_arrays():
     graph = chain(4)
-    table = build_lookup_table(graph, mode="batched", fastpath=True)
+    overlay = Overlay(graph)
     graph.add_class("Lonely")  # empty delta: no member ids affected
-    table.apply_delta()
-    result = table.lookup("Lonely", "m")
+    overlay.apply_delta()
+    result = overlay.lookup("Lonely", "m")
     assert result.status is LookupStatus.NOT_FOUND
 
 
@@ -202,18 +239,14 @@ def test_demotion_is_permanent_across_later_deltas():
     nothing about out-of-cone blues)."""
     graph = ambiguous_fan(3)
     graph.add_member("Join", "own")
-    table = build_lookup_table(graph, mode="batched", fastpath=True)
-    mid = table.compiled.member_ids["m"]
-    assert not table.flat_table.column_is_flat(mid)
+    overlay = Overlay(graph)
+    mid = overlay.ch.member_ids["m"]
+    assert not overlay.flat.column_is_flat(mid)
     graph.add_class("Leaf", members=["m"])  # unambiguous *in its cone*
     graph.add_edge("Join", "Leaf")
-    table.apply_delta()
-    assert not table.flat_table.column_is_flat(mid)
-    fresh = build_lookup_table(graph)
-    for class_name, member in all_queries(graph):
-        assert table.lookup(class_name, member) == fresh.lookup(
-            class_name, member
-        )
+    overlay.apply_delta()
+    assert not overlay.flat.column_is_flat(mid)
+    assert_matches_fresh_build(overlay)
 
 
 # ----------------------------------------------------------------------

@@ -76,7 +76,6 @@ def all_queries(table):
 
 def packed_pair(graph, tmp_path, **build_kwargs):
     build_kwargs.setdefault("mode", "batched")
-    build_kwargs.setdefault("fastpath", True)
     table = build_lookup_table(graph, **build_kwargs)
     path = tmp_path / "table.pack"
     pack(table, path)
@@ -118,8 +117,13 @@ def test_visible_members_parity(name, maker, tmp_path):
 def test_certificate_round_trip(tmp_path):
     table, packed = packed_pair(ambiguous_fan(6), tmp_path)
     certificate = packed.certificate
-    assert certificate.ambiguous_columns == table.flat_table.ambiguous_columns
-    assert certificate.blue_cells > 0
+    ambiguous = table.snapshot.ambiguous_queries()
+    member_ids = table.compiled.member_ids
+    columns = 0
+    for _, member in ambiguous:
+        columns |= 1 << member_ids[member]
+    assert certificate.ambiguous_columns == columns
+    assert certificate.blue_cells == len(ambiguous) > 0
     unamb_dir = tmp_path / "unamb"
     unamb_dir.mkdir()
     unamb, packed2 = packed_pair(wide_unambiguous(8), unamb_dir)
@@ -136,7 +140,7 @@ def test_unknown_class_raises_unknown_member_misses(tmp_path):
 
 def test_pack_is_deterministic(tmp_path):
     graph = random_hierarchy(30, seed=3, member_probability=0.5)
-    table = build_lookup_table(graph, mode="batched", fastpath=True)
+    table = build_lookup_table(graph, mode="batched")
     pack(table, tmp_path / "a.pack")
     pack(table, tmp_path / "b.pack")
     assert (tmp_path / "a.pack").read_bytes() == (
@@ -158,13 +162,11 @@ def _streamed_gui_table():
 #: kernel's entry representation must leave every packed byte as is.
 PINNED_PACKS = {
     "figure3": (
-        lambda: build_lookup_table(figure3(), mode="batched", fastpath=True),
+        lambda: build_lookup_table(figure3(), mode="batched"),
         "fbce3f194d2eefc629d9401b09664b5473af2bca6c077a78953f3231c32ecb69",
     ),
     "iostream_like": (
-        lambda: build_lookup_table(
-            iostream_like(), mode="batched", fastpath=True
-        ),
+        lambda: build_lookup_table(iostream_like(), mode="batched"),
         "b01394653a9de9d32cca41d084f4cbcc8d511887dacd86f81863645eb02d8958",
     ),
     "streamed_gui": (
@@ -227,9 +229,9 @@ from repro.core.lookup import build_lookup_table
 from repro.workloads.generators import chain
 
 path = sys.argv[1]
-pack(build_lookup_table(chain(512), mode="batched", fastpath=True), path)
+pack(build_lookup_table(chain(512), mode="batched"), path)
 with mmap_table(path) as packed:
-    pack(build_lookup_table(chain(8), mode="batched", fastpath=True), path)
+    pack(build_lookup_table(chain(8), mode="batched"), path)
     queries = [(f"C{i}", m) for i in range(512) for m in ("m", "nope")]
     rows = [
         [r.status.value, r.declaring_class, str(r.witness)]
@@ -256,7 +258,7 @@ def test_repack_keeps_a_live_mapping_serving(tmp_path):
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
-    table = build_lookup_table(chain(512), mode="batched", fastpath=True)
+    table = build_lookup_table(chain(512), mode="batched")
     queries = [(f"C{i}", m) for i in range(512) for m in ("m", "nope")]
     expected = [
         [r.status.value, r.declaring_class, str(r.witness)]
@@ -294,7 +296,7 @@ def test_failed_pack_leaves_the_old_file_and_no_temp(
     length in its header — removes its temporary file and leaves
     ``path`` holding the previous pack."""
     path = tmp_path / "table.pack"
-    pack(build_lookup_table(figure3(), mode="batched", fastpath=True), path)
+    pack(build_lookup_table(figure3(), mode="batched"), path)
     before = path.read_bytes()
     if decode is not None:
         monkeypatch.setattr(flatpack, "mask_ids", decode)
@@ -319,9 +321,7 @@ def test_non_default_semantics_round_trip(tmp_path):
 
 
 def _packed_bytes(tmp_path) -> bytes:
-    table = build_lookup_table(
-        ambiguous_fan(4), mode="batched", fastpath=True
-    )
+    table = build_lookup_table(ambiguous_fan(4), mode="batched")
     path = tmp_path / "good.pack"
     pack(table, path)
     return path.read_bytes()
@@ -387,7 +387,7 @@ def _figure3_slot(tmp_path, kind):
     """The bytes of a ``figure3()`` pack plus the byte offset of the
     first slot value of ``kind``: ``"ldc"`` of the red ``H::foo``, or
     ``"abstraction"`` / ``"candidate"`` of the blue ``H::bar``."""
-    table = build_lookup_table(figure3(), mode="batched", fastpath=True)
+    table = build_lookup_table(figure3(), mode="batched")
     columnar = table.snapshot.columnar_table()
     ch = table.compiled
     member = "foo" if kind == "ldc" else "bar"
@@ -468,7 +468,7 @@ def test_rejects_out_of_range_column_ids(section, value, tmp_path):
     """A column cell, witness index or directory entry naming something
     the pack does not hold raises on both read paths (the columnar
     serve and the per-class rows of a thawed snapshot)."""
-    table = build_lookup_table(figure3(), mode="batched", fastpath=True)
+    table = build_lookup_table(figure3(), mode="batched")
     path = tmp_path / "good.pack"
     pack(table, path)
     with mmap_table(path) as packed:
@@ -500,7 +500,7 @@ def test_rejects_out_of_range_column_ids(section, value, tmp_path):
 
 def test_roll_forward_matches_fresh_build(tmp_path):
     graph = random_hierarchy(40, seed=17, member_probability=0.5)
-    table = build_lookup_table(graph, mode="batched", fastpath=True)
+    table = build_lookup_table(graph, mode="batched")
     path = tmp_path / "base.pack"
     pack(table, path)
 
@@ -518,7 +518,7 @@ def test_roll_forward_matches_fresh_build(tmp_path):
     assert stats.full_rebuilds == 0 and stats.deltas_applied == 1
     assert warm.compiled.generation > base_generation
 
-    fresh = build_lookup_table(live, mode="batched", fastpath=True)
+    fresh = build_lookup_table(live, mode="batched")
     queries = all_queries(fresh)
     assert [warm.lookup(c, m) for c, m in queries] == [
         fresh.lookup(c, m) for c, m in queries

@@ -82,7 +82,6 @@ def test_pack_bytes_are_golden(tmp_path, semantics):
     table = MemberLookupTable(
         layered_hierarchy(16, 16, seed=0),
         mode="batched",
-        fastpath=True,
         semantics=semantics,
     )
     path = tmp_path / "table.pack"

@@ -49,7 +49,6 @@ def graphs():
 
 TABLE_KINDS = (
     "batched",
-    "batched-fastpath",
     "per-member",
     "packed",
 )
@@ -58,14 +57,12 @@ TABLE_KINDS = (
 def build_table(kind, graph):
     if kind == "batched":
         return build_lookup_table(graph, mode="batched")
-    if kind == "batched-fastpath":
-        return build_lookup_table(graph, mode="batched", fastpath=True)
     if kind == "per-member":
         # The in-place table: lookup_many loops per query (no columnar).
         return build_lookup_table(graph, mode="per-member")
     if kind == "packed":
         # The mmapped flatpack: batch gathers straight off the buffer.
-        live = build_lookup_table(graph, mode="batched", fastpath=True)
+        live = build_lookup_table(graph, mode="batched")
         with tempfile.NamedTemporaryFile(
             suffix=".pack", delete=False
         ) as handle:
@@ -89,15 +86,18 @@ def test_table_batch_equals_one_shot(kind, name, graph):
     assert batch == [reference.lookup(c, m) for c, m in queries]
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_snapshot_batch_equals_one_shot(fastpath):
-    """Point reads (flat overlay first when on) and batch gathers both
-    match the reference, with and without the flat overlay."""
+@pytest.mark.parametrize("points_first", [True, False])
+def test_snapshot_batch_equals_one_shot(points_first):
+    """Point reads and batch gathers both match the reference, whether
+    point reads memoise the cold layout cell by cell before the batch
+    or the batch materialises whole columns first."""
     graph = random_hierarchy(12, seed=9, member_probability=0.6)
-    snapshot = TableSnapshot.build(graph, fastpath=fastpath)
+    snapshot = TableSnapshot.build(graph)
     reference = build_lookup_table(graph)
     queries = all_queries(graph)
     expected = [reference.lookup(c, m) for c, m in queries]
+    if points_first:
+        assert [snapshot.lookup(c, m) for c, m in queries] == expected
     assert snapshot.lookup_many(queries) == expected
     assert [snapshot.lookup(c, m) for c, m in queries] == expected
 

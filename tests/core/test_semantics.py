@@ -433,7 +433,7 @@ def test_delta_never_writes_a_parent_row(semantics):
     fresh dicts while every out-of-cone row is shared."""
     graph = virtual_diamond_ladder(2)
     parent = TableSnapshot.build(
-        graph.compile(), fastpath=True, semantics=semantics
+        graph.compile(), semantics=semantics
     )
     parent_rows = list(parent.rows)
     row_copies = [dict(row) for row in parent_rows]

@@ -241,9 +241,7 @@ class SnapshotChainMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.graph = ClassHierarchyGraph()
-        self.table = MemberLookupTable(
-            self.graph, mode="batched", fastpath=True
-        )
+        self.table = MemberLookupTable(self.graph, mode="batched")
         self.counter = 0
         # generation -> (snapshot, {(class, member): expected result})
         self.retained = {}
@@ -446,7 +444,7 @@ class TestSnapshotThreadedStorm:
 
         graph = ClassHierarchyGraph()
         graph.add_class("K0", ["m"])
-        table = MemberLookupTable(graph, mode="batched", fastpath=True)
+        table = MemberLookupTable(graph, mode="batched")
         expected = {}  # generation -> {(class, member): result}
 
         def record(generation_table):

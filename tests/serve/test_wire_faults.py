@@ -1,8 +1,9 @@
 """Faults, framing, order and backpressure at the wire, over real
 sockets: malformed lines, requests split across or packed into socket
 chunks, ``\\r\\n`` endings, an unterminated last line, clients that
-vanish mid-conversation, lines held behind an ``apply_delta``, and a
-client that does not read its replies.
+vanish mid-conversation, lines held behind an ``apply_delta``, a
+``remove_tenant`` queued behind deltas, an over-limit ``lookup_many``,
+and a client that does not read its replies.
 
 Every reply is compared byte for byte with the dict-path encoding of an
 in-process :class:`LookupService` built from the same hierarchy."""
@@ -11,6 +12,7 @@ import asyncio
 import json
 import threading
 
+import repro.serve.server as server
 from repro.hierarchy.serialize import hierarchy_to_dict
 from repro.serve.protocol import encode_line, ok_response, result_to_dict
 from repro.serve.service import LookupService
@@ -270,7 +272,7 @@ def test_disconnect_with_apply_delta_in_flight_still_publishes(monkeypatch):
             )
             await wait_until(lambda: connections)
             (connection,) = connections
-            await wait_until(lambda: connection._delta is not None)
+            await wait_until(lambda: connection._write is not None)
             gone.writer.transport.abort()
             gate.set()
 
@@ -387,3 +389,100 @@ def test_a_client_that_does_not_read_pauses_its_connection(monkeypatch):
 
     replies = asyncio.run(scenario())
     assert replies == [many_reply(reference, i, batch) for i in range(requests)]
+
+
+def test_remove_tenant_replies_after_the_deltas_queued_before_it(monkeypatch):
+    """One gated ``apply_delta`` in flight, one queued from a second
+    connection, then ``remove_tenant`` from a third: both deltas publish
+    and reply before the removal runs and replies, and a delta sent
+    after the removal request is refused at once."""
+    service = hosting()
+    events = []
+    sent = []
+    started = threading.Event()
+    gate = threading.Event()
+    apply_delta = service.apply_delta
+    remove_tenant = service.remove_tenant
+
+    def gated(tenant, mutations):
+        started.set()
+        assert gate.wait(TIMEOUT)
+        summary = apply_delta(tenant, mutations)
+        events.append(("published", mutations[0]["class"]))
+        return summary
+
+    def removing(tenant):
+        events.append(("removed", tenant))
+        remove_tenant(tenant)
+
+    def send(connection, reply):
+        sent.append(json.loads(reply)["id"])
+        send_reply(connection, reply)
+
+    send_reply = server._Connection._send
+    monkeypatch.setattr(service, "apply_delta", gated)
+    monkeypatch.setattr(service, "remove_tenant", removing)
+    monkeypatch.setattr(server._Connection, "_send", send)
+
+    async def scenario():
+        async with running(service) as front:
+            first, second, third, late = [await connect(front) for _ in range(4)]
+            first.writer.write(encode_line(delta_request("a", "X", "fresh")))
+            await wait_until(started.is_set)
+            second.writer.write(
+                encode_line(delta_request("b", "Middle", "extra"))
+            )
+            await wait_until(lambda: front._writers["t"].queue.qsize() == 1)
+            third.writer.write(
+                encode_line({"id": "r", "op": "remove_tenant", "tenant": "t"})
+                + encode_line({"id": "after", "op": "ping"})
+            )
+            await wait_until(lambda: front._writers["t"].closed)
+            refused = json.loads(
+                await late.call(delta_request("late", "Base", "late"))
+            )
+            assert events == []
+            gate.set()
+            replies = [
+                json.loads(await wire.readline())
+                for wire in (first, second, third, third)
+            ]
+            for wire in (first, second, third, late):
+                await wire.close()
+        return refused, replies
+
+    refused, replies = asyncio.run(asyncio.wait_for(scenario(), 3 * TIMEOUT))
+    assert refused["ok"] is False
+    assert refused["error"]["type"] == "UnknownTenantError"
+    assert [reply["id"] for reply in replies] == ["a", "b", "r", "after"]
+    assert all(reply["ok"] for reply in replies), replies
+    assert replies[0]["result"]["generation"] < replies[1]["result"]["generation"]
+    assert replies[2]["result"] == {"tenant": "t", "removed": True}
+    assert events == [("published", "X"), ("published", "Middle"), ("removed", "t")]
+    assert sent == ["late", "a", "b", "r", "after"]
+    assert service.tenant_names == ()
+
+
+def test_over_limit_lookup_many_gets_one_error_and_the_connection_keeps_serving():
+    limit = server._BATCH_LIMIT
+    reference = hosting()
+    batch = [KEYS[i % len(KEYS)] for i in range(256)]
+
+    async def scenario():
+        async with running(hosting()) as front:
+            wire = await connect(front)
+            over = json.loads(
+                await wire.call(many_request("over", [KEYS[0]] * (limit + 1)))
+            )
+            after = await wire.call(many_request("m", batch))
+            pong = await wire.call({"id": "after", "op": "ping"})
+            await wire.close()
+        return over, after, pong
+
+    over, after, pong = asyncio.run(scenario())
+    assert over["id"] == "over"
+    assert over["ok"] is False
+    assert over["error"]["type"] == "ValueError"
+    assert str(limit) in over["error"]["message"]
+    assert after == many_reply(reference, "m", batch)
+    assert pong == PONG

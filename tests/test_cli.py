@@ -112,24 +112,20 @@ class TestTable:
         assert main(args) == 0
         assert "delta stats:" in capsys.readouterr().out
 
-    def test_fastpath_stats_line(self, fig3_json, capsys):
-        args = ["table", fig3_json, "--mode", "batched", "--fastpath",
-                "--stats"]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "[fastpath]" in out
-        assert "ambiguous_columns=" in out
-        # Without the flag, batched mode has no overlay to report.
+    def test_stats_line(self, fig3_json, capsys):
         assert main(["table", fig3_json, "--mode", "batched", "--stats"]) == 0
-        assert "[fastpath]" not in capsys.readouterr().out
-
-    def test_fastpath_rejected_for_per_member(self, fig3_json, capsys):
-        args = ["table", fig3_json, "--mode", "per-member", "--fastpath"]
-        assert main(args) == 2
-        assert "row-major build mode" in capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert "[build mode=batched]" in out
+        assert "entries_computed=" in out
 
     @pytest.mark.parametrize(
-        "extra", [["--mode", "auto"], ["--max-workers", "2"]]
+        "extra",
+        [
+            ["--mode", "auto"],
+            ["--max-workers", "2"],
+            ["--fastpath"],
+            ["--no-fastpath"],
+        ],
     )
     def test_removed_build_options_are_usage_errors(
         self, fig3_json, capsys, extra
@@ -141,29 +137,21 @@ class TestTable:
 
 
 class TestBuild:
-    def test_build_defaults_report_fastpath(self, fig3_json, capsys):
+    def test_build_defaults_to_batched(self, fig3_json, capsys):
         assert main(["build", fig3_json]) == 0
         out = capsys.readouterr().out
         assert "mode: batched" in out
-        assert "[fastpath]" in out
-        assert "flat_hits=" in out
+        assert "answers against LazyMemberLookup" in out
 
-    def test_build_no_fastpath_opt_out(self, fig3_json, capsys):
-        assert main(["build", fig3_json, "--no-fastpath"]) == 0
-        assert "[fastpath]" not in capsys.readouterr().out
-
-    def test_build_per_member_leaves_fastpath_off(self, fig3_json, capsys):
+    def test_build_per_member(self, fig3_json, capsys):
         assert main(["build", fig3_json, "--mode", "per-member"]) == 0
-        out = capsys.readouterr().out
-        assert "mode: per-member" in out
-        assert "[fastpath]" not in out
+        assert "mode: per-member" in capsys.readouterr().out
 
-    def test_build_delta_stats_report_fastpath_maintenance(
-        self, fig3_json, capsys
-    ):
+    def test_build_delta_stats(self, fig3_json, capsys):
         assert main(["build", fig3_json, "--delta-stats"]) == 0
         out = capsys.readouterr().out
-        assert "fastpath: demotions=" in out
+        assert "delta stats: replayed leaf class" in out
+        assert "table rows: recomputed=" in out
 
 
 class TestOtherCommands:

@@ -126,15 +126,29 @@ def test_entry_points_do_not_import_numpy():
     assert completed.stdout.strip() == "False"
 
 
+#: Modules no CLI, serving or ingest process loads until it needs them:
+#: the pack reader and writer with ``mmap``, and the modules no program
+#: path reads any more (the flat overlay, the lookup cache and the
+#: emptied sharding module).
+UNLOADED = (
+    "repro.core.flatpack",
+    "mmap",
+    "repro.core.fastpath",
+    "repro.core.cache",
+    "repro.core.parallel",
+)
+
+
 def test_cli_and_serving_front_do_not_import_flatpack():
     """The pack reader and writer (and ``mmap``) load only when a
     command packs or maps a table: ``TableSerializationError`` lives in
     ``repro.errors``, so re-exporting it from ``repro.core`` imports
-    nothing of flatpack."""
+    nothing of flatpack.  Neither the CLI, the serving front nor the
+    ingest pipeline loads any module in :data:`UNLOADED`."""
     probe = (
         "import sys\n"
-        "import repro.cli, repro.serve.server\n"
-        "print('repro.core.flatpack' in sys.modules, 'mmap' in sys.modules)\n"
+        "import repro.cli, repro.serve.server, repro.ingest.pipeline\n"
+        f"print(*[name in sys.modules for name in {UNLOADED!r}])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     completed = subprocess.run(
@@ -145,7 +159,7 @@ def test_cli_and_serving_front_do_not_import_flatpack():
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.split() == ["False", "False"]
+    assert completed.stdout.split() == ["False"] * len(UNLOADED)
 
 
 def test_table_serialization_error_is_one_class():
