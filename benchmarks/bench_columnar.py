@@ -1,20 +1,26 @@
 """Columnar batch serving vs a per-query point-lookup loop.
 
-A published snapshot answers both point and batch reads from one
-columnar layout (:mod:`repro.core.columnar`): a point read is one
-memoised result cell, a batch is one gather per distinct member over
-dense interned entry arrays.  This file measures what the
-batch entry point saves over issuing the same queries one at a time.
+A published snapshot answers both served point and batch reads from one
+columnar layout (:mod:`repro.core.columnar`) whose warm cells are their
+wire fragments: a served point read is one memoised fragment, a served
+batch is one gather per distinct member over dense interned entry
+arrays.  This file measures what the batch entry point saves over
+issuing the same queries one at a time.
 
 It times 8192-query batches (mixed members, deterministic
 pseudo-random order, all keys distinct) on three 1024-class families —
 an 8-member chain, a depth-10 binary tree and an all-virtual layered
-DAG — through :meth:`~repro.serve.service.LookupService.lookup_many`
-against a per-query :meth:`~repro.serve.service.LookupService.lookup`
-loop over the same queries as baseline.  The baseline tag makes
-``scripts/collect_bench_numbers.py`` report the gather-to-loop ratio;
-no ratio is asserted.  A non-benchmark guard pins the gather's answers
-to the independent per-member table.  Recorded medians land in
+DAG — through the bytes gather
+:meth:`~repro.serve.service.LookupService.lookup_many_json` (what the
+server's ``lookup_many`` op runs) against a per-query
+:meth:`~repro.serve.service.LookupService.lookup_json` loop over the
+same queries as baseline, and the library batch
+:meth:`~repro.serve.service.LookupService.lookup_many` (fresh
+``LookupResult`` objects) over them.  The baseline tag makes
+``scripts/collect_bench_numbers.py`` report each case's ratio to the
+loop; no ratio is asserted.  A non-benchmark guard pins the library batch's
+answers to the independent per-member table and the gather's fragments
+to their encodings.  Recorded medians land in
 ``BENCH_columnar.json`` via ``scripts/collect_bench_numbers.py``.
 """
 
@@ -23,6 +29,7 @@ import random
 import pytest
 
 from repro.core.lookup import build_lookup_table
+from repro.core.results import result_json
 from repro.hierarchy.graph import ClassHierarchyGraph
 from repro.serve.service import LookupService
 
@@ -120,11 +127,11 @@ def _annotate(benchmark, name, graph, queries) -> None:
 
 
 def test_batch_point_lookup_loop(benchmark, workload):
-    """Baseline: the same queries as a per-query ``service.lookup``
-    loop — one memoised point read each."""
+    """Baseline: the same queries as a per-query ``service.lookup_json``
+    loop — one memoised fragment read each."""
     name, graph, queries = workload
     service = make_service(graph)
-    lookup = service.lookup
+    lookup = service.lookup_json
 
     def loop():
         return [lookup("t", c, m) for c, m in queries]
@@ -139,24 +146,43 @@ def test_batch_columnar_gather(benchmark, workload):
     """The same batch as one columnar gather per distinct member."""
     name, graph, queries = workload
     service = make_service(graph)
-    service.lookup_many("t", queries)  # materialise + memoise columns
-    benchmark(service.lookup_many, "t", queries)
+    service.lookup_many_json("t", queries)  # materialise + memoise columns
+    benchmark(service.lookup_many_json, "t", queries)
     _annotate(benchmark, name, graph, queries)
     table = service.tenant("t").table.columnar_table
     benchmark.extra_info["pool_slots"] = len(table.pool)
 
 
+def test_batch_library_lookup_many(benchmark, workload):
+    """The same batch as the library read
+    :meth:`~repro.serve.service.LookupService.lookup_many`, which builds
+    a fresh ``LookupResult`` per query from the same cells (a warm cell
+    keeps only its wire fragment, so a library read decodes it every
+    call)."""
+    name, graph, queries = workload
+    service = make_service(graph)
+    service.lookup_many("t", queries)  # lay out the columnar table
+    benchmark(service.lookup_many, "t", queries)
+    _annotate(benchmark, name, graph, queries)
+
+
 def test_columnar_batches_match_rows():
     """The gather exists to differ in *speed* only: every batch answer
     is value-identical to the independent per-member table's, witnesses
-    included, on every workload."""
+    included, and every gathered fragment is its encoding, on every
+    workload."""
     for name, graph in WORKLOADS.items():
         reference = build_lookup_table(graph)
         service = make_service(graph)
         queries = batch_queries(graph, size=2048)
-        for (class_name, member), result in zip(
-            queries, service.lookup_many("t", queries)
+        for (class_name, member), result, fragment in zip(
+            queries,
+            service.lookup_many("t", queries),
+            service.lookup_many_json("t", queries),
         ):
             assert result == reference.lookup(class_name, member), (
+                f"{name}: {class_name}::{member}"
+            )
+            assert fragment == result_json(result), (
                 f"{name}: {class_name}::{member}"
             )

@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 
 from repro.core.lazy import LazyMemberLookup
 from repro.core.lookup import BUILD_MODES, MemberLookupTable, build_lookup_table
+from repro.core.results import result_json
 from repro.core.semantics import DEFAULT_SEMANTICS, SEMANTICS_NAMES
 from repro.core.static_lookup import StaticAwareLookupTable
 from repro.diagnostics.dot import chg_to_dot, subobject_graph_to_dot
@@ -437,16 +438,21 @@ def _render_columnar_stats(table) -> Optional[str]:
 
 def _exercise_columnar(graph: ClassHierarchyGraph, table) -> Optional[str]:
     """Answer every visible ``(class, member)`` pair through one
-    ``lookup_many`` batch, cross-check the gather against the per-query
-    path, and return the columnar stats line."""
+    serving gather (``lookup_many_json``), cross-check each wire
+    fragment against the encoding of the per-query library answer, and
+    return the columnar stats line (``None`` for the in-place
+    per-member table, which has no columnar layout)."""
+    snapshot = table.snapshot
+    if snapshot is None:
+        return None
     queries = [
         (class_name, member)
         for class_name in graph.classes
         for member in table.visible_members(class_name)
     ]
-    batched = table.lookup_many(queries)
-    for (class_name, member), result in zip(queries, batched):
-        assert result == table.lookup(class_name, member)
+    fragments = snapshot.lookup_many_json(queries)
+    for (class_name, member), fragment in zip(queries, fragments):
+        assert fragment == result_json(table.lookup(class_name, member))
     return _render_columnar_stats(table)
 
 

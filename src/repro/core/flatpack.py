@@ -34,9 +34,10 @@ reader ever opens a partial pack.  :func:`mmap_table`
 maps one back in as a :class:`PackedTable` that serves ``lookup`` /
 ``lookup_many`` straight off the buffer: column cells are zero-copy
 ``memoryview.cast('q')`` views of the mapped pages, columns load lazily
-on first touch, and :class:`~repro.core.results.LookupResult` objects and
-witness paths materialise lazily through the *same*
-:class:`~repro.core.columnar.ColumnarTable` serving code the live table
+on first touch, and answers (a fresh :class:`~repro.core.results
+.LookupResult` per library read, a memoised wire fragment per served
+cell) and witness paths materialise lazily through the *same*
+:class:`~repro.core.columnar.ColumnarTable` code the live table
 uses — so answers are value-identical by construction, first-query
 latency stays bounded by one column, and pages of untouched members
 never fault in.
@@ -427,10 +428,11 @@ class _PackInterner:
 class _PackColumnarTable(ColumnarTable):
     """A :class:`~repro.core.columnar.ColumnarTable` whose columns load
     lazily from the mmapped buffer: cells are zero-copy views of the
-    file, result/witness materialisation is inherited unchanged, so
-    answers are value-identical to the live table's.  ``set_cell`` only
-    ever runs on :meth:`ColumnarColumn.copy` duplicates (real heap
-    arrays), so the read-only mapping is never written."""
+    file, and answering a cell (fresh result or memoised fragment) is
+    inherited unchanged, so answers are value-identical to the live
+    table's.  ``set_cell`` only ever runs on
+    :meth:`ColumnarColumn.copy` duplicates (real heap arrays), so the
+    read-only mapping is never written."""
 
     __slots__ = ("_pack",)
 
@@ -438,30 +440,20 @@ class _PackColumnarTable(ColumnarTable):
         super().__init__(pack.n_classes, pool=pack._entry_pool())
         self._pack = pack
 
-    def _ensure(self, mid: int) -> None:
-        if mid not in self.columns:
+    def _column(self, mid: int):
+        column = self.columns.get(mid)
+        if column is None:
             column = self._pack._load_column(mid)
             if column is not None:
                 self.columns[mid] = column
+        return column
 
     def load_all(self) -> None:
         """Fault every column in — the price of becoming a delta
         parent: ``apply_delta`` shares unaffected columns by reference,
         so they must all exist first."""
         for mid in self._pack._packed_mids():
-            self._ensure(mid)
-
-    def _gather_source(self, ch, member, group_size):
-        mid = ch.member_ids.get(member)
-        if mid is not None:
-            self._ensure(mid)
-        return super()._gather_source(ch, member, group_size)
-
-    def _result_one(self, ch, cid, class_name, member):
-        mid = ch.member_ids.get(member)
-        if mid is not None:
-            self._ensure(mid)
-        return super()._result_one(ch, cid, class_name, member)
+            self._column(mid)
 
     def apply_delta(self, ch, cone_ids, member_ids, entry_at):
         self.load_all()
@@ -839,7 +831,7 @@ class PackedTable:
         a ``memoryview.cast('q')`` of the mapped pages (every reader —
         gather materialisation, the guarded scalar path, COW ``copy`` —
         already speaks memoryview).  Witness cons cells decode eagerly
-        per column from the shared pool; results stay lazy."""
+        per column from the shared pool; fragments stay lazy."""
         directory = self._ints(_SEC_COLUMN_DIR)
         index = directory[mid]
         if index < 0:
@@ -867,7 +859,7 @@ class PackedTable:
         column.ready = False
         # Ids were range-checked above, so every cell is -1 or a slot.
         column.populated = n - cells.tolist().count(-1)
-        column.results = [None] * n
+        column.fragments = [None] * n
         if self.track_witnesses and self._n_wit:
             pool = self._wit_pool()
             column.witnesses = [
@@ -900,9 +892,8 @@ class PackedTable:
         )
 
     def lookup_many(self, queries) -> list[LookupResult]:
-        """A batch off the mapped buffer through the columnar gather —
-        same grouping, same materialisation, same results as the live
-        table's ``lookup_many``."""
+        """A batch off the mapped buffer, a fresh result per query —
+        the same results as the live table's ``lookup_many``."""
         return self._columnar().lookup_many(self._interner(), queries)
 
     def visible_members(self, class_name: str) -> tuple[str, ...]:
@@ -916,7 +907,9 @@ class PackedTable:
 
     def stats(self):
         """The serving columnar table's counters (lazy — ``None`` until
-        the first query)."""
+        the first query).  Library batches count in ``batches`` /
+        ``queries``; the gather counters move only for serving reads,
+        which run through :meth:`to_snapshot` (it shares this table)."""
         table = self._columnar_memo
         return table.stats if table is not None else None
 

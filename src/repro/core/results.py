@@ -8,16 +8,30 @@ ambiguity).  On top of these we expose a single user-facing
 carry a full witness path (the paper notes, end of Section 4, that
 carrying the path costs nothing because at most one red definition crosses
 each edge — compilers need it for code generation).
+
+A result also has one wire form, the JSON object of
+:func:`result_to_dict` encoded to UTF-8 by :func:`result_json`.  It
+lives here rather than in :mod:`repro.serve.protocol` (which re-exports
+it) because the columnar serving layout memoises each cell as exactly
+these bytes.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, fields
+import json
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.equivalence import SubobjectKey, subobject_key
-from repro.core.paths import Abstraction, Path
+from repro.core.paths import OMEGA, Abstraction, Path
+
+#: Wire tag for the Ω abstraction (distinct from any plausible class name).
+OMEGA_TAG = "Ω!"
+
+#: ``json.dumps(..., ensure_ascii=False)`` without building an encoder
+#: per call; the one encoder of the wire.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 class LookupStatus(enum.Enum):
@@ -51,12 +65,6 @@ class LookupResult:
     witness: Optional[Path] = None
     blue_abstractions: frozenset[Abstraction] = field(default_factory=frozenset)
     candidates: tuple[str, ...] = ()
-
-    def __getstate__(self) -> dict:
-        # Pickle the declared fields only: a serving layer may memoise a
-        # derived form of the answer in the instance dict, and that memo
-        # must neither travel nor change the pickled bytes.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def is_unique(self) -> bool:
@@ -139,6 +147,56 @@ def not_found_result(class_name: str, member: str) -> LookupResult:
     return LookupResult(
         class_name=class_name, member=member, status=LookupStatus.NOT_FOUND
     )
+
+
+def json_bytes(value) -> bytes:
+    """``value`` as UTF-8 JSON bytes (non-ASCII kept as is), through the
+    one wire encoder."""
+    return _ENCODER.encode(value).encode("utf-8")
+
+
+def _encode_abstraction(value: Optional[Abstraction]) -> Optional[str]:
+    if value is None:
+        return None
+    return OMEGA_TAG if value is OMEGA else value
+
+
+def result_to_dict(result: LookupResult) -> dict:
+    """A :class:`LookupResult` as a JSON-safe dict.
+
+    ``status`` is the enum's string value (``"unique"``,
+    ``"ambiguous"``, ``"not-found"``); the witness path becomes
+    ``{"nodes": [...], "virtuals": [...]}``; Ω becomes :data:`OMEGA_TAG`;
+    blue abstractions are emitted sorted so output is deterministic."""
+    out: dict = {
+        "class": result.class_name,
+        "member": result.member,
+        "status": result.status.value,
+    }
+    if result.declaring_class is not None:
+        out["declaring_class"] = result.declaring_class
+    if result.least_virtual is not None:
+        out["least_virtual"] = _encode_abstraction(result.least_virtual)
+    if result.witness is not None:
+        out["witness"] = {
+            "nodes": list(result.witness.nodes),
+            "virtuals": [bool(v) for v in result.witness.virtuals],
+        }
+    if result.blue_abstractions:
+        out["blue_abstractions"] = sorted(
+            _encode_abstraction(a) for a in result.blue_abstractions
+        )
+    if result.candidates:
+        out["candidates"] = list(result.candidates)
+    return out
+
+
+def result_json(result: LookupResult) -> bytes:
+    """The wire fragment of ``result``: the UTF-8 JSON encoding of
+    :func:`result_to_dict` ``(result)``, encoded afresh on every call
+    (the serving layout memoises the fragment per cell, not per
+    result)."""
+    return json_bytes(result_to_dict(result))
 
 
 def describe_disagreement(

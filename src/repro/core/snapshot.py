@@ -27,19 +27,26 @@ go.  A torn read is impossible by construction — there is no state a
 reader can observe half-written, because published state is never
 written again.
 
-Every read of a published snapshot — a point :meth:`TableSnapshot
-.lookup` or a :meth:`TableSnapshot.lookup_many` batch — answers from
-one layout: the columnar table, laid out lazily on the first read and
-derived copy-on-write by each publish after that.  A point read is the
-layout's memoised result cell.
+Every read of a published snapshot answers from one layout: the
+columnar table, laid out lazily on the first read and derived
+copy-on-write by each publish after that.  Reads come in two kinds
+over the same cells:
+
+* **serving reads** — :meth:`TableSnapshot.lookup_json` and
+  :meth:`TableSnapshot.lookup_many_json` — return each answer as its
+  wire fragment (``result_json`` bytes), which the layout memoises per
+  cell; a warm cell is nothing but those bytes.
+* **library reads** — :meth:`TableSnapshot.lookup` and
+  :meth:`TableSnapshot.lookup_many` — build a fresh
+  :class:`~repro.core.results.LookupResult` from the cell on every call
+  and keep nothing.
 
 The one deliberate reader-visible mutation is memoisation (the
-columnar layout memoises
-:class:`~repro.core.results.LookupResult` objects, the snapshot
-memoises its columnar layout and public Red/Blue conversions).  All
-are idempotent single-reference writes of value-identical objects, so
-racing readers can only ever install equal values — the answers are
-immutable even though the memo containers are not.
+columnar layout memoises fragments, the snapshot memoises its columnar
+layout and public Red/Blue conversions).  All are idempotent
+single-reference writes of equal values, so racing readers can only
+ever install equal values — the answers are immutable even though the
+memo containers are not.
 
 :class:`~repro.core.lookup.MemberLookupTable` is the thin writer over
 this tier: it owns the chain head, serializes ``apply_delta`` calls,
@@ -229,7 +236,7 @@ class TableSnapshot:
         this snapshot has laid out its columnar layout, derive the
         child's with ``ColumnarTable.apply_delta``.  Everything outside
         ``cone × affected-members`` — row dicts, columnar columns,
-        memoised results — is shared with this snapshot by reference.
+        memoised fragments — is shared with this snapshot by reference.
 
         Same generation returns ``self``; incomparable snapshots (never
         the case under the append-only graph API) fall back to a full
@@ -300,7 +307,7 @@ class TableSnapshot:
         parent_columnar = self._columnar
         if parent_columnar is not None:
             # Derive the child's columnar layout copy-on-write (O(delta),
-            # unaffected columns and warm result memos shared); a parent
+            # unaffected columns and warm fragments shared); a parent
             # that never materialised one leaves the child lazy too.
             child._columnar = parent_columnar.apply_delta(
                 new,
@@ -325,13 +332,24 @@ class TableSnapshot:
         Raises :class:`~repro.errors.UnknownClassError` for a class
         this generation has never heard of.
 
-        The answer is the columnar layout's memoised result cell, so a
-        repeated query returns the same object."""
+        The answer is a fresh result built from the columnar cell; the
+        snapshot keeps nothing of it."""
         ch = self.ch
         cid = ch.class_ids.get(class_name)
         if cid is None:
             raise UnknownClassError(class_name)
         return self.columnar_table()._result_one(ch, cid, class_name, member)
+
+    def lookup_json(self, class_name: str, member: str) -> bytes:
+        """The wire fragment of ``lookup(C, m)`` — ``result_json`` of
+        :meth:`lookup`'s answer — memoised on the columnar cell, so a
+        repeated query returns the same bytes object.  Raises like
+        :meth:`lookup`."""
+        ch = self.ch
+        cid = ch.class_ids.get(class_name)
+        if cid is None:
+            raise UnknownClassError(class_name)
+        return self.columnar_table()._json_one(ch, cid, class_name, member)
 
     def columnar_table(self) -> ColumnarTable:
         """The dense serving layout of this generation
@@ -358,10 +376,17 @@ class TableSnapshot:
         self, queries: Iterable[tuple[str, str]]
     ) -> list[LookupResult]:
         """Answer a batch of ``(class, member)`` queries against this
-        one generation — the coherent multi-query read the service
-        tier's ``lookup_many`` op is built on — by vectorized
-        per-member gathers over the columnar layout."""
+        one generation, a fresh result per query."""
         return self.columnar_table().lookup_many(self.ch, queries)
+
+    def lookup_many_json(
+        self, queries: Iterable[tuple[str, str]]
+    ) -> list[bytes]:
+        """The wire fragments of a batch against this one generation —
+        the coherent multi-query read the service tier's
+        ``lookup_many`` op is built on — by one gather per distinct
+        member over the columnar layout's fragment memo."""
+        return self.columnar_table().lookup_many_json(self.ch, queries)
 
     def entry(self, class_name: str, member: str) -> Optional[TableEntry]:
         """The raw Red/Blue table entry (``None`` if ``m`` is not a

@@ -61,7 +61,7 @@ from repro.core.certify import certify
 from repro.core.lazy import LazyMemberLookup
 from repro.core.lookup import build_lookup_table, lookup
 from repro.core.snapshot import TableSnapshot
-from repro.core.results import describe_disagreement
+from repro.core.results import describe_disagreement, result_json
 from repro.core.semantics import SEMANTICS_NAMES
 from repro.fuzz import ENGINES
 from repro.fuzz.corpus import CorpusEntry, replay_corpus, save_entry
@@ -98,15 +98,24 @@ MISSING_MEMBER = "fuzz_absent_member"
 
 
 class _ColumnarProbe:
-    """Adapter giving the columnar batch kernel the campaign's engine
-    shape: ``lookup(C, m)`` is a one-element ``lookup_many`` batch, so
-    every differential probe exercises the dense-array gather path."""
+    """Adapter giving the columnar serving read the campaign's engine
+    shape: ``lookup(C, m)`` is a one-element ``lookup_many_json`` batch
+    whose wire fragment must equal the encoding of the library answer
+    (a mismatch raises, which the campaign records as an exception
+    divergence); the library answer then goes to the oracle."""
 
     def __init__(self, snapshot: TableSnapshot) -> None:
         self._snapshot = snapshot
 
     def lookup(self, class_name: str, member: str):
-        return self._snapshot.lookup_many([(class_name, member)])[0]
+        query = (class_name, member)
+        (fragment,) = self._snapshot.lookup_many_json([query])
+        result = self._snapshot.lookup_many([query])[0]
+        if fragment != result_json(result):
+            raise ValueError(
+                f"wire fragment {fragment!r} does not encode {result}"
+            )
+        return result
 
 
 def _lazy_replay(graph: ClassHierarchyGraph) -> LazyMemberLookup:
@@ -151,9 +160,10 @@ def build_engine(name: str, graph: ClassHierarchyGraph):
         return TableSnapshot.build(graph)
     if name == "columnar":
         # The same published snapshot, but every query is answered by
-        # the columnar batch kernel: lookup() routes through a
-        # one-element lookup_many(), so the dense-array gather path is
-        # differentially checked against the oracle like any engine.
+        # the columnar serving read: lookup() routes through a
+        # one-element lookup_many_json() checked against the library
+        # answer, which is differentially checked against the oracle
+        # like any engine.
         return _ColumnarProbe(TableSnapshot.build(graph))
     raise ValueError(f"unknown engine {name!r} (choose from {ENGINES})")
 

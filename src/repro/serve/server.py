@@ -58,13 +58,16 @@ connection closes after its next reply.
 Replies
 -------
 
-A ``lookup`` / ``lookup_many`` reply is assembled from bytes: each
-answer's wire form is tabulated on its result cell
-(:func:`~repro.serve.protocol.result_json`), so a repeated query costs
-a byte join around the request id, and a batch joins its fragments.
-The memo rides on the cells, which copy-on-write publishes share
-outside a delta's cone, so no publish invalidates anything.  Every
-other op encodes its reply dict with
+A ``lookup`` / ``lookup_many`` reply is assembled from bytes: the
+service's bytes reads (:meth:`~repro.serve.service.LookupService
+.lookup_json` / ``lookup_many_json``) return each answer's wire
+fragment, which the snapshot's columnar layout memoises per cell, so a
+repeated query costs a byte join around the request id
+(:func:`~repro.serve.protocol.ok_line`), and a batch joins its
+fragments.  No :class:`~repro.core.results.LookupResult` is kept for a
+warm cell.  The memo rides on the cells, which copy-on-write publishes
+share outside a delta's cone, so no publish invalidates anything.
+Every other op encodes its reply dict with
 :func:`~repro.serve.protocol.encode_line`.
 
 Blank lines are skipped.  A line that is not a JSON object, and a
@@ -85,7 +88,6 @@ from repro.serve.protocol import (
     error_response,
     ok_line,
     ok_response,
-    result_json,
 )
 from repro.serve.service import LookupService, UnknownTenantError
 
@@ -239,20 +241,18 @@ class ServeFront:
         (``apply_delta``, ``remove_tenant``)."""
         op = request.get("op")
         if op == "lookup":
-            result = self.service.lookup(
+            fragment = self.service.lookup_json(
                 _field(request, op, "tenant"),
                 _field(request, op, "class"),
                 _field(request, op, "member"),
             )
-            return ok_line(request_id, result_json(result))
+            return ok_line(request_id, fragment)
         if op == "lookup_many":
-            results = self.service.lookup_many(
+            fragments = self.service.lookup_many_json(
                 _field(request, op, "tenant"),
                 _queries(_field(request, op, "queries")),
             )
-            return ok_line(
-                request_id, b"[" + b", ".join(map(result_json, results)) + b"]"
-            )
+            return ok_line(request_id, b"[" + b", ".join(fragments) + b"]")
         return encode_line(ok_response(request_id, self._dispatch(op, request)))
 
     async def _write(self, request_id, request: dict) -> bytes:

@@ -7,9 +7,14 @@ with its own snapshot chain: the tenant's
 and reads are lock-free — a query captures the tenant's chain head once
 and answers against that one generation no matter what the writer does
 concurrently.  Point and batch reads both answer straight from the
-captured snapshot's memoised columnar layout, so the service keeps no
-answer cache of its own: a publish or a removed tenant leaves nothing
-stale behind.
+captured snapshot's columnar layout, so the service keeps no answer
+cache of its own: a publish or a removed tenant leaves nothing stale
+behind.  The front's reads (:meth:`LookupService.lookup_json` /
+:meth:`LookupService.lookup_many_json`) return the wire fragments the
+layout memoises per cell; :meth:`LookupService.lookup` /
+:meth:`LookupService.lookup_many` build fresh
+:class:`~repro.core.results.LookupResult` objects for library callers.
+Both kinds of read count in the tenant's ``lookups`` / ``batches``.
 
 This module is transport-free on purpose: the asyncio newline-JSON
 front lives in :mod:`repro.serve.server` (one writer task per tenant
@@ -124,7 +129,8 @@ class LookupService:
     :class:`~repro.hierarchy.graph.ClassHierarchyGraph`, a ``repro-chg``
     dict (the :mod:`repro.hierarchy.serialize` wire format), or
     ``None`` for an empty hierarchy to grow through ``apply_delta``.
-    Reads (:meth:`lookup` / :meth:`lookup_many`) capture the tenant's
+    Reads (:meth:`lookup` / :meth:`lookup_many` and their bytes forms
+    :meth:`lookup_json` / :meth:`lookup_many_json`) capture the tenant's
     chain head once and are safe from any thread; writes
     (:meth:`apply_delta`) must be serialized per tenant by the caller —
     the asyncio front does this with one writer task per tenant.
@@ -237,7 +243,8 @@ class LookupService:
     def lookup(
         self, tenant_name: str, class_name: str, member: str
     ) -> LookupResult:
-        """``lookup(C, m)`` for one tenant, against its chain head."""
+        """``lookup(C, m)`` for one tenant, against its chain head, as a
+        fresh result; counts one lookup."""
         tenant = self.tenant(tenant_name)
         result = tenant.table.snapshot.lookup(class_name, member)
         tenant.stats.lookups += 1
@@ -248,10 +255,34 @@ class LookupService:
     ) -> list[LookupResult]:
         """A batch of queries answered against **one** captured
         snapshot — a publish cannot split the batch across
-        generations — as one vectorized gather over its columnar
-        layout (:meth:`TableSnapshot.lookup_many`)."""
+        generations — as fresh results; counts one batch and its
+        lookups."""
         tenant = self.tenant(tenant_name)
         out = tenant.table.snapshot.lookup_many(queries)
+        tenant.stats.lookups += len(out)
+        tenant.stats.batches += 1
+        return out
+
+    def lookup_json(
+        self, tenant_name: str, class_name: str, member: str
+    ) -> bytes:
+        """The wire fragment of ``lookup(C, m)`` against the tenant's
+        chain head (:meth:`TableSnapshot.lookup_json`); counts one
+        lookup."""
+        tenant = self.tenant(tenant_name)
+        fragment = tenant.table.snapshot.lookup_json(class_name, member)
+        tenant.stats.lookups += 1
+        return fragment
+
+    def lookup_many_json(
+        self, tenant_name: str, queries: Iterable[Sequence[str]]
+    ) -> list[bytes]:
+        """The wire fragments of a batch answered against **one**
+        captured snapshot, as one gather per distinct member over its
+        columnar layout (:meth:`TableSnapshot.lookup_many_json`);
+        counts one batch and its lookups."""
+        tenant = self.tenant(tenant_name)
+        out = tenant.table.snapshot.lookup_many_json(queries)
         tenant.stats.lookups += len(out)
         tenant.stats.batches += 1
         return out

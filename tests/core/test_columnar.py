@@ -1,13 +1,18 @@
 """The columnar batch-query kernel (``repro.core.columnar``).
 
 These tests pin the whole contract of the dense layout: entry interning
-over the shared pool (blue entries included), strict result equality of the gather
-against the per-member reference table on every workload family,
+over the shared pool (blue entries included), strict result equality of
+library reads against the per-member reference table on every workload
+family, byte equality of the serving gather's wire fragments with the
+encoding of those results,
 copy-on-write delta derivation (parent untouched, unaffected columns
 shared by reference, short shared columns bounds-guarded), and the
 batch's error semantics (first unknown class raises, unknown members
 answer NOT_FOUND).
 """
+
+import gc
+import tracemalloc
 
 import pytest
 
@@ -16,6 +21,7 @@ from repro.core.flatpack import mmap_table, pack
 from repro.core.kernel import KernelBlue, batched_sweep
 from repro.core.lookup import build_lookup_table
 from repro.core.paths import OMEGA
+from repro.core.results import LookupResult, result_json
 from repro.core.snapshot import TableSnapshot
 from repro.errors import UnknownClassError
 from repro.serve.service import LookupService
@@ -25,6 +31,7 @@ from repro.workloads.generators import (
     blue_heavy_hierarchy,
     chain,
     grid,
+    layered_hierarchy,
     nonvirtual_diamond_ladder,
     random_hierarchy,
     virtual_diamond_ladder,
@@ -49,15 +56,22 @@ def build_columnar(graph):
 
 
 def assert_batch_matches_rows(graph):
-    """Strict equality (witnesses included) of one big gather against
-    the independent per-member reference table."""
+    """Strict equality (witnesses included) of one big library batch
+    against the independent per-member reference table, and of the
+    serving gather's fragments with the encoding of those answers."""
     ch, table = build_columnar(graph)
     rows = build_lookup_table(graph)
     queries = all_queries(graph)
     batched = table.lookup_many(ch, queries)
-    assert len(batched) == len(queries)
-    for (class_name, member), result in zip(queries, batched):
+    fragments = table.lookup_many_json(ch, queries)
+    assert len(batched) == len(fragments) == len(queries)
+    for (class_name, member), result, fragment in zip(
+        queries, batched, fragments
+    ):
         assert result == rows.lookup(class_name, member), (
+            f"columnar batch drifted on {class_name}::{member}"
+        )
+        assert fragment == result_json(result), (
             f"columnar gather drifted on {class_name}::{member}"
         )
 
@@ -245,21 +259,30 @@ def test_gather_matches_row_path(graph_factory):
 def test_large_single_member_batch_uses_one_gather():
     ch, table = build_columnar(chain(64))
     queries = [(name, "m") for name in ch.class_names]
-    out = table.lookup_many(ch, queries)
-    assert all(result.is_unique for result in out)
+    out = table.lookup_many_json(ch, queries)
+    assert out == [
+        result_json(result) for result in table.lookup_many(ch, queries)
+    ]
     assert table.stats.gathers == 1
     assert table.stats.scalar_serves == 0
-    # The column is now fully memoised; a repeat gather reuses it.
-    table.lookup_many(ch, queries)
+    # The column is now fully memoised; a repeat gather reuses it, bytes
+    # object for bytes object.
+    again = table.lookup_many_json(ch, queries)
+    assert all(a is b for a, b in zip(again, out))
     assert table.stats.columns_materialized == 1
+    assert table.stats.gathers == 2
+    # The library batch counts as a batch, and gathers nothing.
+    assert table.stats.batches == 3
+    assert table.stats.queries == 3 * len(queries)
 
 
 def test_small_batch_stays_scalar():
     """A tiny batch over a huge cold column must not pay O(|N|)
     materialisation — the guarded per-query path serves it."""
     ch, table = build_columnar(chain(200))
-    out = table.lookup_many(ch, [("C199", "m"), ("C0", "m")])
-    assert [r.is_unique for r in out] == [True, True]
+    queries = [("C199", "m"), ("C0", "m")]
+    out = table.lookup_many_json(ch, queries)
+    assert out == [result_json(r) for r in table.lookup_many(ch, queries)]
     assert table.stats.columns_materialized == 0
     assert table.stats.scalar_serves == 2
 
@@ -396,23 +419,74 @@ def test_snapshot_lazy_columnar_is_memoised():
 
 
 def test_point_reads_return_the_memoised_cell(tmp_path):
-    """An ambiguous cell lies outside the flat overlay, so point reads
-    answer it from the columnar layout's memo — the same object every
-    time, on a built snapshot and on a tenant booted from a pack."""
+    """A served point read answers an ambiguous cell from the columnar
+    layout's memo — the same fragment bytes object every time, on a
+    built snapshot and on a tenant booted from a pack — while a library
+    read builds an equal result afresh on every call."""
     graph = ambiguous_fan(5)
     expected = build_lookup_table(graph)
     snapshot = TableSnapshot.build(graph)
     class_name, member = snapshot.ambiguous_queries()[0]
-    first = snapshot.lookup(class_name, member)
-    assert first.is_ambiguous
-    assert first == expected.lookup(class_name, member)
-    assert snapshot.lookup(class_name, member) is first
+    want = expected.lookup(class_name, member)
+    assert want.is_ambiguous
 
     path = tmp_path / "fan.pack"
     pack(snapshot, path)
     service = LookupService()
     service.add_tenant("t", pack=path)
     booted = service.tenant("t").snapshot
-    first = booted.lookup(class_name, member)
-    assert first == expected.lookup(class_name, member)
-    assert booted.lookup(class_name, member) is first
+    for reader in (snapshot, booted):
+        first = reader.lookup_json(class_name, member)
+        assert first == result_json(want)
+        assert reader.lookup_json(class_name, member) is first
+        result = reader.lookup(class_name, member)
+        assert result == want
+        assert reader.lookup(class_name, member) is not result
+
+
+# ----------------------------------------------------------------------
+# What a warm cell keeps alive
+# ----------------------------------------------------------------------
+
+#: Bound on the ``tracemalloc`` bytes one warm cell keeps alive.  On the
+#: hierarchy below a warm cell read 2048 B while the memo held a
+#: ``LookupResult`` (with its names, witness path and memoised wire
+#: bytes) and reads 220 B now that it holds the wire fragment alone.
+WARM_CELL_BYTES = 700
+
+
+def _live_results() -> int:
+    return sum(1 for o in gc.get_objects() if type(o) is LookupResult)
+
+
+def test_warm_cells_keep_only_their_wire_bytes():
+    """Warming every cell through the serving gather leaves no
+    ``LookupResult`` alive, and each warm cell costs about its fragment
+    bytes — on a layered DAG where half the cells are ambiguous."""
+    vocab = tuple(f"m{i:02d}" for i in range(12))
+    graph = layered_hierarchy(
+        16, 16, seed=0, member_names=vocab, member_probability=0.2
+    )
+    snapshot = TableSnapshot.build(graph)
+    snapshot.columnar_table()  # the cold layout is not the memo
+    queries = [(c, m) for c in graph.classes for m in vocab]
+    assert len(snapshot.ambiguous_queries()) > len(queries) // 3
+    gc.collect()
+    results_before = _live_results()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        fragments = snapshot.lookup_many_json(queries)
+        assert len(fragments) == len(queries)
+        del fragments
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert _live_results() == results_before
+    stats = snapshot.columnar_stats()
+    assert stats.columns_materialized == len(vocab)
+    assert kept / len(queries) < WARM_CELL_BYTES, (
+        f"{kept / len(queries):.0f} B kept per warm cell"
+    )

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.flatpack import mmap_table, pack
 from repro.core.lookup import MemberLookupTable, build_lookup_table
+from repro.core.results import result_json
 from repro.core.snapshot import TableSnapshot
 from repro.serve.service import LookupService
 from repro.workloads.generators import (
@@ -166,6 +167,14 @@ def test_service_batch_equals_one_shot():
     stats = service.stats("t")["tenants"]["t"]
     assert stats["batches"] == 1
     assert stats["lookups"] == 2 * len(queries)
+    # The served (bytes) reads are the encodings of the same answers,
+    # and count like the library reads.
+    fragments = service.lookup_many_json("t", queries)
+    assert fragments == [result_json(r) for r in batch]
+    assert fragments == [service.lookup_json("t", c, m) for c, m in queries]
+    stats = service.stats("t")["tenants"]["t"]
+    assert stats["batches"] == 2
+    assert stats["lookups"] == 4 * len(queries)
 
 
 def test_service_batch_tracks_deltas():

@@ -1,7 +1,8 @@
 """Byte identity of the tabulated wire form.
 
-A ``lookup`` reply is ``ok_line(id, result_json(r))`` and a
-``lookup_many`` reply joins the cells' fragments; both must equal the
+A ``lookup`` reply is ``ok_line(id, fragment)`` around the cell's
+memoised wire fragment and a ``lookup_many`` reply joins the cells'
+fragments; both must equal the
 dict path ``encode_line(ok_response(id, result_to_dict(...)))`` byte for
 byte, for every cell of the paper figures and of a seeded random
 family under every dispatch rule."""
@@ -28,8 +29,8 @@ from tests.support import all_queries
 #: Request ids of every JSON kind a client may send.
 IDS = (0, 7, -12, 2**70, 1.5, -0.25, "r-1", "ключ-Ω", "", None, True)
 
-#: A member no hierarchy declares: its answer is a fresh not-found
-#: result that no layout memoises.
+#: A member no hierarchy declares: its point answer is a not-found
+#: fragment that no layout memoises.
 ABSENT = "no_such_member"
 
 
@@ -91,17 +92,17 @@ def test_point_reply_bytes_equal_the_dict_path():
     for tenant, queries in keys.items():
         for class_name, member in queries:
             result = service.lookup(tenant, class_name, member)
-            cold = result_json(result)
+            cold = service.lookup_json(tenant, class_name, member)
+            assert cold == result_json(result)
             for request_id in IDS:
-                assert ok_line(request_id, result_json(result)) == dict_line(
+                assert ok_line(request_id, cold) == dict_line(
                     request_id, result
                 ), (tenant, class_name, member, request_id)
-            again = service.lookup(tenant, class_name, member)
+            again = service.lookup_json(tenant, class_name, member)
             if member == ABSENT:
-                assert result_json(again) == cold
+                assert again == cold
             else:
-                assert again is result
-                assert result_json(again) is cold
+                assert again is cold
 
 
 def test_batch_reply_bytes_equal_the_dict_path():
@@ -157,12 +158,14 @@ def test_empty_batch_reply():
 
 
 def test_warm_memo_is_invisible_to_value_semantics():
-    """Equality, hash, repr, copies and pickling of a result whose wire
-    form is memoised match those of an equal result that never was."""
+    """Equality, hash, repr, copies and pickling of a result read from
+    a warm cell (its fragment memoised) match those of an equal result
+    from a cell that never was."""
     service, keys = hosted()
     twin, _ = hosted()
     tenant = "figure9/cpp-dominance"
     for class_name, member in keys[tenant]:
+        service.lookup_json(tenant, class_name, member)
         warm = service.lookup(tenant, class_name, member)
         cold = twin.lookup(tenant, class_name, member)
         result_json(warm)

@@ -178,7 +178,8 @@ def test_fragment_memo_across_a_publish():
         async with serving(service) as wire:
             before = await both(wire)
             old = service.tenant("t").snapshot
-            old_fragment = result_json(old.lookup(*second))
+            old_fragment = old.lookup_json(*second)
+            assert old_fragment == result_json(old.lookup(*second))
             applied = json.loads(
                 await wire.call(
                     {
@@ -196,7 +197,7 @@ def test_fragment_memo_across_a_publish():
             after = await both(wire)
             new = service.tenant("t").snapshot
             assert new.generation > old.generation
-            assert result_json(new.lookup(*second)) is old_fragment
+            assert new.lookup_json(*second) is old_fragment
             return before, after
 
     before, after = asyncio.run(scenario())
