@@ -24,30 +24,30 @@ Quickstart::
     print(table.lookup("E", "m"))   # resolves to D::m
 """
 
-from repro.core import (
-    OMEGA,
-    LazyMemberLookup,
-    LookupResult,
-    LookupStatus,
-    MemberLookupTable,
-    Path,
-    StaticAwareLookupTable,
-    build_lookup_table,
-    lookup,
-    path_in,
+from repro._lazy import export_lazily
+
+export_lazily(
+    __name__,
+    {
+        "repro.core.lazy": ("LazyMemberLookup",),
+        "repro.core.lookup": (
+            "MemberLookupTable",
+            "build_lookup_table",
+            "lookup",
+        ),
+        "repro.core.paths": ("OMEGA", "Path", "path_in"),
+        "repro.core.results": ("LookupResult", "LookupStatus"),
+        "repro.core.static_lookup": ("StaticAwareLookupTable",),
+        "repro.errors": ("HierarchyError", "ReproError"),
+        "repro.hierarchy.builder": ("HierarchyBuilder", "hierarchy_from_spec"),
+        "repro.hierarchy.graph": ("ClassHierarchyGraph",),
+        "repro.hierarchy.members": ("Access", "Member", "MemberKind"),
+        "repro.hierarchy.topo": ("topological_order",),
+        "repro.hierarchy.virtual_bases": ("virtual_bases",),
+        "repro.subobjects.graph": ("SubobjectGraph",),
+        "repro.subobjects.reference": ("ReferenceLookup", "reference_lookup"),
+    },
 )
-from repro.errors import HierarchyError, ReproError
-from repro.hierarchy import (
-    Access,
-    ClassHierarchyGraph,
-    HierarchyBuilder,
-    Member,
-    MemberKind,
-    hierarchy_from_spec,
-    topological_order,
-    virtual_bases,
-)
-from repro.subobjects import ReferenceLookup, SubobjectGraph, reference_lookup
 
 __version__ = "1.0.0"
 

@@ -48,9 +48,8 @@ ambiguous; a built table answers each query in O(1).
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
-from repro.core.columnar import ColumnarStats, ColumnarTable
 from repro.core.kernel import (
     BlueEntry,
     KernelBlue,
@@ -61,7 +60,6 @@ from repro.core.kernel import (
     result_from_entry,
     to_table_entry,
 )
-from repro.core.lazy import LazyMemberLookup
 from repro.core.results import LookupResult, not_found_result
 from repro.errors import UnknownClassError
 from repro.core.semantics import DEFAULT_SEMANTICS, Semantics, get_semantics
@@ -73,6 +71,9 @@ from repro.hierarchy.compiled import (
     hierarchy_of,
 )
 from repro.hierarchy.graph import ClassHierarchyGraph
+
+if TYPE_CHECKING:
+    from repro.core.columnar import ColumnarStats, ColumnarTable
 
 __all__ = [
     "BUILD_MODES",
@@ -464,5 +465,7 @@ def lookup(
     source = hierarchy_of(graph)
     engine = getattr(source, "_one_shot_lookup", None)
     if engine is None:
+        from repro.core.lazy import LazyMemberLookup
+
         engine = source._one_shot_lookup = LazyMemberLookup(source)
     return engine.lookup(class_name, member)

@@ -21,10 +21,12 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.equivalence import SubobjectKey, subobject_key
 from repro.core.paths import OMEGA, Abstraction, Path
+
+if TYPE_CHECKING:
+    from repro.core.equivalence import SubobjectKey
 
 #: Wire tag for the Ω abstraction (distinct from any plausible class name).
 OMEGA_TAG = "Ω!"
@@ -84,6 +86,8 @@ class LookupResult:
         available."""
         if self.witness is None:
             return None
+        from repro.core.equivalence import subobject_key
+
         return subobject_key(self.witness)
 
     def qualified_name(self) -> str:
@@ -228,10 +232,7 @@ def describe_disagreement(
         compare_subobject
         and left.witness is not None
         and right.witness is not None
-        and subobject_key(left.witness) != subobject_key(right.witness)
+        and left.subobject != right.subobject
     ):
-        return (
-            f"subobject {subobject_key(left.witness)} != "
-            f"{subobject_key(right.witness)}"
-        )
+        return f"subobject {left.subobject} != {right.subobject}"
     return None

@@ -57,9 +57,8 @@ and swaps the head atomically.  The multi-tenant service front in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 
-from repro.core.columnar import ColumnarTable
 from repro.core.kernel import (
     KernelBlue,
     LookupStats,
@@ -75,6 +74,9 @@ from repro.hierarchy.compiled import (
     compiled_of,
     describe_delta,
 )
+
+if TYPE_CHECKING:
+    from repro.core.columnar import ColumnarTable
 
 __all__ = [
     "DeltaStats",
@@ -362,6 +364,8 @@ class TableSnapshot:
         keeps the lock-free reader contract."""
         table = self._columnar
         if table is None:
+            from repro.core.columnar import ColumnarTable
+
             table = ColumnarTable.from_rows(self.ch, self.rows)
             self._columnar = table
         return table

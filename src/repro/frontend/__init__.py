@@ -1,32 +1,39 @@
 """A frontend for the class-hierarchy subset of C++."""
 
-from repro.frontend.cpp_ast import (
-    AccessOp,
-    BaseSpecifier,
-    ClassDecl,
-    FunctionDef,
-    MemberAccess,
-    MemberDecl,
-    TranslationUnit,
-    VarDecl,
+from repro._lazy import export_lazily
+
+export_lazily(
+    __name__,
+    {
+        "repro.frontend.cpp_ast": (
+            "AccessOp",
+            "BaseSpecifier",
+            "ClassDecl",
+            "FunctionDef",
+            "MemberAccess",
+            "MemberDecl",
+            "TranslationUnit",
+            "VarDecl",
+        ),
+        "repro.frontend.errors": (
+            "Diagnostic",
+            "DiagnosticBag",
+            "ParseError",
+            "SemanticError",
+            "Severity",
+        ),
+        "repro.frontend.lexer": ("Token", "TokenKind", "tokenize"),
+        "repro.frontend.parser": ("Parser", "parse"),
+        "repro.frontend.sema": (
+            "IncrementalSema",
+            "Program",
+            "ResolvedAccess",
+            "analyze",
+            "analyze_or_raise",
+        ),
+        "repro.frontend.source": ("SourceLocation", "caret_snippet"),
+    },
 )
-from repro.frontend.errors import (
-    Diagnostic,
-    DiagnosticBag,
-    ParseError,
-    SemanticError,
-    Severity,
-)
-from repro.frontend.lexer import Token, TokenKind, tokenize
-from repro.frontend.parser import Parser, parse
-from repro.frontend.sema import (
-    IncrementalSema,
-    Program,
-    ResolvedAccess,
-    analyze,
-    analyze_or_raise,
-)
-from repro.frontend.source import SourceLocation, caret_snippet
 
 __all__ = [
     "AccessOp",

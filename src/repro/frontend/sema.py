@@ -11,10 +11,9 @@ using the static-member-aware variant, as a real compiler must.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.results import LookupResult
-from repro.core.static_lookup import StaticAwareLookupTable
 from repro.errors import HierarchyError
 from repro.frontend.cpp_ast import (
     AccessOp,
@@ -27,6 +26,9 @@ from repro.frontend.errors import DiagnosticBag, SemanticError
 from repro.frontend.parser import parse
 from repro.hierarchy.graph import ClassHierarchyGraph
 from repro.hierarchy.members import Member
+
+if TYPE_CHECKING:
+    from repro.core.static_lookup import StaticAwareLookupTable
 
 
 @dataclass(frozen=True)
@@ -56,6 +58,8 @@ class Program:
     @property
     def lookup_table(self) -> StaticAwareLookupTable:
         if self._table is None:
+            from repro.core.static_lookup import StaticAwareLookupTable
+
             self._table = StaticAwareLookupTable(self.hierarchy)
         return self._table
 

@@ -12,7 +12,7 @@ Failures are delta-debugged to minimal counterexamples
 (:mod:`repro.fuzz.report`).  CLI: ``repro fuzz``.
 """
 
-from importlib import import_module
+from repro._lazy import export_lazily
 
 #: The full engine matrix a campaign compares by default: the eager
 #: table in its two build modes, the lazy engine replaying the hierarchy with queries interleaved between
@@ -29,46 +29,46 @@ ENGINES: tuple[str, ...] = (
     "columnar",
 )
 
-#: Every other public name and the submodule defining it.  They load on
-#: first access, so ``repro fuzz --help`` can list :data:`ENGINES`
+#: Every other public name, by the submodule defining it.  They load
+#: on first access, so ``repro fuzz --help`` can list :data:`ENGINES`
 #: without importing the campaign machinery into every CLI start.
-_SOURCES = {
-    "Divergence": "campaign",
-    "build_engine": "campaign",
-    "differential_check": "campaign",
-    "run_campaign": "campaign",
-    "CATALOG": "cross_semantics",
-    "CatalogEntry": "cross_semantics",
-    "PairDivergence": "cross_semantics",
-    "catalog_entry_for": "cross_semantics",
-    "cross_semantics_check": "cross_semantics",
-    "cross_semantics_divergences": "cross_semantics",
-    "semantics_outcomes": "cross_semantics",
-    "CORPUS_FORMAT": "corpus",
-    "CORPUS_VERSION": "corpus",
-    "CorpusEntry": "corpus",
-    "entry_from_dict": "corpus",
-    "entry_to_dict": "corpus",
-    "iter_corpus": "corpus",
-    "load_entry": "corpus",
-    "replay_corpus": "corpus",
-    "save_entry": "corpus",
-    "MUTATORS": "mutators",
-    "AppliedMutation": "mutators",
-    "Mutator": "mutators",
-    "copy_hierarchy": "mutators",
-    "mutate": "mutators",
-    "CampaignReport": "report",
-    "Finding": "report",
-    "ShrinkResult": "shrink",
-    "shrink_hierarchy": "shrink",
+_EXPORTS = {
+    "repro.fuzz.campaign": (
+        "Divergence",
+        "build_engine",
+        "differential_check",
+        "run_campaign",
+    ),
+    "repro.fuzz.cross_semantics": (
+        "CATALOG",
+        "CatalogEntry",
+        "PairDivergence",
+        "catalog_entry_for",
+        "cross_semantics_check",
+        "cross_semantics_divergences",
+        "semantics_outcomes",
+    ),
+    "repro.fuzz.corpus": (
+        "CORPUS_FORMAT",
+        "CORPUS_VERSION",
+        "CorpusEntry",
+        "entry_from_dict",
+        "entry_to_dict",
+        "iter_corpus",
+        "load_entry",
+        "replay_corpus",
+        "save_entry",
+    ),
+    "repro.fuzz.mutators": (
+        "MUTATORS",
+        "AppliedMutation",
+        "Mutator",
+        "copy_hierarchy",
+        "mutate",
+    ),
+    "repro.fuzz.report": ("CampaignReport", "Finding"),
+    "repro.fuzz.shrink": ("ShrinkResult", "shrink_hierarchy"),
 }
+export_lazily(__name__, _EXPORTS)
 
-__all__ = ["ENGINES", *_SOURCES]
-
-
-def __getattr__(name: str):
-    source = _SOURCES.get(name)
-    if source is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(import_module(f"{__name__}.{source}"), name)
+__all__ = ["ENGINES", *(name for names in _EXPORTS.values() for name in names)]

@@ -1,26 +1,33 @@
 """The class hierarchy graph substrate (paper, Section 2)."""
 
-from repro.hierarchy.builder import HierarchyBuilder, hierarchy_from_spec
-from repro.hierarchy.compiled import (
-    OMEGA_ID,
-    CompiledHierarchy,
-    HierarchyDelta,
-    compile_hierarchy,
-    compiled_of,
-    describe_delta,
-    hierarchy_of,
+from repro._lazy import export_lazily
+
+export_lazily(
+    __name__,
+    {
+        "repro.hierarchy.builder": ("HierarchyBuilder", "hierarchy_from_spec"),
+        "repro.hierarchy.compiled": (
+            "OMEGA_ID",
+            "CompiledHierarchy",
+            "HierarchyDelta",
+            "compile_hierarchy",
+            "compiled_of",
+            "describe_delta",
+            "hierarchy_of",
+        ),
+        "repro.hierarchy.graph": ("ClassHierarchyGraph", "Inheritance"),
+        "repro.hierarchy.members": ("Access", "Member", "MemberKind", "as_member"),
+        "repro.hierarchy.serialize": (
+            "SerializationError",
+            "dumps",
+            "hierarchy_from_dict",
+            "hierarchy_to_dict",
+            "loads",
+        ),
+        "repro.hierarchy.topo": ("topological_numbers", "topological_order"),
+        "repro.hierarchy.virtual_bases": ("is_virtual_base", "virtual_bases"),
+    },
 )
-from repro.hierarchy.graph import ClassHierarchyGraph, Inheritance
-from repro.hierarchy.members import Access, Member, MemberKind, as_member
-from repro.hierarchy.serialize import (
-    SerializationError,
-    dumps,
-    hierarchy_from_dict,
-    hierarchy_to_dict,
-    loads,
-)
-from repro.hierarchy.topo import topological_numbers, topological_order
-from repro.hierarchy.virtual_bases import is_virtual_base, virtual_bases
 
 __all__ = [
     "Access",

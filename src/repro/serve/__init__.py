@@ -11,15 +11,22 @@ per tenant serializing its deltas, and
 client.
 """
 
-from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.protocol import result_to_dict
-from repro.serve.server import ServeFront
-from repro.serve.service import (
-    DuplicateTenantError,
-    LookupService,
-    Tenant,
-    TenantStats,
-    UnknownTenantError,
+from repro._lazy import export_lazily
+
+export_lazily(
+    __name__,
+    {
+        "repro.serve.client": ("ServeClient", "ServeClientError"),
+        "repro.serve.protocol": ("result_to_dict",),
+        "repro.serve.server": ("ServeFront",),
+        "repro.serve.service": (
+            "DuplicateTenantError",
+            "LookupService",
+            "Tenant",
+            "TenantStats",
+            "UnknownTenantError",
+        ),
+    },
 )
 
 __all__ = [

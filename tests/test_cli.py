@@ -1,14 +1,23 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import os
+import re
+import socket
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
 from repro.hierarchy.serialize import dumps
 from repro.workloads.paper_figures import (
     figure1_source,
     figure3,
+    figure9,
     figure9_source,
 )
 
@@ -117,6 +126,23 @@ class TestTable:
         out = capsys.readouterr().out
         assert "[build mode=batched]" in out
         assert "entries_computed=" in out
+
+    def test_load_pack_stats_line_names_the_pack(
+        self, fig3_json, tmp_path, capsys
+    ):
+        pack = str(tmp_path / "fig3.pack")
+        assert main(["pack", fig3_json, pack]) == 0
+        generation = re.search(
+            r"generation (\d+)", capsys.readouterr().out
+        ).group(1)
+        assert main(["table", "--load-pack", pack, "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "lookup(H, foo) = G::foo" in out
+        # The pack's facts, and no serving counters: a printed table
+        # answers through library reads, which move none of them.
+        assert out.splitlines()[-1] == (
+            f"[pack generation={generation} semantics=cpp-dominance]"
+        )
 
     @pytest.mark.parametrize(
         "extra",
@@ -307,3 +333,111 @@ class TestSyntaxErrors:
         assert capsys.readouterr().err == (
             f"{bad_h}:2:7: error: expected class name, found '{{'\n"
         )
+
+
+# ----------------------------------------------------------------------
+# Every subcommand in a fresh interpreter
+# ----------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: One run of each subcommand over the Figure 9 program (``{cpp}``),
+#: its JSON dump (``{json}``) and its pack (``{pack}``); ``{out}`` is a
+#: scratch path.  Each handler imports its own modules, and in-process
+#: tests share ``sys.modules``, so only a new interpreter shows a
+#: handler that uses a module it never imports.  ``serve`` runs in
+#: :func:`test_serve_starts_and_shuts_down_in_a_fresh_process`.
+FRESH_RUNS = {
+    "check": ["check", "{cpp}"],
+    "lookup": ["lookup", "{cpp}", "E::m"],
+    "table": ["table", "{cpp}", "--mode", "batched", "--columnar",
+              "--stats", "--delta-stats", "--save-pack", "{out}"],
+    "table-load-pack": ["table", "--load-pack", "{pack}", "--stats"],
+    "pack": ["pack", "{json}", "{out}"],
+    "ingest": ["ingest", "{cpp}", "--batch", "2", "--save-pack", "{out}"],
+    "build": ["build", "{cpp}", "--columnar", "--delta-stats"],
+    "explain": ["explain", "{cpp}", "E::m"],
+    "metrics": ["metrics", "{json}"],
+    "dot": ["dot", "{cpp}", "--subobjects", "E"],
+    "slice": ["slice", "{cpp}", "E::m", "--json"],
+    "trace": ["trace", "{cpp}", "m", "--concrete"],
+    "diff": ["diff", "{cpp}", "{json}"],
+    "lint": ["lint", "{cpp}", "--errors-only"],
+    "targets": ["targets", "{cpp}", "S::m"],
+    "vtables": ["vtables", "{cpp}", "E"],
+    "fuzz": ["fuzz", "--budget", "2", "--max-classes", "4", "--no-shrink",
+             "--semantics", "cpp-dominance,c3"],
+}
+
+
+def _fresh_repro(*args: str) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+@pytest.fixture(scope="module")
+def fig9_files(tmp_path_factory):
+    """The Figure 9 program as C++, as a JSON dump and as a pack."""
+    root = tmp_path_factory.mktemp("fresh")
+    cpp = root / "fig9.cpp"
+    cpp.write_text(figure9_source() + "\nmain() { E e; e.m = 10; }\n")
+    dump = root / "fig9.json"
+    dump.write_text(dumps(figure9()))
+    pack = root / "fig9.pack"
+    assert main(["pack", str(dump), str(pack)]) == 0
+    return {"cpp": str(cpp), "json": str(dump), "pack": str(pack)}
+
+
+def test_fresh_runs_cover_every_subcommand():
+    (commands,) = [
+        action.choices
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    covered = {args[0] for args in FRESH_RUNS.values()} | {"serve"}
+    assert covered == set(commands)
+
+
+@pytest.mark.parametrize("run", sorted(FRESH_RUNS))
+def test_subcommand_runs_in_a_fresh_process(run, fig9_files, tmp_path):
+    places = dict(fig9_files, out=str(tmp_path / "out"))
+    args = [arg.format(**places) for arg in FRESH_RUNS[run]]
+    child = _fresh_repro(*args)
+    out, err = child.communicate(timeout=120)
+    assert child.returncode == 0, err
+    assert out
+
+
+def test_serve_starts_and_shuts_down_in_a_fresh_process(fig9_files):
+    child = _fresh_repro(
+        "serve", "--port", "0", "--preload", f"fig9={fig9_files['pack']}"
+    )
+    # A server that never announces itself is killed, so the reads
+    # below end instead of blocking the run.
+    watchdog = threading.Timer(120, child.kill)
+    watchdog.start()
+    try:
+        assert child.stdout.readline().startswith("preloaded tenant 'fig9'")
+        address = child.stdout.readline()
+        match = re.match(r"serving on (\S+):(\d+)$", address.strip())
+        assert match, address
+        with socket.create_connection(
+            (match.group(1), int(match.group(2))), timeout=60
+        ) as conn:
+            conn.sendall(
+                b'{"id": 1, "op": "lookup", "tenant": "fig9", '
+                b'"class": "E", "member": "m"}\n'
+                b'{"id": 2, "op": "shutdown"}\n'
+            )
+            replies = conn.makefile("rb").read().splitlines()
+        assert json.loads(replies[0])["result"]["declaring_class"] == "C"
+        assert child.wait(timeout=60) == 0
+    finally:
+        watchdog.cancel()
+        child.kill()
+        child.communicate()

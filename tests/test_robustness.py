@@ -10,6 +10,7 @@ The serving entry points must also import without optional third-party
 packages: the library's runtime is the standard library alone.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -160,6 +161,168 @@ def test_cli_and_serving_front_do_not_import_flatpack():
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.split() == ["False"] * len(UNLOADED)
+
+
+#: What neither a ``repro ingest`` run up to its first published batch
+#: nor a ``repro serve`` start loads: the analyses, baselines, oracle,
+#: drawing, layout and slicing packages, the fuzz campaign, the engines
+#: and rules these commands do not run, the columnar layout (built on a
+#: snapshot's first read), the fluent builder, and the other commands'
+#: handlers.  A name covers its submodules.
+NOT_ON_THE_INGEST_OR_SERVE_PATH = (
+    "repro.analysis",
+    "repro.baselines",
+    "repro.subobjects",
+    "repro.diagnostics",
+    "repro.layout",
+    "repro.slicing",
+    "repro.fuzz.campaign",
+    "repro.core.static_lookup",
+    "repro.core.lazy",
+    "repro.core.certify",
+    "repro.core.columnar",
+    "repro.core.rules",
+    "repro.hierarchy.builder",
+    "repro.commands",
+)
+
+#: Runs ``repro ingest FILE`` and prints the modules loaded when its
+#: first ``[batch ...]`` line is written.
+_INGEST_PROBE = """
+import io, json, sys
+from repro.cli import main
+
+class FirstBatch(io.TextIOBase):
+    modules = None
+
+    def write(self, text):
+        if FirstBatch.modules is None and text.startswith("[batch"):
+            FirstBatch.modules = sorted(sys.modules)
+        return len(text)
+
+stdout, sys.stdout = sys.stdout, FirstBatch()
+assert main(["ingest", sys.argv[1]]) == 0
+sys.stdout = stdout
+print(json.dumps(FirstBatch.modules))
+"""
+
+#: Runs ``repro serve`` with a client thread that adds a tenant, notes
+#: the loaded modules once the reply is in, and shuts the server down.
+_SERVE_PROBE = """
+import io, json, socket, sys, threading
+from repro.cli import main
+
+class Announce(io.TextIOBase):
+    address = None
+    ready = threading.Event()
+
+    def write(self, text):
+        if text.startswith("serving on "):
+            host, _, port = text.split()[-1].rpartition(":")
+            Announce.address = (host, int(port))
+            Announce.ready.set()
+        return len(text)
+
+TENANT = {"id": 1, "op": "add_tenant", "tenant": "t", "hierarchy": {
+    "format": "repro-chg", "version": 1, "classes": [
+        {"name": "A", "members": [{"name": "m"}]},
+        {"name": "B", "bases": [{"name": "A", "virtual": True}]},
+        {"name": "C", "bases": [{"name": "A"}, {"name": "B"}]}]}}
+seen = {}
+
+def client():
+    assert Announce.ready.wait(60)
+    with socket.create_connection(Announce.address, timeout=60) as conn:
+        replies = conn.makefile("rb")
+        conn.sendall(json.dumps(TENANT).encode() + b"\\n")
+        seen["reply"] = json.loads(replies.readline())
+        seen["modules"] = sorted(sys.modules)
+        conn.sendall(b'{"id": 2, "op": "shutdown"}\\n')
+        replies.readline()
+
+thread = threading.Thread(target=client, daemon=True)
+thread.start()
+stdout, sys.stdout = sys.stdout, Announce()
+assert main(["serve", "--port", "0"]) == 0
+sys.stdout = stdout
+thread.join(60)
+assert seen["reply"]["ok"], seen["reply"]
+print(json.dumps(seen["modules"]))
+"""
+
+
+def _modules_loaded(probe: str, *args: str) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    completed = subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout)
+
+
+def _within(modules: list[str], packages: tuple[str, ...]) -> list[str]:
+    return [
+        name
+        for name in modules
+        if any(name == p or name.startswith(p + ".") for p in packages)
+    ]
+
+
+def test_ingest_loads_only_what_it_runs(tmp_path):
+    """Up to its first published batch, ``repro ingest`` loads only the
+    frontend, the table build and the snapshot chain: every package's
+    exports load lazily and each command imports its own modules."""
+    source = tmp_path / "unit.h"
+    source.write_text(
+        "struct A { int m; };\n"
+        "struct B : virtual A { int m; };\n"
+        "struct C : virtual A {};\n"
+        "struct D : B, C {};\n"
+    )
+    modules = _modules_loaded(_INGEST_PROBE, str(source))
+    assert "repro.ingest.pipeline" in modules
+    assert _within(modules, NOT_ON_THE_INGEST_OR_SERVE_PATH) == []
+
+
+def test_serve_start_loads_only_what_it_runs():
+    """A ``repro serve`` process that has started and built a tenant has
+    loaded no parser, ingest pipeline or analysis code."""
+    modules = _modules_loaded(_SERVE_PROBE)
+    assert "repro.serve.server" in modules
+    unloaded = NOT_ON_THE_INGEST_OR_SERVE_PATH + ("repro.frontend", "repro.ingest")
+    assert _within(modules, unloaded) == []
+
+
+def test_lazy_export_named_like_its_module_stays_the_export():
+    """``repro.core.lookup``, ``repro.core.certify`` and
+    ``repro.hierarchy.virtual_bases`` are functions exported under the
+    names of the submodules defining them.  Importing such a submodule
+    first, before the package's export is read, must not leave the
+    module where the function was."""
+    probe = (
+        "import sys\n"
+        "import repro.core.certify, repro.core.lookup\n"
+        "import repro.hierarchy.virtual_bases\n"
+        "from repro.core import certify, lookup\n"
+        "from repro.hierarchy import virtual_bases\n"
+        "assert certify is sys.modules['repro.core.certify'].certify\n"
+        "assert lookup is sys.modules['repro.core.lookup'].lookup\n"
+        "assert virtual_bases is "
+        "sys.modules['repro.hierarchy.virtual_bases'].virtual_bases\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 def test_table_serialization_error_is_one_class():
